@@ -17,8 +17,8 @@ from .statelogic import (
     StateFormula,
     TRUE,
     holds,
+    same_state,
     state_implies_counterexample,
-    strip_true,
 )
 from .domainlogic import DomainFormula, DomainInterpretation, KnowledgeBase
 from .errors import FragmentUnsupported
@@ -50,9 +50,7 @@ TRIVIAL = assertion()
 def same_assertion(a: TwoTierAssertion, b: TwoTierAssertion) -> bool:
     """Syntactic equality up to domain-tier set order and trivially-true
     state conjuncts."""
-    return set(a.domain) == set(b.domain) and strip_true(a.state) == strip_true(
-        b.state
-    )
+    return set(a.domain) == set(b.domain) and same_state(a.state, b.state)
 
 
 def assertion_holds(
@@ -68,12 +66,6 @@ def assertion_holds(
     lifted_phi, _residue = lifting.lift_partial(a.state)
     premises = lifting.lift_state(sigma) | lifted_phi
     return reasoning.entails(premises, a.domain, kb).is_entailed
-
-
-def strongly_consistent(
-    a: TwoTierAssertion, kb: KnowledgeBase, lifting: SpecLifting
-) -> bool:
-    return reasoning.entails(lifting.lift_spec(a.state), a.domain, kb).is_entailed
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,16 @@ the same code path, so a tree is only accepted if every step re-derives.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     MissingArgument,
     OutsideLiftableFragment,
     RuleShapeMismatch,
+    VerifierError,
 )
 from .statelogic import (
     And,
@@ -24,9 +26,7 @@ from .statelogic import (
     Lit,
     Not,
     State,
-    StateFormula,
-    TRUE,
-    strip_true,
+    same_state,
     substitute,
 )
 from .domainlogic import DomainFormula, KnowledgeBase
@@ -279,10 +279,6 @@ def _require(cond: bool, message: str) -> None:
         raise RuleShapeMismatch(message)
 
 
-def _same_state(a: StateFormula, b: StateFormula) -> bool:
-    return strip_true(a) == strip_true(b)
-
-
 def apply_rule(
     ctx: VerifCtx,
     rule: str,
@@ -310,7 +306,7 @@ def apply_rule(
         _require(not pre.domain, "var rule requires an empty domain precondition")
         needed = substitute(post.state, stmt.var, stmt.expr)
         _require(
-            _same_state(pre.state, needed),
+            same_state(pre.state, needed),
             "var rule requires the precondition state to be the substituted "
             "postcondition state",
         )
@@ -439,7 +435,7 @@ def apply_rule(
         except OutsideLiftableFragment as exc:
             raise RuleShapeMismatch(f"lift-var rule needs liftable tiers: {exc}")
         _require(
-            _same_state(pre.state, needed),
+            same_state(pre.state, needed),
             "lift-var rule requires the substituted postcondition state",
         )
         _require(
@@ -465,7 +461,7 @@ def apply_rule(
         except OutsideLiftableFragment as exc:
             raise RuleShapeMismatch(f"total rule needs liftable tiers: {exc}")
         _require(
-            _same_state(pre.state, needed),
+            same_state(pre.state, needed),
             "total rule requires the substituted enriched postcondition state",
         )
         _require(
@@ -608,9 +604,8 @@ class VerificationReport:
 
 def _parse_args(ctx: VerifCtx, node: ProofTree) -> dict:
     from .parsing import parse_assertion, parse_domain_formula
-    from .domainlogic import signature_of
 
-    sig = ctx.kb.signature.union(signature_of(ctx.kb.axioms))
+    sig = ctx.kb.symbols
     out: dict = {}
     for key, value in node.args:
         if key in ("kernel", "delta_prime"):
@@ -637,7 +632,7 @@ def check_proof(ctx: VerifCtx, tree: ProofTree) -> VerificationReport:
             premise_judgements, obligations = apply_rule(
                 ctx, rule, node.conclusion, **kwargs
             )
-        except (RuleShapeMismatch, MissingArgument, Exception) as exc:
+        except VerifierError as exc:
             failures.append(CheckFailure(path, f"{type(exc).__name__}: {exc}"))
             continue
         if len(premise_judgements) != len(node.premises):
@@ -709,6 +704,15 @@ class FuzzReport:
         return not self.counterexamples
 
 
+def _nth_combo(values: Sequence[int], width: int, index: int) -> tuple[int, ...]:
+    """The index-th tuple of itertools.product(values, repeat=width)."""
+    digits = []
+    for _ in range(width):
+        index, d = divmod(index, len(values))
+        digits.append(values[d])
+    return tuple(reversed(digits))
+
+
 def validate_judgement_empirically(
     ctx: VerifCtx,
     j: Judgement,
@@ -718,7 +722,9 @@ def validate_judgement_empirically(
     fuel: int = 1000,
 ) -> FuzzReport:
     """Run the statement from every precondition-satisfying state over
-    the bounded domain and check the postcondition on every outcome."""
+    the bounded domain and check the postcondition on every outcome.
+    When there are more than `samples` states, a seeded sample of them
+    is drawn without building the others."""
     run = RunContext(
         program=ctx.program,
         kb=ctx.kb,
@@ -726,14 +732,21 @@ def validate_judgement_empirically(
         var_domain=tuple(sorted(set(var_domain))),
         fuel=fuel,
     )
-    states = run.all_states()
-    if len(states) > samples:
-        rng = random.Random(seed)
-        states = tuple(rng.sample(states, samples))
+    names = ctx.program.variables
+    values = run.var_domain
+    total = len(values) ** len(names)
+    if total > samples:
+        # the states rng.sample would pick from the full product, decoded
+        # from their positions in itertools.product order
+        picks = random.Random(seed).sample(range(total), samples)
+        combos = (_nth_combo(values, len(names), i) for i in picks)
+    else:
+        combos = itertools.product(values, repeat=len(names))
     counterexamples: list[FuzzCounterexample] = []
     fuel_issues = 0
     tested = 0
-    for sigma in states:
+    for combo in combos:
+        sigma = State(zip(names, combo))
         if not assertion_holds(sigma, j.pre, ctx.kb, ctx.lifting):
             continue
         tested += 1

@@ -8,20 +8,17 @@ machine contract: 0 success, 1 verification failure or open proof,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, NoExplanation, ParseError, VerifierError
-from .domainlogic import KnowledgeBase, constants_of_formulas, signature_of
+from .domainlogic import KnowledgeBase, constants_of_formulas
 from .lifting import SpecLifting
 from .kernel import CandidatePool, alpha_abduce, informative_kernel
 from .status import ObligationStatus
 from .calculus import (
-    Judgement,
     ProofTree,
     VerifCtx,
     check_proof,
@@ -36,55 +33,35 @@ EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class RunConfig:
-    closure: Optional[bool] = None  # None: keep the kb file's setting
-    unroll_depth: int = 8
-    var_domain: Optional[tuple[int, ...]] = None
-    fresh_witnesses: int = 2
-    fuel: int = 1000
-    jobs: int = 1
-    seed: int = 0
-    output: str = "text"
-    proof_out: Optional[str] = None
+def on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
+    return text == "on"
 
 
-def add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--closure", choices=["on", "off"])
-    p.add_argument("--unroll", type=int, default=8, metavar="N")
-    p.add_argument("--domain", metavar="LIST", help='integer list, e.g. "0,2,4"')
-    p.add_argument("--fresh", type=int, default=2, metavar="N")
-    p.add_argument("--fuel", type=int, default=1000, metavar="N")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
-    p.add_argument("--format", choices=["text", "structured"], default="text")
-    p.add_argument("--proof-out", metavar="FILE")
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    domain = None
-    if getattr(args, "domain", None):
-        domain = tuple(sorted({int(x) for x in args.domain.split(",") if x.strip()}))
-    closure = None
-    if getattr(args, "closure", None):
-        closure = args.closure == "on"
-    return RunConfig(
-        closure=closure,
-        unroll_depth=args.unroll,
-        var_domain=domain,
-        fresh_witnesses=args.fresh,
-        fuel=args.fuel,
-        jobs=max(1, args.jobs),
-        seed=args.seed,
-        output=args.format,
-        proof_out=getattr(args, "proof_out", None),
-    )
+# every flag a subcommand may take; each subcommand adds the ones it reads
+FLAGS = {
+    "--closure": dict(type=on_off, metavar="{on,off}"),
+    "--unroll": dict(type=int, default=8, metavar="N"),
+    "--domain": dict(
+        type=int_list, default=(), metavar="LIST", help='integer list, e.g. "0,2,4"'
+    ),
+    "--fresh": dict(type=int, default=2, metavar="N"),
+    "--fuel": dict(type=int, default=1000, metavar="N"),
+    "--seed": dict(type=int, default=0, metavar="N"),
+    "--format": dict(choices=["text", "structured"], default="text"),
+    "--proof-out": dict(metavar="FILE"),
+}
 
 
-def load_kb(path: str, config: RunConfig) -> KnowledgeBase:
+def load_kb(path: str, closure: Optional[bool]) -> KnowledgeBase:
     kb = parsing.parse_kb(Path(path).read_text(encoding="utf-8"))
-    if config.closure is not None:
-        kb = kb.with_closure(config.closure)
+    if closure is not None:
+        kb = kb.with_closure(closure)
     return kb
 
 
@@ -92,15 +69,14 @@ def load_program(path: str, kb: KnowledgeBase):
     return parsing.parse_program(Path(path).read_text(encoding="utf-8"), kb)
 
 
-def build_ctx(program, kb: KnowledgeBase, config: RunConfig) -> VerifCtx:
-    ctx = VerifCtx.build(
+def build_ctx(program, kb: KnowledgeBase, args: argparse.Namespace) -> VerifCtx:
+    return VerifCtx.build(
         program,
         kb,
-        unroll_depth=config.unroll_depth,
-        fresh_witnesses=config.fresh_witnesses,
-        state_bound=config.var_domain or (),
+        unroll_depth=args.unroll,
+        fresh_witnesses=args.fresh,
+        state_bound=args.domain,
     )
-    return ctx
 
 
 def default_domain(program, kb: KnowledgeBase) -> tuple[int, ...]:
@@ -135,14 +111,8 @@ def structured_record(name: str, tree: ProofTree) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def run_verification(ctx: VerifCtx, config: RunConfig) -> list[tuple[str, ProofTree]]:
-    procs = ctx.program.procedures
-    if config.jobs > 1 and len(procs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            trees = list(pool.map(lambda p: verify_procedure(ctx, p), procs))
-    else:
-        trees = [verify_procedure(ctx, p) for p in procs]
-    return [(p.name, t) for p, t in zip(procs, trees)]
+def run_verification(ctx: VerifCtx) -> list[tuple[str, ProofTree]]:
+    return [(p.name, verify_procedure(ctx, p)) for p in ctx.program.procedures]
 
 
 def write_proofs(results: Sequence[tuple[str, ProofTree]], path: str) -> None:
@@ -158,27 +128,24 @@ def write_proofs(results: Sequence[tuple[str, ProofTree]], path: str) -> None:
 
 def cmd_verify(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    config = config_from_args(args)
-    kb = load_kb(args.kb, config)
+    kb = load_kb(args.kb, args.closure)
     program = load_program(args.program, kb)
-    ctx = build_ctx(program, kb, config)
-    results = run_verification(ctx, config)
+    ctx = build_ctx(program, kb, args)
+    results = run_verification(ctx)
     for name, tree in results:
-        if config.output == "structured":
+        if args.format == "structured":
             print(structured_record(name, tree), file=out)
         else:
             print_tree_verdicts(name, tree, out)
-    if config.proof_out:
-        write_proofs(results, config.proof_out)
+    if args.proof_out:
+        write_proofs(results, args.proof_out)
     return EXIT_OK if all(t.closed for _, t in results) else EXIT_FAILED
 
 
 def cmd_explain(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    config = config_from_args(args)
-    kb = load_kb(args.kb, config)
-    sig = kb.signature.union(signature_of(kb.axioms))
-    goal = parsing.parse_domain_formula(args.goal, sig)
+    kb = load_kb(args.kb, args.closure)
+    goal = parsing.parse_domain_formula(args.goal, kb.symbols)
     variables = tuple(s.variable for s in kb.stubs)
     lifting = SpecLifting.direct(kb, variables)
     pool = CandidatePool.build(kb, lifting, variables=variables)
@@ -203,13 +170,12 @@ def cmd_explain(args: argparse.Namespace, out=None) -> int:
 
 def cmd_fuzz(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    config = config_from_args(args)
-    kb = load_kb(args.kb, config)
+    kb = load_kb(args.kb, args.closure)
     program = load_program(args.program, kb)
-    ctx = build_ctx(program, kb, config)
-    domain = config.var_domain or default_domain(program, kb)
-    print(f"seed: {config.seed}; domain: {list(domain)}", file=out)
-    results = run_verification(ctx, config)
+    ctx = build_ctx(program, kb, args)
+    domain = args.domain or default_domain(program, kb)
+    print(f"seed: {args.seed}; domain: {list(domain)}", file=out)
+    results = run_verification(ctx)
     closed = [(name, t) for name, t in results if t.closed]
     if not closed:
         print("nothing Closed to test", file=out)
@@ -220,8 +186,8 @@ def cmd_fuzz(args: argparse.Namespace, out=None) -> int:
             ctx,
             tree.conclusion,
             domain,
-            seed=config.seed,
-            fuel=config.fuel,
+            seed=args.seed,
+            fuel=args.fuel,
         )
         print(
             f"procedure {name}: tested {report.tested} states, "
@@ -242,10 +208,11 @@ def cmd_fuzz(args: argparse.Namespace, out=None) -> int:
 
 def cmd_check(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    config = config_from_args(args)
-    kb = load_kb(args.kb, config)
+    kb = load_kb(args.kb, args.closure)
     program = load_program(args.program, kb)
-    ctx = build_ctx(program, kb, config)
+    ctx = VerifCtx.build(
+        program, kb, fresh_witnesses=args.fresh, state_bound=args.domain
+    )
     doc = json.loads(Path(args.proof).read_text(encoding="utf-8"))
     if doc.get("format") != serialize.FORMAT:
         print(f"unrecognized proof format: {doc.get('format')!r}", file=sys.stderr)
@@ -290,6 +257,11 @@ def cmd_parse(args: argparse.Namespace, out=None) -> int:
     return EXIT_OK
 
 
+def add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twotier",
@@ -301,32 +273,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify every procedure contract")
     p.add_argument("program")
     p.add_argument("kb")
-    add_common_flags(p)
+    add_flags(
+        p, "--closure", "--unroll", "--domain", "--fresh", "--format", "--proof-out"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("explain", help="deduce and abduce kernel atoms for a goal")
     p.add_argument("kb")
     p.add_argument("--goal", required=True)
-    add_common_flags(p)
+    add_flags(p, "--closure")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("fuzz", help="empirically validate closed judgements")
     p.add_argument("program")
     p.add_argument("kb")
-    add_common_flags(p)
+    add_flags(p, "--closure", "--unroll", "--domain", "--fresh", "--fuel", "--seed")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("check", help="replay a serialized proof tree")
     p.add_argument("proof")
     p.add_argument("program")
     p.add_argument("kb")
-    add_common_flags(p)
+    add_flags(p, "--closure", "--domain", "--fresh")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("parse", help="parse and pretty-print a program or kb file")
     p.add_argument("file")
     p.add_argument("--kb")
-    add_common_flags(p)
     p.set_defaults(func=cmd_parse)
 
     return parser

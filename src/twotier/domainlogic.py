@@ -9,8 +9,9 @@ stub closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Mapping, Optional
 
 from .errors import UndeclaredSymbol
 
@@ -237,21 +238,28 @@ class DomainSignature:
         return out
 
 
-def _scan_concept(c: Concept, nom: set, ar: set, cr: set, ac: set) -> None:
-    if isinstance(c, Atomic):
-        ac.add(c.name)
-    elif isinstance(c, Nominal):
-        nom.add(c.name)
-    elif isinstance(c, NotC):
-        _scan_concept(c.arg, nom, ar, cr, ac)
-    elif isinstance(c, (AndC, OrC)):
-        _scan_concept(c.lhs, nom, ar, cr, ac)
-        _scan_concept(c.rhs, nom, ar, cr, ac)
-    elif isinstance(c, (ExistsRole, ForallRole)):
-        ar.add(c.role)
-        _scan_concept(c.arg, nom, ar, cr, ac)
-    elif isinstance(c, (ExistsData, ForallData)):
-        cr.add(c.role)
+_BINARY = (Subsumption, AndC, OrC)
+_UNARY = (NotC, ExistsRole, ForallRole)
+
+
+def _nodes(x: DomainFormula | Concept, acc: list) -> list:
+    """x and every formula and concept nested in it, appended to acc."""
+    acc.append(x)
+    if isinstance(x, _BINARY):
+        _nodes(x.lhs, acc)
+        _nodes(x.rhs, acc)
+    elif isinstance(x, _UNARY):
+        _nodes(x.arg, acc)
+    elif isinstance(x, ConceptAssertion):
+        _nodes(x.concept, acc)
+    return acc
+
+
+def _nodes_of(formulas: Iterable[DomainFormula]) -> list:
+    acc: list = []
+    for f in formulas:
+        _nodes(f, acc)
+    return acc
 
 
 def signature_of(formulas: Iterable[DomainFormula]) -> DomainSignature:
@@ -260,46 +268,32 @@ def signature_of(formulas: Iterable[DomainFormula]) -> DomainSignature:
     ar: set[str] = set()
     cr: set[str] = set()
     ac: set[str] = set()
-    for f in formulas:
-        if isinstance(f, Subsumption):
-            _scan_concept(f.lhs, nom, ar, cr, ac)
-            _scan_concept(f.rhs, nom, ar, cr, ac)
-        elif isinstance(f, ConceptAssertion):
-            _scan_concept(f.concept, nom, ar, cr, ac)
-            nom.add(f.individual)
-        elif isinstance(f, RoleAssertion):
-            ar.add(f.role)
-            nom.add(f.subject)
-            nom.add(f.obj)
-        elif isinstance(f, DataAssertion):
-            cr.add(f.role)
-            nom.add(f.subject)
+    for n in _nodes_of(formulas):
+        if isinstance(n, Atomic):
+            ac.add(n.name)
+        elif isinstance(n, (ExistsRole, ForallRole)):
+            ar.add(n.role)
+        elif isinstance(n, (ExistsData, ForallData)):
+            cr.add(n.role)
+        elif isinstance(n, Nominal):
+            nom.add(n.name)
+        elif isinstance(n, ConceptAssertion):
+            nom.add(n.individual)
+        elif isinstance(n, RoleAssertion):
+            ar.add(n.role)
+            nom.update((n.subject, n.obj))
+        elif isinstance(n, DataAssertion):
+            cr.add(n.role)
+            nom.add(n.subject)
     return DomainSignature(frozenset(nom), frozenset(ar), frozenset(cr), frozenset(ac))
 
 
 def constants_of_formulas(formulas: Iterable[DomainFormula]) -> frozenset[int]:
-    acc: set[int] = set()
-
-    def walk(c: Concept) -> None:
-        if isinstance(c, (ExistsData, ForallData)):
-            acc.add(c.value)
-        elif isinstance(c, NotC):
-            walk(c.arg)
-        elif isinstance(c, (AndC, OrC)):
-            walk(c.lhs)
-            walk(c.rhs)
-        elif isinstance(c, (ExistsRole, ForallRole)):
-            walk(c.arg)
-
-    for f in formulas:
-        if isinstance(f, Subsumption):
-            walk(f.lhs)
-            walk(f.rhs)
-        elif isinstance(f, ConceptAssertion):
-            walk(f.concept)
-        elif isinstance(f, DataAssertion):
-            acc.add(f.value)
-    return frozenset(acc)
+    return frozenset(
+        n.value
+        for n in _nodes_of(formulas)
+        if isinstance(n, (ExistsData, ForallData, DataAssertion))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +427,11 @@ class KnowledgeBase:
     def with_closure(self, enabled: bool) -> "KnowledgeBase":
         return KnowledgeBase(self.signature, self.axioms, self.stubs, enabled)
 
+    @cached_property
+    def symbols(self) -> DomainSignature:
+        """The declared signature plus every symbol the axioms use."""
+        return self.signature.union(signature_of(self.axioms))
+
     def stub_for_variable(self, variable: str) -> Optional[Stub]:
         for s in self.stubs:
             if s.variable == variable:
@@ -495,12 +494,7 @@ def definition_graph(
     edges: dict[str, set[str]] = {}
 
     def names(c: Concept) -> frozenset[str]:
-        nom: set = set()
-        ar: set = set()
-        cr: set = set()
-        ac: set = set()
-        _scan_concept(c, nom, ar, cr, ac)
-        return frozenset(ac)
+        return frozenset(n.name for n in _nodes(c, []) if isinstance(n, Atomic))
 
     def add(src: str, dsts: frozenset[str]) -> None:
         edges.setdefault(src, set()).update(dsts)

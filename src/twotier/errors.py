@@ -57,10 +57,6 @@ class UnknownProcedure(VerifierError):
         self.name = name
 
 
-class FuelExhausted(VerifierError):
-    pass
-
-
 class RuleShapeMismatch(VerifierError):
     pass
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import UnknownProcedure
-from .statelogic import Lit, ProgramState, State, Term, Var, eval_term, substitute
+from .statelogic import Lit, ProgramState, State, Term, eval_term, substitute
 from .domainlogic import KnowledgeBase
 from .lifting import SpecLifting
 from .assertions import TwoTierAssertion, assertion, assertion_holds
@@ -183,14 +183,6 @@ def contract_post(program: Program, proc: str, arg: Expr) -> TwoTierAssertion:
 # Interpreter
 
 
-def truthy(n: int) -> bool:
-    return n != 0
-
-
-def eval_expr(e: Expr, sigma: ProgramState) -> int:
-    return eval_term(e, sigma)
-
-
 @dataclass
 class RunContext:
     program: Program
@@ -243,7 +235,7 @@ def interpret(s: Statement, sigma: ProgramState, ctx: RunContext) -> InterpOutco
     if isinstance(s, Skip):
         return InterpOutcome(frozenset({sigma}))
     if isinstance(s, Assign):
-        return InterpOutcome(frozenset({sigma.set(s.var, eval_expr(s.expr, sigma))}))
+        return InterpOutcome(frozenset({sigma.set(s.var, eval_term(s.expr, sigma))}))
     if isinstance(s, Seq):
         first = interpret(s.first, sigma, ctx)
         states: set[State] = set()
@@ -256,7 +248,7 @@ def interpret(s: Statement, sigma: ProgramState, ctx: RunContext) -> InterpOutco
             fuel_x = fuel_x or out.fuel_exhausted
         return InterpOutcome(frozenset(states), pre_v, fuel_x)
     if isinstance(s, If):
-        branch = s.then if truthy(eval_expr(s.cond, sigma)) else s.orelse
+        branch = s.then if eval_term(s.cond, sigma) != 0 else s.orelse
         return interpret(branch, sigma, ctx)
     if isinstance(s, While):
         results: set[State] = set()
@@ -270,7 +262,7 @@ def interpret(s: Statement, sigma: ProgramState, ctx: RunContext) -> InterpOutco
                 return InterpOutcome(frozenset(results), pre_v, True)
             nxt: set[State] = set()
             for st in frontier:
-                if not truthy(eval_expr(s.cond, st)):
+                if eval_term(s.cond, st) == 0:
                     results.add(st)
                     continue
                 out = interpret(s.body, st, ctx)
@@ -284,7 +276,7 @@ def interpret(s: Statement, sigma: ProgramState, ctx: RunContext) -> InterpOutco
             frontier = nxt
         return InterpOutcome(frozenset(results), pre_v, False)
     if isinstance(s, Call):
-        n = eval_expr(s.arg, sigma)
+        n = eval_term(s.arg, sigma)
         pre = contract_pre(ctx.program, s.proc, Lit(n))
         if not assertion_holds(sigma, pre, ctx.kb, ctx.lifting):
             return InterpOutcome(frozenset(), pre_violated=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import OutsideLiftableFragment, SignatureViolation
 from .statelogic import (
@@ -61,7 +61,7 @@ class SpecLifting:
             bindings[s.variable] = s.stub
         for v in variables:
             bindings.setdefault(v, default_stub_name(v))
-        kernel = signature_of(kb.axioms).union(kb.signature).union(
+        kernel = kb.symbols.union(
             DomainSignature(
                 nominals=frozenset(bindings.values()),
                 concrete_roles=frozenset({VALUE_ROLE}),
@@ -69,10 +69,6 @@ class SpecLifting:
             )
         )
         return SpecLifting(tuple(sorted(bindings.items())), kernel)
-
-    @property
-    def var_to_stub(self) -> Mapping[str, str]:
-        return dict(self.stub_bindings)
 
     def stub_for(self, variable: str) -> str:
         for v, s in self.stub_bindings:
@@ -118,9 +114,6 @@ class SpecLifting:
             out.add(img)
         return frozenset(out)
 
-    def is_liftable(self, phi: StateFormula) -> bool:
-        return all(c == TRUE or self.lift_atom(c) is not None for c in conjuncts(phi))
-
     def lift_partial(
         self, phi: StateFormula
     ) -> tuple[frozenset[DomainFormula], tuple[StateFormula, ...]]:
@@ -141,9 +134,6 @@ class SpecLifting:
         return self.lift_spec(characteristic_formula(sigma))
 
     # -- inverse lifting ----------------------------------------------------
-
-    def in_kernel(self, delta: Iterable[DomainFormula]) -> bool:
-        return signature_of(delta).subsumed_by(self.kernel_signature)
 
     def delift_atom(self, d: DomainFormula) -> Optional[StateFormula]:
         """State-level reading of one kernel formula; None when the

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .errors import ParseError
 from . import statelogic as sl
@@ -470,7 +469,7 @@ def _parse_statement(p: _Parser, sig: dl.DomainSignature) -> lang.Statement:
 
 def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
     p = _Parser(text)
-    sig = kb.signature.union(dl.signature_of(kb.axioms))
+    sig = kb.symbols
     globals_: list[tuple[str, lang.Expr]] = []
     procedures: list[lang.Procedure] = []
     while p.accept("var"):
@@ -518,8 +517,7 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
 
 def parse_statement(text: str, kb: dl.KnowledgeBase) -> lang.Statement:
     p = _Parser(text)
-    sig = kb.signature.union(dl.signature_of(kb.axioms))
-    out = _parse_statements(p, sig)
+    out = _parse_statements(p, kb.symbols)
     p.expect_eof()
     return out
 

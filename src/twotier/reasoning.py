@@ -216,8 +216,7 @@ class _Grounder:
             return -t
         if tag == "not":
             return -self._tseitin(expr[1])
-        key = self._expr_key(expr)
-        cached = self._defs.get(key)
+        cached = self._defs.get(expr)
         if cached is not None:
             return cached
         subs = tuple(self._tseitin(e) for e in expr[1])
@@ -232,11 +231,8 @@ class _Grounder:
             self.clauses.append((-out,) + subs)
         else:
             raise ValueError(tag)
-        self._defs[key] = out
+        self._defs[expr] = out
         return out
-
-    def _expr_key(self, expr):
-        return expr
 
     def assert_expr(self, expr) -> None:
         self.clauses.append((self._tseitin(expr),))
@@ -397,15 +393,15 @@ def _query_context(
     fresh_witnesses: int,
     extra_values: Iterable[int],
 ) -> tuple[tuple[str, ...], tuple[int, ...], DomainSignature]:
+    # the formulas include kb's axioms, so their symbols and constants
+    # cover the kb's
     fs = tuple(formulas)
-    query_sig = signature_of(fs)
-    kb_sig = signature_of(kb.axioms).union(kb.signature)
-    sig = kb_sig.union(query_sig)
+    sig = kb.signature.union(signature_of(fs))
     named = sorted(sig.nominals)
     universe = tuple(named) + tuple(
         f"{_ANON_PREFIX}{i}" for i in range(fresh_witnesses)
     )
-    ints = set(constants_of_formulas(fs)) | set(constants_of_formulas(kb.axioms))
+    ints = set(constants_of_formulas(fs))
     ints.add(0)
     ints.update(extra_values)
     ints.add(max((abs(v) for v in ints), default=0) + 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .domainlogic import KnowledgeBase, signature_of
+from .domainlogic import KnowledgeBase
 from .status import ObligationStatus
 from .calculus import Judgement, Obligation, ProofTree
 from .lang import Program
@@ -53,7 +53,7 @@ def tree_from_dict(
 ) -> ProofTree:
     from .parsing import parse_assertion, parse_statement
 
-    sig = kb.signature.union(signature_of(kb.axioms))
+    sig = kb.symbols
     conclusion = Judgement(
         pre=parse_assertion(data["conclusion"]["pre"], sig),
         stmt=parse_statement(data["conclusion"]["stmt"], kb),

@@ -137,92 +137,48 @@ def conjuncts(phi: StateFormula) -> Iterator[StateFormula]:
 
 
 def strip_true(phi: StateFormula) -> StateFormula:
-    """Drop trivially-true conjuncts (the literal 0 == 0) from the
-    top-level conjunction spine.  Used by rule-shape checks so that
-    bookkeeping conjuncts introduced by inverting empty tiers do not
-    block axiom rules."""
-    kept = [c for c in conjuncts(phi) if c != TRUE]
-    return conj(kept)
+    """Drop trivially-true conjuncts (the literal 0 == 0) and associate
+    every conjunction to the left, under negations too, as the parser
+    does.  Used by rule-shape checks so that bookkeeping conjuncts
+    introduced by inverting empty tiers do not block axiom rules, and so
+    that a proof tree built in memory matches its re-parsed arguments."""
+    if isinstance(phi, Not):
+        return Not(strip_true(phi.arg))
+    if isinstance(phi, And):
+        return conj(strip_true(c) for c in conjuncts(phi) if c != TRUE)
+    return phi
+
+
+def same_state(a: StateFormula, b: StateFormula) -> bool:
+    """Equality up to trivially-true conjuncts and the nesting of
+    conjunctions."""
+    return a == b or strip_true(a) == strip_true(b)
+
+
+def _nodes(x: StateFormula | Term, acc: list) -> list:
+    """x and every formula and term nested in it, appended to acc."""
+    acc.append(x)
+    if isinstance(x, (Eq, And)):
+        _nodes(x.lhs, acc)
+        _nodes(x.rhs, acc)
+    elif isinstance(x, Not):
+        _nodes(x.arg, acc)
+    elif isinstance(x, (Pred, FunApp)):
+        for a in x.args:
+            _nodes(a, acc)
+    return acc
 
 
 def variables_of(phi: StateFormula | Term) -> frozenset[str]:
-    acc: set[str] = set()
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, Var):
-            acc.add(t.name)
-        elif isinstance(t, FunApp):
-            for a in t.args:
-                walk_term(a)
-
-    def walk(f: StateFormula) -> None:
-        if isinstance(f, Eq):
-            walk_term(f.lhs)
-            walk_term(f.rhs)
-        elif isinstance(f, Pred):
-            for a in f.args:
-                walk_term(a)
-        elif isinstance(f, Not):
-            walk(f.arg)
-        elif isinstance(f, And):
-            walk(f.lhs)
-            walk(f.rhs)
-
-    if isinstance(phi, (Var, Lit, FunApp)):
-        walk_term(phi)
-    else:
-        walk(phi)
-    return frozenset(acc)
+    return frozenset(n.name for n in _nodes(phi, []) if isinstance(n, Var))
 
 
 def constants_of(phi: StateFormula | Term) -> frozenset[int]:
-    acc: set[int] = set()
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, Lit):
-            acc.add(t.value)
-        elif isinstance(t, FunApp):
-            for a in t.args:
-                walk_term(a)
-
-    def walk(f: StateFormula) -> None:
-        if isinstance(f, Eq):
-            walk_term(f.lhs)
-            walk_term(f.rhs)
-        elif isinstance(f, Pred):
-            for a in f.args:
-                walk_term(a)
-        elif isinstance(f, Not):
-            walk(f.arg)
-        elif isinstance(f, And):
-            walk(f.lhs)
-            walk(f.rhs)
-
-    if isinstance(phi, (Var, Lit, FunApp)):
-        walk_term(phi)
-    else:
-        walk(phi)
-    return frozenset(acc)
+    return frozenset(n.value for n in _nodes(phi, []) if isinstance(n, Lit))
 
 
 def uses_uninterpreted(phi: StateFormula) -> bool:
-    if isinstance(phi, Eq):
-        return any(isinstance(t, FunApp) for t in (phi.lhs, phi.rhs)) or any(
-            uses_uninterpreted_term(t) for t in (phi.lhs, phi.rhs)
-        )
-    if isinstance(phi, Pred):
-        return True
-    if isinstance(phi, Not):
-        return uses_uninterpreted(phi.arg)
-    if isinstance(phi, And):
-        return uses_uninterpreted(phi.lhs) or uses_uninterpreted(phi.rhs)
-    return False
-
-
-def uses_uninterpreted_term(t: Term) -> bool:
-    if isinstance(t, FunApp):
-        return True
-    return False
+    return any(isinstance(n, (Pred, FunApp)) for n in _nodes(phi, []))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +307,9 @@ def check_domain(
     """Variables and the small-model value domain for implication checks:
     constants of either formula, 0, the caller-supplied extras, and one
     fresh value per distinct variable."""
-    variables = tuple(sorted(variables_of(phi1) | variables_of(phi2)))
-    values = set(constants_of(phi1) | constants_of(phi2))
+    nodes = _nodes(phi1, _nodes(phi2, []))
+    variables = tuple(sorted({n.name for n in nodes if isinstance(n, Var)}))
+    values = {n.value for n in nodes if isinstance(n, Lit)}
     values.add(0)
     if extra is not None:
         values.update(extra)

@@ -9,24 +9,16 @@ with open leaves carrying diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NoExplanation, RuleShapeMismatch
-from .statelogic import And, Eq, Lit, Not, StateFormula, TRUE, disj, holds, strip_true, substitute
+from .errors import NoExplanation, RuleShapeMismatch, UnboundVariable, UndefinedSymbol
+from .statelogic import And, Eq, Lit, Not, StateFormula, disj, holds, same_state, substitute
 from .domainlogic import (
-    AndC,
-    Concept,
     ConceptAssertion,
     DataAssertion,
     DomainFormula,
-    ExistsData,
-    ExistsRole,
-    ForallData,
-    ForallRole,
-    NotC,
-    OrC,
     Subsumption,
+    signature_of,
 )
 from .lifting import SpecLifting
 from .kernel import alpha_abduce, informative_kernel
@@ -53,7 +45,7 @@ from .calculus import (
     ProofTree,
     VerifCtx,
     _node,
-    _same_state,
+    apply_rule,
     render_args,
 )
 
@@ -84,39 +76,13 @@ def _conj_delift(lifting: SpecLifting, phi: StateFormula, atoms) -> StateFormula
 # Provenance for failed consequence steps
 
 
-def _roles_of(c: Concept) -> frozenset[str]:
-    if isinstance(c, (ExistsRole, ForallRole)):
-        return frozenset({c.role}) | _roles_of(c.arg)
-    if isinstance(c, (ExistsData, ForallData)):
-        return frozenset({c.role})
-    if isinstance(c, (AndC, OrC)):
-        return _roles_of(c.lhs) | _roles_of(c.rhs)
-    if isinstance(c, NotC):
-        return _roles_of(c.arg)
-    return frozenset()
-
-
-def _concept_names(c: Concept) -> frozenset[str]:
-    from .domainlogic import Atomic
-
-    if isinstance(c, Atomic):
-        return frozenset({c.name})
-    if isinstance(c, (AndC, OrC)):
-        return _concept_names(c.lhs) | _concept_names(c.rhs)
-    if isinstance(c, NotC):
-        return _concept_names(c.arg)
-    if isinstance(c, (ExistsRole, ForallRole)):
-        return _concept_names(c.arg)
-    return frozenset()
-
-
 def _concepts_over_role(ctx: VerifCtx, role: str) -> tuple[str, ...]:
     names: set[str] = set()
     for ax in ctx.kb.axioms:
-        if isinstance(ax, Subsumption) and role in (
-            _roles_of(ax.lhs) | _roles_of(ax.rhs)
-        ):
-            names |= _concept_names(ax.lhs) | _concept_names(ax.rhs)
+        if isinstance(ax, Subsumption):
+            sig = signature_of((ax,))
+            if role in sig.abstract_roles | sig.concrete_roles:
+                names |= sig.atomic_concepts
     return tuple(sorted(names))
 
 
@@ -140,7 +106,7 @@ def _provenance_note(
         needed = substitute(phi, var, expr)
         try:
             falsified = not holds(needed, counter_state)
-        except Exception:
+        except (UnboundVariable, UndefinedSymbol):
             falsified = False
         if not falsified:
             continue
@@ -188,36 +154,28 @@ def derive(ctx: VerifCtx, j: Judgement, depth: Optional[int] = None) -> ProofTre
     return open_leaf(j, f"unsupported statement {stmt!r}")
 
 
-def _post_pipeline(ctx: VerifCtx, post: TwoTierAssertion):
-    """Kernel enrichment of a postcondition: informative deduced atoms
+def _enrich(ctx: VerifCtx, a: TwoTierAssertion):
+    """Kernel enrichment of an assertion: informative deduced atoms
     plus the recovered state conjuncts.  Returns (alpha, recovered,
     enriched_domain, enriched_state)."""
-    alpha = (
-        informative_kernel(post.domain, ctx.kb, ctx.pool) if post.domain else ()
-    )
-    full = tuple(post.domain) + tuple(a for a in alpha if a not in post.domain)
+    alpha = informative_kernel(a.domain, ctx.kb, ctx.pool) if a.domain else ()
+    full = tuple(a.domain) + tuple(x for x in alpha if x not in a.domain)
     recovered = _invertible(ctx.lifting, full)
-    return alpha, recovered, full, _conj_delift(ctx.lifting, post.state, recovered)
+    return alpha, recovered, full, _conj_delift(ctx.lifting, a.state, recovered)
 
 
 def _derive_assign(ctx: VerifCtx, j: Judgement) -> ProofTree:
     stmt = j.stmt
     assert isinstance(stmt, Assign)
-    alpha2, dp2, d2full, phi2hat = _post_pipeline(ctx, j.post)
+    alpha2, dp2, d2full, phi2hat = _enrich(ctx, j.post)
     phineed = substitute(phi2hat, stmt.var, stmt.expr)
-
-    alpha1 = (
-        informative_kernel(j.pre.domain, ctx.kb, ctx.pool) if j.pre.domain else ()
-    )
-    d1full = tuple(j.pre.domain) + tuple(a for a in alpha1 if a not in j.pre.domain)
-    dp1 = _invertible(ctx.lifting, d1full)
-    phi1hat = _conj_delift(ctx.lifting, j.pre.state, dp1)
+    alpha1, dp1, d1full, phi1hat = _enrich(ctx, j.pre)
 
     inner_pre = assertion((), phineed)
     inner_post = assertion(d2full, phi2hat)
     tree = _node(ctx, "var", Judgement(inner_pre, stmt, inner_post))
 
-    if d1full or not _same_state(phi1hat, phineed):
+    if d1full or not same_state(phi1hat, phineed):
         cons_j = Judgement(assertion(d1full, phi1hat), stmt, inner_post)
         ob1, res1 = ctx.implication_obligation(cons_j.pre, inner_pre)
         ob2, _ = ctx.implication_obligation(inner_post, inner_post)
@@ -289,7 +247,7 @@ def needed_pre(ctx: VerifCtx, stmt: Statement, post: TwoTierAssertion) -> TwoTie
     """A heuristic empty-domain precondition from which `stmt` is likely
     derivable with postcondition `post`."""
     if isinstance(stmt, Assign):
-        _alpha, _dp, _full, phihat = _post_pipeline(ctx, post)
+        _alpha, _dp, _full, phihat = _enrich(ctx, post)
         return assertion((), substitute(phihat, stmt.var, stmt.expr))
     if isinstance(stmt, Call):
         return contract_pre(ctx.program, stmt.proc, stmt.arg)
@@ -337,12 +295,7 @@ def _derive_seq(ctx: VerifCtx, j: Judgement, depth: int) -> ProofTree:
 def _clear_pre_domain(ctx: VerifCtx, j: Judgement, inner):
     """Wrap pre-core / pre-inv / cons steps around `inner(cleared)` so
     that a rule requiring an empty-domain precondition applies."""
-    alpha1 = informative_kernel(j.pre.domain, ctx.kb, ctx.pool)
-    d1full = tuple(j.pre.domain) + tuple(
-        a for a in alpha1 if a not in j.pre.domain
-    )
-    dp1 = _invertible(ctx.lifting, d1full)
-    phi1hat = _conj_delift(ctx.lifting, j.pre.state, dp1)
+    alpha1, dp1, d1full, phi1hat = _enrich(ctx, j.pre)
     cleared = Judgement(assertion((), phi1hat), j.stmt, j.post)
     tree = inner(cleared)
     tree = _node(
@@ -371,15 +324,9 @@ def _derive_if(ctx: VerifCtx, j: Judgement, depth: int) -> ProofTree:
     assert isinstance(stmt, If)
     if j.pre.domain:
         return _clear_pre_domain(ctx, j, lambda cleared: _derive_if(ctx, cleared, depth))
-    premise_js, _obs = _apply_branch(ctx, j)
+    premise_js, _obs = apply_rule(ctx, "branch", j)
     subtrees = tuple(derive(ctx, pj, depth) for pj in premise_js)
     return _node(ctx, "branch", j, premises=subtrees)
-
-
-def _apply_branch(ctx: VerifCtx, j: Judgement):
-    from .calculus import apply_rule
-
-    return apply_rule(ctx, "branch", j)
 
 
 def _derive_while(ctx: VerifCtx, j: Judgement, depth: int) -> ProofTree:

@@ -6,7 +6,6 @@ from twotier.assertions import (
     assertion_holds,
     assertion_implies,
     same_assertion,
-    strongly_consistent,
 )
 from twotier.domainlogic import Atomic, ConceptAssertion, DataAssertion
 from twotier.kernel import CandidatePool, alpha_deduce
@@ -45,15 +44,6 @@ def test_assertion_holds(corrected):
     # state tier alone holds but the lifted state refutes the domain tier
     b = assertion((HFW,), TRUE)
     assert not assertion_holds(State({"wheels": 2}), b, kb, lift)
-
-
-def test_strong_consistency(corrected):
-    kb = corrected[1]
-    lift = lifting_for(kb)
-    good = assertion((HFW,), Eq(Var("wheels"), Lit(4)))
-    assert strongly_consistent(good, kb, lift)
-    bad = assertion((HFW,), Eq(Var("wheels"), Lit(2)))
-    assert not strongly_consistent(bad, kb, lift)
 
 
 def test_implication_branch_condition_strengthening(corrected):

@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 
+from twotier import calculus
 from twotier.assertions import assertion
 from twotier.calculus import (
     Judgement,
@@ -13,7 +17,7 @@ from twotier.calculus import (
 )
 from twotier.domainlogic import Atomic, ConceptAssertion, DataAssertion
 from twotier.errors import MissingArgument, RuleShapeMismatch
-from twotier.lang import Assign, Call, If, Seq, Skip, While
+from twotier.lang import Assign, Call, If, RunContext, Seq, Skip, While
 from twotier.statelogic import And, Eq, Lit, TRUE, Var, neq
 from twotier.status import ObligationStatus
 
@@ -290,3 +294,45 @@ def test_empirical_validation_refutes_false_judgement(corrected_ctx):
     assert not report.ok
     cex = report.counterexamples[0]
     assert dict(cex.sigma_prime)["wheels"] == 3
+
+
+def test_check_proof_lets_checker_bugs_propagate(corrected_ctx, monkeypatch):
+    a = assertion((), wheels4)
+    tree = ProofTree(Judgement(a, Skip(), a), "skip")
+    assert check_proof(corrected_ctx, tree).closed
+
+    def broken(*args, **kwargs):
+        raise KeyError("checker bug")
+
+    monkeypatch.setattr(calculus, "apply_rule", broken)
+    with pytest.raises(KeyError):
+        check_proof(corrected_ctx, tree)
+
+
+def test_empirical_validation_samples_without_building_the_product(
+    corrected_ctx, monkeypatch
+):
+    # six variables over eleven values: 1.77 million states
+    def build_all(self):
+        raise AssertionError("the validator built every state")
+
+    monkeypatch.setattr(RunContext, "all_states", build_all)
+    j = Judgement(assertion(), Assign("wheels", Lit(4)), assertion((), wheels4))
+    report = validate_judgement_empirically(
+        corrected_ctx, j, range(11), samples=50, seed=3
+    )
+    assert report.tested == 50
+    assert report.ok
+
+
+def test_empirical_validation_samples_the_states_of_the_full_product(corrected_ctx):
+    j = Judgement(assertion(), Skip(), assertion((), wheels4))
+    report = validate_judgement_empirically(
+        corrected_ctx, j, (4, 0, 2), samples=100, seed=5
+    )
+    names = corrected_ctx.program.variables
+    product = itertools.product((0, 2, 4), repeat=len(names))
+    states = [dict(zip(names, c)) for c in product]
+    expected = [s for s in random.Random(5).sample(states, 100) if s["wheels"] != 4]
+    assert report.tested == 100
+    assert [dict(cx.sigma) for cx in report.counterexamples] == expected

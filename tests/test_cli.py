@@ -62,14 +62,6 @@ def test_verify_structured_output_is_deterministic(capfd):
     assert all(r["verdict"] == "Closed" for r in records)
 
 
-def test_verify_jobs_keeps_declaration_order(capfd):
-    _, serial, _ = run(capfd, "verify", COR_PROG, COR_KB, "--format", "structured")
-    _, parallel, _ = run(
-        capfd, "verify", COR_PROG, COR_KB, "--format", "structured", "--jobs", "4"
-    )
-    assert serial == parallel
-
-
 def test_verify_parse_error_exit_code(capfd, tmp_path):
     bad = tmp_path / "bad.prog"
     bad.write_text("proc broken(", encoding="utf-8")
@@ -180,3 +172,25 @@ def test_parse_program_finds_sibling_kb(capfd):
 def test_usage_error_exit_code(capfd):
     assert main(["verify"]) == 2
     capfd.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", ADD_KB, "--jobs", "2"],
+        ["explain", COR_KB, "--goal", "HasFourWheels(c)", "--seed", "1"],
+        ["verify", ADD_PROG, ADD_KB, "--fuel", "5"],
+        ["fuzz", ADD_PROG, ADD_KB, "--format", "structured"],
+        ["check", "proofs.json", ADD_PROG, ADD_KB, "--unroll", "3"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(capfd, argv):
+    code, _, err = run(capfd, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+def test_malformed_domain_is_a_usage_error(capfd):
+    code, _, err = run(capfd, "verify", ADD_PROG, ADD_KB, "--domain", "0,x")
+    assert code == 2
+    assert "--domain" in err

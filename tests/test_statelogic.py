@@ -108,6 +108,7 @@ def test_strip_true_preserves_meaning_on_conjunctions(phi):
 def test_strip_true_normalizes_associativity():
     a, b, c = Eq(Var("a"), Lit(1)), Eq(Var("b"), Lit(2)), neq(Var("c"), Lit(0))
     assert strip_true(And(a, And(b, c))) == strip_true(And(And(a, b), c))
+    assert strip_true(Not(And(a, And(b, c)))) == strip_true(Not(And(And(a, b), c)))
     assert strip_true(TRUE) == TRUE
     assert list(conjuncts(And(And(a, b), c))) == [a, b, c]
 

@@ -134,6 +134,29 @@ def test_false_judgement_stays_open_with_counter_state(corrected_ctx):
     assert not tree.closed
 
 
+def test_in_memory_tree_with_a_branch_passes_the_checker(corrected):
+    # needed_pre nests the branch conjunctions under a negation
+    # differently from the checker's re-parsed `mid`
+    kb = corrected[1]
+    host = corpus_text("assembly_corrected.prog")
+    text = host[: host.index("\nproc assembly(")] + (
+        "\nproc generated(id)\n"
+        "  requires [ - | id != 0 && nrDoors != 0 ]\n"
+        "  ensures [ - | doors == 2 && bodyId == 4 ]\n"
+        "begin\n"
+        "  doors := nrDoors;\n"
+        "  bodyId := 4;\n"
+        "  if (bodyId) then doors := 0; else doors := 2; fi\n"
+        "  doors := 2;\n"
+        "end;\n"
+    )
+    program = parse_program(text, kb)
+    ctx = VerifCtx.build(program, kb)
+    tree = verify_procedure(ctx, program.procedure("generated"))
+    assert tree.closed
+    assert check_proof(ctx, tree).closed
+
+
 def test_derive_matches_verify_procedure(corrected_ctx):
     proc = corrected_ctx.program.procedure("addWheels")
     direct = derive(
