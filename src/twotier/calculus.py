@@ -50,7 +50,6 @@ from .lang import (
     Seq,
     Skip,
     Statement,
-    While,
     contract_post,
     contract_pre,
     interpret,
@@ -93,7 +92,6 @@ RULE_NAMES = {
     "var",
     "skip",
     "branch",
-    "loop",
     "contract",
     "seq",
     "lift-var",
@@ -109,7 +107,6 @@ RULE_ALIASES = {
     "pre-abd": "pre-core",
     "pre-abs": "pre-core",
     "new-var": "var",
-    "inv": "loop",
 }
 
 
@@ -171,7 +168,6 @@ class VerifCtx:
     lifting: SpecLifting
     pool: CandidatePool
     state_bound: tuple[int, ...] = ()
-    unroll_depth: int = 8
     fresh_witnesses: int = 2
 
     @staticmethod
@@ -179,7 +175,6 @@ class VerifCtx:
         program: Program,
         kb: KnowledgeBase,
         *,
-        unroll_depth: int = 8,
         fresh_witnesses: int = 2,
         state_bound: tuple[int, ...] = (),
     ) -> "VerifCtx":
@@ -196,7 +191,6 @@ class VerifCtx:
             lifting=lifting,
             pool=pool,
             state_bound=state_bound,
-            unroll_depth=unroll_depth,
             fresh_witnesses=fresh_witnesses,
         )
 
@@ -353,11 +347,6 @@ def apply_rule(
             ),
             (),
         )
-
-    if rule == "loop":
-        _require(isinstance(stmt, While), "loop rule requires a while statement")
-        unrolled = If(stmt.cond, Seq(stmt.body, stmt), Skip())
-        return ((Judgement(pre, unrolled, post),), ())
 
     if rule == "cons":
         if inner_pre is None or inner_post is None:
@@ -719,7 +708,6 @@ def validate_judgement_empirically(
     var_domain: Sequence[int],
     samples: int = 10_000,
     seed: int = 0,
-    fuel: int = 1000,
 ) -> FuzzReport:
     """Run the statement from every precondition-satisfying state over
     the bounded domain and check the postcondition on every outcome.
@@ -730,7 +718,6 @@ def validate_judgement_empirically(
         kb=ctx.kb,
         lifting=ctx.lifting,
         var_domain=tuple(sorted(set(var_domain))),
-        fuel=fuel,
     )
     names = ctx.program.variables
     values = run.var_domain

@@ -46,12 +46,10 @@ def int_list(text: str) -> tuple[int, ...]:
 # every flag a subcommand may take; each subcommand adds the ones it reads
 FLAGS = {
     "--closure": dict(type=on_off, metavar="{on,off}"),
-    "--unroll": dict(type=int, default=8, metavar="N"),
     "--domain": dict(
         type=int_list, default=(), metavar="LIST", help='integer list, e.g. "0,2,4"'
     ),
     "--fresh": dict(type=int, default=2, metavar="N"),
-    "--fuel": dict(type=int, default=1000, metavar="N"),
     "--seed": dict(type=int, default=0, metavar="N"),
     "--format": dict(choices=["text", "structured"], default="text"),
     "--proof-out": dict(metavar="FILE"),
@@ -71,11 +69,7 @@ def load_program(path: str, kb: KnowledgeBase):
 
 def build_ctx(program, kb: KnowledgeBase, args: argparse.Namespace) -> VerifCtx:
     return VerifCtx.build(
-        program,
-        kb,
-        unroll_depth=args.unroll,
-        fresh_witnesses=args.fresh,
-        state_bound=args.domain,
+        program, kb, fresh_witnesses=args.fresh, state_bound=args.domain
     )
 
 
@@ -183,11 +177,7 @@ def cmd_fuzz(args: argparse.Namespace, out=None) -> int:
     exit_code = EXIT_OK
     for name, tree in closed:
         report = validate_judgement_empirically(
-            ctx,
-            tree.conclusion,
-            domain,
-            seed=args.seed,
-            fuel=args.fuel,
+            ctx, tree.conclusion, domain, seed=args.seed
         )
         print(
             f"procedure {name}: tested {report.tested} states, "
@@ -210,9 +200,7 @@ def cmd_check(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     kb = load_kb(args.kb, args.closure)
     program = load_program(args.program, kb)
-    ctx = VerifCtx.build(
-        program, kb, fresh_witnesses=args.fresh, state_bound=args.domain
-    )
+    ctx = build_ctx(program, kb, args)
     doc = json.loads(Path(args.proof).read_text(encoding="utf-8"))
     if doc.get("format") != serialize.FORMAT:
         print(f"unrecognized proof format: {doc.get('format')!r}", file=sys.stderr)
@@ -273,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify every procedure contract")
     p.add_argument("program")
     p.add_argument("kb")
-    add_flags(
-        p, "--closure", "--unroll", "--domain", "--fresh", "--format", "--proof-out"
-    )
+    add_flags(p, "--closure", "--domain", "--fresh", "--format", "--proof-out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("explain", help="deduce and abduce kernel atoms for a goal")
@@ -287,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="empirically validate closed judgements")
     p.add_argument("program")
     p.add_argument("kb")
-    add_flags(p, "--closure", "--unroll", "--domain", "--fresh", "--fuel", "--seed")
+    add_flags(p, "--closure", "--domain", "--fresh", "--seed")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("check", help="replay a serialized proof tree")

@@ -432,6 +432,11 @@ class KnowledgeBase:
         """The declared signature plus every symbol the axioms use."""
         return self.signature.union(signature_of(self.axioms))
 
+    @cached_property
+    def acyclic(self) -> bool:
+        """Whether the axioms' concept definitions form no cycle."""
+        return is_acyclic(self.axioms)
+
     def stub_for_variable(self, variable: str) -> Optional[Stub]:
         for s in self.stubs:
             if s.variable == variable:

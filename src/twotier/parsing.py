@@ -161,16 +161,11 @@ def _parse_state_atom(p: _Parser) -> sl.StateFormula:
 def _parse_state_unary(p: _Parser) -> sl.StateFormula:
     if p.accept("!"):
         return sl.Not(_parse_state_unary(p))
-    if p.at("(") and not _looks_like_term_paren(p):
-        p.expect("(")
+    if p.accept("("):  # terms never start with '('
         inner = _parse_state_formula_inner(p)
         p.expect(")")
         return inner
     return _parse_state_atom(p)
-
-
-def _looks_like_term_paren(p: _Parser) -> bool:
-    return False  # terms never start with '('
 
 
 def _parse_state_conj(p: _Parser) -> sl.StateFormula:

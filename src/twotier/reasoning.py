@@ -40,7 +40,6 @@ from .domainlogic import (
     Subsumption,
     Top,
     constants_of_formulas,
-    is_acyclic,
     signature_of,
 )
 
@@ -485,7 +484,7 @@ def entails(
     if not needed_search:
         return Entailed(certificate="premise inclusion")
     bound = f"universe = individuals + {fresh_witnesses} anonymous"
-    if is_acyclic(kb.axioms):
+    if kb.acyclic:
         return Entailed(certificate=f"no countermodel at bound ({bound})")
     return Unknown(bound=bound)
 
@@ -502,7 +501,7 @@ def consistent(
     )
     if model is not None:
         return True
-    if not is_acyclic(kb.axioms):
+    if not kb.acyclic:
         raise BudgetExceeded(
             "no model at the enumeration bound and the terminology is cyclic; "
             "consistency undecided"

@@ -1,10 +1,10 @@
 """Backward proof search for two-tier judgements.
 
-The strategy is deliberately simple and incomplete: it never guesses
-loop invariants (loops are unrolled up to a budget and otherwise left
-open), and it enriches assertions only with kernel atoms that the
-reasoner can deduce.  Judgements it cannot close are returned as trees
-with open leaves carrying diagnostics.
+The strategy is deliberately simple and incomplete: the calculus has no
+invariant rule, so every loop is left open, and the strategy enriches
+assertions only with kernel atoms that the reasoner can deduce.
+Judgements it cannot close are returned as trees with open leaves
+carrying diagnostics.
 """
 
 from __future__ import annotations
@@ -132,9 +132,7 @@ def _provenance_note(
 # Backward derivation
 
 
-def derive(ctx: VerifCtx, j: Judgement, depth: Optional[int] = None) -> ProofTree:
-    if depth is None:
-        depth = ctx.unroll_depth
+def derive(ctx: VerifCtx, j: Judgement) -> ProofTree:
     stmt = j.stmt
     try:
         if isinstance(stmt, Assign):
@@ -144,11 +142,13 @@ def derive(ctx: VerifCtx, j: Judgement, depth: Optional[int] = None) -> ProofTre
         if isinstance(stmt, Skip):
             return _derive_skip(ctx, j)
         if isinstance(stmt, Seq):
-            return _derive_seq(ctx, j, depth)
+            return _derive_seq(ctx, j)
         if isinstance(stmt, If):
-            return _derive_if(ctx, j, depth)
+            return _derive_if(ctx, j)
         if isinstance(stmt, While):
-            return _derive_while(ctx, j, depth)
+            return open_leaf(
+                j, "the calculus has no invariant rule, so loops are left Open"
+            )
     except RuleShapeMismatch as exc:
         return open_leaf(j, f"rule application failed: {exc}")
     return open_leaf(j, f"unsupported statement {stmt!r}")
@@ -279,7 +279,7 @@ def needed_pre(ctx: VerifCtx, stmt: Statement, post: TwoTierAssertion) -> TwoTie
     return assertion((), post.state)
 
 
-def _derive_seq(ctx: VerifCtx, j: Judgement, depth: int) -> ProofTree:
+def _derive_seq(ctx: VerifCtx, j: Judgement) -> ProofTree:
     stmt = j.stmt
     assert isinstance(stmt, Seq)
     trailing = statements_of(stmt.first)[-1]
@@ -287,8 +287,8 @@ def _derive_seq(ctx: VerifCtx, j: Judgement, depth: int) -> ProofTree:
         mid = contract_post(ctx.program, trailing.proc, trailing.arg)
     else:
         mid = needed_pre(ctx, stmt.second, j.post)
-    left = derive(ctx, Judgement(j.pre, stmt.first, mid), depth)
-    right = derive(ctx, Judgement(mid, stmt.second, j.post), depth)
+    left = derive(ctx, Judgement(j.pre, stmt.first, mid))
+    right = derive(ctx, Judgement(mid, stmt.second, j.post))
     return _node(ctx, "seq", j, premises=(left, right), mid=mid)
 
 
@@ -319,24 +319,14 @@ def _clear_pre_domain(ctx: VerifCtx, j: Judgement, inner):
     return tree
 
 
-def _derive_if(ctx: VerifCtx, j: Judgement, depth: int) -> ProofTree:
+def _derive_if(ctx: VerifCtx, j: Judgement) -> ProofTree:
     stmt = j.stmt
     assert isinstance(stmt, If)
     if j.pre.domain:
-        return _clear_pre_domain(ctx, j, lambda cleared: _derive_if(ctx, cleared, depth))
+        return _clear_pre_domain(ctx, j, lambda cleared: _derive_if(ctx, cleared))
     premise_js, _obs = apply_rule(ctx, "branch", j)
-    subtrees = tuple(derive(ctx, pj, depth) for pj in premise_js)
+    subtrees = tuple(derive(ctx, pj) for pj in premise_js)
     return _node(ctx, "branch", j, premises=subtrees)
-
-
-def _derive_while(ctx: VerifCtx, j: Judgement, depth: int) -> ProofTree:
-    if depth <= 0:
-        return open_leaf(j, "loop unrolling budget exhausted")
-    stmt = j.stmt
-    assert isinstance(stmt, While)
-    unrolled = If(stmt.cond, Seq(stmt.body, stmt), Skip())
-    sub = derive(ctx, Judgement(j.pre, unrolled, j.post), depth - 1)
-    return _node(ctx, "loop", j, premises=(sub,))
 
 
 # ---------------------------------------------------------------------------

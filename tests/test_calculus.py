@@ -32,7 +32,6 @@ def test_rule_aliases():
     assert canonical_rule("post-abd") == "post-core"
     assert canonical_rule("post-abs") == "post-core"
     assert canonical_rule("new-var") == "var"
-    assert canonical_rule("inv") == "loop"
     assert canonical_rule("seq") == "seq"
 
 
@@ -125,14 +124,6 @@ def test_branch_rule_splits_on_condition(corrected_ctx):
             "branch",
             Judgement(assertion((HFW,), TRUE), stmt, post),
         )
-
-
-def test_loop_rule_unrolls(corrected_ctx):
-    stmt = While(Var("wheels"), Assign("wheels", Lit(0)))
-    j = Judgement(assertion((), TRUE), stmt, assertion((), TRUE))
-    (premise,), obligations = apply_rule(corrected_ctx, "loop", j)
-    assert obligations == ()
-    assert premise.stmt == If(stmt.cond, Seq(stmt.body, stmt), Skip())
 
 
 def test_cons_rule_emits_two_implications(corrected_ctx):
@@ -261,6 +252,19 @@ def test_check_proof_accepts_and_pinpoints(corrected_ctx):
     report = check_proof(corrected_ctx, dropped)
     assert not report.closed
     assert "missing obligation dl-entailment" in report.failures[0].reason
+
+
+@pytest.mark.parametrize("rule", ["loop", "inv"])
+def test_stored_loop_rule_is_unknown_to_the_checker(corrected_ctx, rule):
+    stmt = While(Var("wheels"), Assign("wheels", Lit(0)))
+    a = assertion((), TRUE)
+    unrolled = Judgement(a, If(stmt.cond, Seq(stmt.body, stmt), Skip()), a)
+    tree = ProofTree(
+        Judgement(a, stmt, a), rule, premises=(ProofTree(unrolled, "open"),)
+    )
+    report = check_proof(corrected_ctx, tree)
+    assert report.failures[0].path == "root"
+    assert "unknown rule" in report.failures[0].reason
 
 
 def test_check_proof_flags_open_leaves(corrected_ctx):

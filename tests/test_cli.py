@@ -182,6 +182,8 @@ def test_usage_error_exit_code(capfd):
         ["verify", ADD_PROG, ADD_KB, "--fuel", "5"],
         ["fuzz", ADD_PROG, ADD_KB, "--format", "structured"],
         ["check", "proofs.json", ADD_PROG, ADD_KB, "--unroll", "3"],
+        ["verify", ADD_PROG, ADD_KB, "--unroll", "3"],
+        ["fuzz", ADD_PROG, ADD_KB, "--fuel", "5"],
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_a_usage_error(capfd, argv):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twotier import reasoning
+from twotier import domainlogic, reasoning
 from twotier.domainlogic import (
     Atomic,
     Bottom,
@@ -141,6 +141,25 @@ def test_entailed_needs_acyclic_axioms():
         (), (ConceptAssertion(Top(), "c"),), cyclic
     )
     assert isinstance(verdict, reasoning.Unknown)
+
+
+def test_acyclicity_is_scanned_once_per_kb(monkeypatch):
+    graphs = []
+    build = domainlogic.definition_graph
+
+    def counting(axioms):
+        graphs.append(axioms)
+        return build(axioms)
+
+    monkeypatch.setattr(domainlogic, "definition_graph", counting)
+    kb = tiny_kb((Subsumption(A, B),))
+    premises = (ConceptAssertion(A, "c"), ConceptAssertion(A, "s"))
+    for individual in ("c", "s"):
+        verdict = reasoning.entails(
+            premises, (ConceptAssertion(B, individual),), kb
+        )
+        assert verdict.certificate.startswith("no countermodel")
+    assert len(graphs) == 1
 
 
 def test_consistency():

@@ -4,7 +4,7 @@ from twotier.assertions import assertion
 from twotier.calculus import Judgement, VerifCtx, check_proof
 from twotier.domainlogic import Atomic, ConceptAssertion, Subsumption
 from twotier.lang import Assign, If, Seq, Skip, While
-from twotier.parsing import parse_kb, parse_program
+from twotier.parsing import parse_kb, parse_program, parse_statement
 from twotier.statelogic import And, Eq, Lit, TRUE, Var, neq
 from twotier.strategy import derive, verify_procedure, verify_program
 
@@ -112,13 +112,25 @@ def test_while_stays_open(corrected_ctx):
     )
     tree = derive(corrected_ctx, j)
     assert not tree.closed
-    leaves = [
-        o.note
-        for _, node in tree.walk()
-        for o in node.obligations
-        if node.rule == "open"
-    ]
-    assert any("unroll" in n for n in leaves)
+    assert tree.rule == "open"
+    assert tree.conclusion == j
+    (ob,) = tree.obligations
+    assert ob.note == "the calculus has no invariant rule, so loops are left Open"
+
+
+def test_loop_after_an_assignment_leaves_only_the_loop_open(corrected_ctx):
+    stmt = parse_statement(
+        "wheels := 4; while (doors) do doors := 0; od", corrected_ctx.kb
+    )
+    j = Judgement(
+        assertion((), TRUE), stmt, assertion((), Eq(Var("wheels"), Lit(4)))
+    )
+    tree = derive(corrected_ctx, j)
+    assert tree.rule == "seq"
+    left, right = tree.premises
+    assert left.closed
+    assert right.rule == "open"
+    assert right.conclusion.stmt == stmt.second
 
 
 def test_false_judgement_stays_open_with_counter_state(corrected_ctx):
