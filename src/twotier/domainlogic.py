@@ -437,6 +437,14 @@ class KnowledgeBase:
         """Whether the axioms' concept definitions form no cycle."""
         return is_acyclic(self.axioms)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.signature, self.axioms, self.stubs, self.closure_enabled))
+
+    def __hash__(self) -> int:
+        # every reasoner query hashes its kb: hash the axioms once
+        return self._hash
+
     def stub_for_variable(self, variable: str) -> Optional[Stub]:
         for s in self.stubs:
             if s.variable == variable:

@@ -73,11 +73,7 @@ def alpha_deduce(
 ) -> KernelResult:
     """Every pool atom entailed by delta under kb."""
     delta = tuple(dict.fromkeys(delta))
-    atoms = tuple(
-        a
-        for a in pool.atoms
-        if reasoning.entails(delta, (a,), kb).is_entailed
-    )
+    atoms = reasoning.entailed_atoms(delta, pool.atoms, kb)
     backward = _status(reasoning.entails(atoms, delta, kb))
     return KernelResult(
         atoms=atoms,
@@ -139,13 +135,8 @@ def informative_kernel(
     sound way to keep derivations small."""
     delta = tuple(dict.fromkeys(delta))
     deltaset = set(delta)
-    out = []
-    for a in pool.atoms:
-        if a in deltaset:
-            continue
-        if not reasoning.entails(delta, (a,), kb).is_entailed:
-            continue
-        if reasoning.entails((), (a,), kb).is_entailed:
-            continue
-        out.append(a)
-    return tuple(out)
+    deduced = reasoning.entailed_atoms(
+        delta, (a for a in pool.atoms if a not in deltaset), kb
+    )
+    forced = set(reasoning.entailed_atoms((), deduced, kb))
+    return tuple(a for a in deduced if a not in forced)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UndeclaredSymbol
 from .domainlogic import (
     AndC,
     Atomic,
@@ -40,6 +40,7 @@ from .domainlogic import (
     Subsumption,
     Top,
     constants_of_formulas,
+    satisfies,
     signature_of,
 )
 
@@ -386,25 +387,33 @@ def _solve(
 # Query interface
 
 
-def _query_context(
+def _query_symbols(
     kb: KnowledgeBase,
     formulas: Iterable[DomainFormula],
-    fresh_witnesses: int,
     extra_values: Iterable[int],
-) -> tuple[tuple[str, ...], tuple[int, ...], DomainSignature]:
+) -> tuple[DomainSignature, frozenset[int]]:
+    """The signature and the value pool, before its fresh value, of a
+    query over the formulas."""
     # the formulas include kb's axioms, so their symbols and constants
     # cover the kb's
     fs = tuple(formulas)
     sig = kb.signature.union(signature_of(fs))
-    named = sorted(sig.nominals)
-    universe = tuple(named) + tuple(
-        f"{_ANON_PREFIX}{i}" for i in range(fresh_witnesses)
-    )
     ints = set(constants_of_formulas(fs))
     ints.add(0)
     ints.update(extra_values)
-    ints.add(max((abs(v) for v in ints), default=0) + 1)
-    return universe, tuple(sorted(ints)), sig
+    return sig, frozenset(ints)
+
+
+def _query_bounds(
+    nominals: Iterable[str], ints: frozenset[int], fresh_witnesses: int
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The universe (the named individuals, then the anonymous ones) and
+    the value pool (the query's values plus one fresh value)."""
+    universe = tuple(sorted(nominals)) + tuple(
+        f"{_ANON_PREFIX}{i}" for i in range(fresh_witnesses)
+    )
+    fresh = max(abs(v) for v in ints) + 1
+    return universe, tuple(sorted(ints | {fresh}))
 
 
 def find_model(
@@ -420,9 +429,8 @@ def find_model(
     asserted = tuple(formulas)
     negated = tuple(negated)
     axioms = kb.effective_axioms(asserted)
-    universe, values, sig = _query_context(
-        kb, axioms + asserted + negated, fresh_witnesses, extra_values
-    )
+    sig, ints = _query_symbols(kb, axioms + asserted + negated, extra_values)
+    universe, values = _query_bounds(sig.nominals, ints, fresh_witnesses)
     g = _Grounder(universe, values, sig)
     for f in axioms:
         g.assert_formula(f)
@@ -437,6 +445,7 @@ def find_model(
 
 
 _REFUTE_CACHE: dict[tuple, Optional[DomainInterpretation]] = {}
+_MISSING = object()
 
 
 def _refute(
@@ -447,8 +456,9 @@ def _refute(
     extra_values: frozenset[int],
 ) -> Optional[DomainInterpretation]:
     key = (kb, premises, d, fresh_witnesses, extra_values)
-    if key in _REFUTE_CACHE:
-        return _REFUTE_CACHE[key]
+    model = _REFUTE_CACHE.get(key, _MISSING)
+    if model is not _MISSING:
+        return model
     model = find_model(
         premises,
         kb,
@@ -487,6 +497,56 @@ def entails(
     if kb.acyclic:
         return Entailed(certificate=f"no countermodel at bound ({bound})")
     return Unknown(bound=bound)
+
+
+def entailed_atoms(
+    premises: Iterable[DomainFormula],
+    atoms: Iterable[DomainFormula],
+    kb: KnowledgeBase,
+) -> tuple[DomainFormula, ...]:
+    """The atoms a, in order, for which `entails(premises, (a,), kb)` is
+    Entailed, with fewer model searches.
+
+    A query for a is decided over the premises' universe and value pool,
+    extended by a's individual and value.  A countermodel found for one
+    atom is a model of kb and the premises over that query context, so
+    it refutes every later atom over the same context that it falsifies
+    (the backbone method of Janota, Lynce and Marques-Silva, AI Comm.
+    2015).  Only the remaining atoms are searched."""
+    prem = frozenset(premises)
+    if not kb.acyclic:
+        # entails then answers Unknown or NotEntailed beyond inclusion
+        return tuple(a for a in atoms if a in prem)
+    sig, ints = _query_symbols(kb, kb.effective_axioms(prem) + tuple(prem), ())
+    countermodels: dict[tuple, DomainInterpretation] = {}
+    out = []
+    for a in atoms:
+        if a in prem:
+            out.append(a)
+            continue
+        bounds = _query_bounds(
+            sig.nominals | signature_of((a,)).nominals,
+            ints | constants_of_formulas((a,)),
+            DEFAULT_FRESH_WITNESSES,
+        )
+        model = countermodels.get(bounds)
+        if model is not None and _falsifies(model, a):
+            continue
+        verdict = entails(prem, (a,), kb)
+        if verdict.is_entailed:
+            out.append(a)
+        else:
+            countermodels[bounds] = verdict.countermodel
+    return tuple(out)
+
+
+def _falsifies(model: DomainInterpretation, d: DomainFormula) -> bool:
+    """Whether model falsifies d; False when it leaves d's symbols
+    uninterpreted."""
+    try:
+        return not satisfies(model, d)
+    except UndeclaredSymbol:
+        return False
 
 
 def consistent(

@@ -1,5 +1,10 @@
+import sys
+from pathlib import Path
+
 import pytest
 
+from twotier import parsing, reasoning
+from twotier.calculus import VerifCtx
 from twotier.errors import NoExplanation
 from twotier.domainlogic import Atomic, ConceptAssertion, DataAssertion
 from twotier.kernel import (
@@ -11,6 +16,10 @@ from twotier.kernel import (
 )
 from twotier.lifting import SpecLifting
 from twotier.status import ObligationStatus
+from twotier.strategy import verify_procedure
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen_scaled  # noqa: E402
 
 NZ = lambda s: ConceptAssertion(Atomic("NonZero"), s)
 hv = lambda s, n: DataAssertion("hasValue", s, n)
@@ -127,3 +136,53 @@ def test_abduce_no_explanation(corrected_pool):
     with pytest.raises(NoExplanation):
         # 7 is outside every pool atom's value set
         alpha_abduce((hv("doorsVar", 7),), kb, pool, max_size=2)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The number of model searches, counted on an empty reasoner cache."""
+    count = [0]
+    search = reasoning.find_model
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(reasoning, "_REFUTE_CACHE", {})
+    monkeypatch.setattr(reasoning, "find_model", counting)
+    return count
+
+
+def test_countermodels_refute_most_pool_atoms_of_s4(searches):
+    kb_text, prog_text = gen_scaled.scaled(4, 1)
+    kb = parsing.parse_kb(kb_text)
+    program = parsing.parse_program(prog_text, kb)
+    ctx = VerifCtx.build(program, kb)
+    assert all(verify_procedure(ctx, p).closed for p in program.procedures)
+    # one search per pool atom and premise set would make 200
+    assert searches[0] <= 60
+
+
+def test_cyclic_kb_kernels_need_no_search(monkeypatch):
+    kb = parsing.parse_kb(
+        """concept Has; concept Loop; role p; role q; data-role hasValue;
+        concept NonZero; individual c; individual v;
+        some p . some hasValue . 2 == Has;
+        Loop == some q . Loop;
+        p(c, v);
+        stub p(c, v) for var x;
+        closure on;"""
+    )
+    assert not kb.acyclic
+    pool = CandidatePool.build(kb, SpecLifting.direct(kb))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a cyclic kb entails no atom beyond the premises")
+
+    monkeypatch.setattr(reasoning, "_REFUTE_CACHE", {})
+    monkeypatch.setattr(reasoning, "find_model", no_search)
+    delta = (hv("v", 2), NZ("v"))
+    assert alpha_deduce(delta, kb, pool).atoms == (NZ("v"), hv("v", 2))
+    assert informative_kernel(delta, kb, pool) == ()
+    has = ConceptAssertion(Atomic("Has"), "c")
+    assert informative_kernel((has, hv("v", 2)), kb, pool) == ()

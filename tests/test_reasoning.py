@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twotier import domainlogic, reasoning
 from twotier.domainlogic import (
@@ -13,9 +14,11 @@ from twotier.domainlogic import (
     DomainSignature,
     ExistsData,
     ExistsRole,
+    ForallData,
     KnowledgeBase,
     NotC,
     RoleAssertion,
+    Stub,
     Subsumption,
     equivalence,
     satisfies,
@@ -194,3 +197,57 @@ def test_value_functionality_from_premises(corrected):
     assert reasoning.entails((hv4,), (NZ,), kb).is_entailed
     hv0 = DataAssertion("hasValue", "wheelsVar", 0)
     assert isinstance(reasoning.entails((hv0,), (NZ,), kb), reasoning.NotEntailed)
+
+
+# K's individuals are c and s; x occurs in no kb.  K's only constant is 1.
+ATOMS = tuple(
+    [ConceptAssertion(C, i) for C in (A, B, Atomic("N")) for i in "csx"]
+    + [DataAssertion("t", i, v) for i in "csx" for v in (0, 1, 2, 5)]
+    + [RoleAssertion("r", "c", i) for i in "sx"]
+)
+KB_AXIOMS = (
+    Subsumption(A, B),
+    Subsumption(ExistsData("t", 1), B),
+    Subsumption(A, ForallData("t", 1)),
+    Subsumption(ExistsRole("r", A), B),
+    ConceptAssertion(A, "c"),
+    RoleAssertion("r", "c", "s"),
+    DataAssertion("t", "s", 1),
+)
+
+
+@st.composite
+def kbs(draw):
+    axioms = draw(st.lists(st.sampled_from(KB_AXIOMS), max_size=5, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        axioms += equivalence(A, ExistsRole("r", A))
+    stubs = (Stub("r", "c", "s", "v"),) if draw(st.booleans()) else ()
+    return KnowledgeBase(tiny_kb().signature, tuple(axioms), stubs, draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kb=kbs(),
+    premises=st.lists(st.sampled_from(ATOMS), max_size=3),
+    atoms=st.lists(st.sampled_from(ATOMS), max_size=10),
+)
+def test_entailed_atoms_matches_one_query_per_atom(kb, premises, atoms):
+    """Atoms inside and outside the premises, over individuals and values
+    inside and outside K, on acyclic and cyclic kbs: refuting atoms with
+    earlier countermodels gives the per-atom verdicts."""
+    reasoning._REFUTE_CACHE.clear()
+    fast = reasoning.entailed_atoms(premises, atoms, kb)
+    reasoning._REFUTE_CACHE.clear()
+    slow = tuple(
+        a for a in atoms if reasoning.entails(premises, (a,), kb).is_entailed
+    )
+    assert fast == slow
+
+
+def test_equal_kbs_hash_equal():
+    axioms = (Subsumption(A, B), ConceptAssertion(A, "c"))
+    kb = tiny_kb(axioms)
+    again = tiny_kb(list(axioms))
+    assert kb is not again and kb == again and hash(kb) == hash(again)
+    assert {kb: 1}[again] == 1
+    assert kb != kb.with_closure(True)
