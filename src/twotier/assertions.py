@@ -85,13 +85,12 @@ def assertion_implies(
     a2: TwoTierAssertion,
     kb: KnowledgeBase,
     lifting: SpecLifting,
-    bound: Optional[Iterable[int]] = None,
 ) -> ImplicationResult:
-    """Sound sufficient check: the state tiers must stand in bounded
+    """Sound sufficient check: the state tiers must stand in
     implication and the first domain tier plus the lifted first state
     must entail the second domain tier."""
     try:
-        cex = state_implies_counterexample(a1.state, a2.state, bound)
+        cex = state_implies_counterexample(a1.state, a2.state)
     except FragmentUnsupported as exc:
         return ImplicationResult(ObligationStatus.UNKNOWN, f"state tier: {exc}")
     if cex is not None:

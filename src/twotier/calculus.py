@@ -167,7 +167,6 @@ class VerifCtx:
     kb: KnowledgeBase
     lifting: SpecLifting
     pool: CandidatePool
-    state_bound: tuple[int, ...] = ()
     fresh_witnesses: int = 2
 
     @staticmethod
@@ -176,7 +175,6 @@ class VerifCtx:
         kb: KnowledgeBase,
         *,
         fresh_witnesses: int = 2,
-        state_bound: tuple[int, ...] = (),
     ) -> "VerifCtx":
         lifting = SpecLifting.direct(kb, program.variables)
         pool = CandidatePool.build(
@@ -190,16 +188,10 @@ class VerifCtx:
             kb=kb,
             lifting=lifting,
             pool=pool,
-            state_bound=state_bound,
             fresh_witnesses=fresh_witnesses,
         )
 
     # -- obligation discharge ------------------------------------------------
-
-    def entails(self, premises, conclusion) -> reasoning.EntailmentVerdict:
-        return reasoning.entails(
-            premises, conclusion, self.kb, fresh_witnesses=self.fresh_witnesses
-        )
 
     def dl_obligation(
         self,
@@ -208,7 +200,9 @@ class VerifCtx:
     ) -> Obligation:
         premises = tuple(premises)
         conclusion = tuple(conclusion)
-        verdict = self.entails(premises, conclusion)
+        verdict = reasoning.entails(
+            premises, conclusion, self.kb, fresh_witnesses=self.fresh_witnesses
+        )
         status = status_of_verdict(verdict)
         note = ""
         if isinstance(verdict, reasoning.NotEntailed):
@@ -228,9 +222,7 @@ class VerifCtx:
     def implication_obligation(
         self, a1: TwoTierAssertion, a2: TwoTierAssertion
     ) -> tuple[Obligation, ImplicationResult]:
-        result = assertion_implies(
-            a1, a2, self.kb, self.lifting, bound=self.state_bound
-        )
+        result = assertion_implies(a1, a2, self.kb, self.lifting)
         note = result.detail
         if result.counter_state is not None:
             note += f"; counter-state {dict(result.counter_state)}"

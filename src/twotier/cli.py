@@ -46,6 +46,7 @@ def int_list(text: str) -> tuple[int, ...]:
 # every flag a subcommand may take; each subcommand adds the ones it reads
 FLAGS = {
     "--closure": dict(type=on_off, metavar="{on,off}"),
+    # fuzz only: state implication is exact without a value domain
     "--domain": dict(
         type=int_list, default=(), metavar="LIST", help='integer list, e.g. "0,2,4"'
     ),
@@ -68,9 +69,7 @@ def load_program(path: str, kb: KnowledgeBase):
 
 
 def build_ctx(program, kb: KnowledgeBase, args: argparse.Namespace) -> VerifCtx:
-    return VerifCtx.build(
-        program, kb, fresh_witnesses=args.fresh, state_bound=args.domain
-    )
+    return VerifCtx.build(program, kb, fresh_witnesses=args.fresh)
 
 
 def default_domain(program, kb: KnowledgeBase) -> tuple[int, ...]:
@@ -109,17 +108,6 @@ def run_verification(ctx: VerifCtx) -> list[tuple[str, ProofTree]]:
     return [(p.name, verify_procedure(ctx, p)) for p in ctx.program.procedures]
 
 
-def write_proofs(results: Sequence[tuple[str, ProofTree]], path: str) -> None:
-    doc = {
-        "format": serialize.FORMAT,
-        "version": serialize.VERSION,
-        "procedures": {name: serialize.tree_to_dict(t) for name, t in results},
-    }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def cmd_verify(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     kb = load_kb(args.kb, args.closure)
@@ -132,7 +120,9 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
         else:
             print_tree_verdicts(name, tree, out)
     if args.proof_out:
-        write_proofs(results, args.proof_out)
+        Path(args.proof_out).write_text(
+            serialize.dumps_procedures(results), encoding="utf-8"
+        )
     return EXIT_OK if all(t.closed for _, t in results) else EXIT_FAILED
 
 
@@ -201,17 +191,8 @@ def cmd_check(args: argparse.Namespace, out=None) -> int:
     kb = load_kb(args.kb, args.closure)
     program = load_program(args.program, kb)
     ctx = build_ctx(program, kb, args)
-    doc = json.loads(Path(args.proof).read_text(encoding="utf-8"))
-    if doc.get("format") != serialize.FORMAT:
-        print(f"unrecognized proof format: {doc.get('format')!r}", file=sys.stderr)
-        return EXIT_PARSE
-    if "tree" in doc:
-        named = [("proof", serialize.tree_from_dict(doc["tree"], kb, program))]
-    else:
-        named = [
-            (name, serialize.tree_from_dict(t, kb, program))
-            for name, t in sorted(doc.get("procedures", {}).items())
-        ]
+    text = Path(args.proof).read_text(encoding="utf-8")
+    named = serialize.loads_procedures(text, kb, program)
     exit_code = EXIT_OK
     for name, tree in named:
         report = check_proof(ctx, tree)
@@ -261,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify every procedure contract")
     p.add_argument("program")
     p.add_argument("kb")
-    add_flags(p, "--closure", "--domain", "--fresh", "--format", "--proof-out")
+    add_flags(p, "--closure", "--fresh", "--format", "--proof-out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("explain", help="deduce and abduce kernel atoms for a goal")
@@ -280,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("proof")
     p.add_argument("program")
     p.add_argument("kb")
-    add_flags(p, "--closure", "--domain", "--fresh")
+    add_flags(p, "--closure", "--fresh")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("parse", help="parse and pretty-print a program or kb file")

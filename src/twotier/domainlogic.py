@@ -438,18 +438,10 @@ class KnowledgeBase:
         return is_acyclic(self.axioms)
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.signature, self.axioms, self.stubs, self.closure_enabled))
-
-    def __hash__(self) -> int:
-        # every reasoner query hashes its kb: hash the axioms once
-        return self._hash
-
-    def stub_for_variable(self, variable: str) -> Optional[Stub]:
-        for s in self.stubs:
-            if s.variable == variable:
-                return s
-        return None
+    def refutations(self) -> dict[tuple, Optional[DomainInterpretation]]:
+        """The reasoner's memo over this kb: (premises, conclusion, fresh
+        witnesses) -> a countermodel, or None when there is none."""
+        return {}
 
     def closure_axioms(self) -> tuple[DomainFormula, ...]:
         """Per stub (R, c, s, v): the subject's only R-successor is s."""
@@ -488,9 +480,6 @@ class KnowledgeBase:
             + self.closure_axioms()
             + self.value_functionality_axioms(asserted)
         )
-
-
-EMPTY_KB = KnowledgeBase(DomainSignature(), ())
 
 
 def definition_graph(

@@ -1,5 +1,7 @@
 """Exception types shared across the verifier."""
 
+from typing import Optional
+
 
 class VerifierError(Exception):
     """Base class for all errors raised by this package."""
@@ -66,7 +68,9 @@ class MissingArgument(VerifierError):
 
 
 class ParseError(VerifierError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
+    def __init__(
+        self, message: str, line: Optional[int] = None, column: Optional[int] = None
+    ):
+        super().__init__(message if line is None else f"{line}:{column}: {message}")
         self.line = line
         self.column = column

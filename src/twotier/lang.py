@@ -12,10 +12,18 @@ empty (flagged for diagnostics).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import UnknownProcedure
-from .statelogic import Lit, ProgramState, State, Term, eval_term, substitute
+from .statelogic import (
+    Lit,
+    ProgramState,
+    State,
+    Term,
+    constants_of,
+    eval_term,
+    substitute,
+)
 from .domainlogic import KnowledgeBase
 from .lifting import SpecLifting
 from .assertions import TwoTierAssertion, assertion, assertion_holds
@@ -73,6 +81,17 @@ def statements_of(s: Statement) -> list[Statement]:
     return [s]
 
 
+def substatements(s: Statement) -> Iterator[Statement]:
+    """Every statement nested in s, sequences flattened, in pre-order."""
+    for st in statements_of(s):
+        yield st
+        if isinstance(st, If):
+            yield from substatements(st.then)
+            yield from substatements(st.orelse)
+        elif isinstance(st, While):
+            yield from substatements(st.body)
+
+
 def sequence(stmts: Iterable[Statement]) -> Statement:
     out: Optional[Statement] = None
     for s in stmts:
@@ -119,38 +138,19 @@ class Program:
         return tuple(names)
 
     def constants(self) -> frozenset[int]:
+        exprs = [e for _, e in self.globals]
         acc: set[int] = set()
-        for _, e in self.globals:
-            if isinstance(e, Lit):
-                acc.add(e.value)
-
-        def walk(s: Statement) -> None:
-            if isinstance(s, Assign):
-                if isinstance(s.expr, Lit):
-                    acc.add(s.expr.value)
-            elif isinstance(s, Seq):
-                walk(s.first)
-                walk(s.second)
-            elif isinstance(s, If):
-                if isinstance(s.cond, Lit):
-                    acc.add(s.cond.value)
-                walk(s.then)
-                walk(s.orelse)
-            elif isinstance(s, While):
-                if isinstance(s.cond, Lit):
-                    acc.add(s.cond.value)
-                walk(s.body)
-            elif isinstance(s, Call):
-                if isinstance(s.arg, Lit):
-                    acc.add(s.arg.value)
-
         for p in self.procedures:
-            walk(p.body)
-            from .statelogic import constants_of
-
+            for s in substatements(p.body):
+                if isinstance(s, Assign):
+                    exprs.append(s.expr)
+                elif isinstance(s, (If, While)):
+                    exprs.append(s.cond)
+                elif isinstance(s, Call):
+                    exprs.append(s.arg)
             acc |= constants_of(p.contract.pre.state)
             acc |= constants_of(p.contract.post.state)
-        return frozenset(acc)
+        return frozenset(acc | {e.value for e in exprs if isinstance(e, Lit)})
 
     def initial_state(self) -> State:
         sigma: dict[str, int] = {}

@@ -493,20 +493,11 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
     program = lang.Program(tuple(globals_), tuple(procedures))
     declared = set(program.variables)
     for proc in procedures:
-
-        def check(s: lang.Statement) -> None:
-            for st in lang.statements_of(s):
-                if isinstance(st, lang.Assign) and st.var not in declared:
-                    raise ParseError(f"undeclared variable {st.var!r}", 0, 0)
-                if isinstance(st, lang.Call):
-                    program.procedure(st.proc)
-                if isinstance(st, lang.If):
-                    check(st.then)
-                    check(st.orelse)
-                if isinstance(st, lang.While):
-                    check(st.body)
-
-        check(proc.body)
+        for st in lang.substatements(proc.body):
+            if isinstance(st, lang.Assign) and st.var not in declared:
+                raise ParseError(f"undeclared variable {st.var!r}", 0, 0)
+            if isinstance(st, lang.Call):
+                program.procedure(st.proc)
     return program
 
 

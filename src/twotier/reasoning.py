@@ -219,7 +219,8 @@ class _Grounder:
         cached = self._defs.get(expr)
         if cached is not None:
             return cached
-        subs = tuple(self._tseitin(e) for e in expr[1])
+        # no clause repeats a literal: the solver's unit test counts them
+        subs = tuple(dict.fromkeys(self._tseitin(e) for e in expr[1]))
         out = self.var(("aux", len(self._defs), tag))
         if tag == "and":
             for s in subs:
@@ -289,12 +290,14 @@ def _solve(
     nvars: int,
     budget: int = DEFAULT_DECISION_BUDGET,
 ) -> Optional[dict[int, bool]]:
-    """Iterative DPLL with counter-based unit propagation."""
-    cls = [tuple(dict.fromkeys(c)) for c in clauses]
-    cls = [c for c in cls if not any(-l in c for l in c)]
-    nclauses = len(cls)
+    """Iterative DPLL with counter-based unit propagation.
+
+    No clause may repeat a literal.  A clause with complementary literals
+    is true under every assignment of their variable, so it never becomes
+    unit or conflicting."""
+    nclauses = len(clauses)
     occ: dict[int, list[int]] = {}
-    for ci, c in enumerate(cls):
+    for ci, c in enumerate(clauses):
         if not c:
             return None
         for lit in c:
@@ -318,7 +321,7 @@ def _solve(
         for ci in occ.get(-lit, ()):
             nfalse[ci] += 1
             if nsat[ci] == 0:
-                c = cls[ci]
+                c = clauses[ci]
                 if nfalse[ci] == len(c):
                     conflict = ci
                 elif nfalse[ci] == len(c) - 1:
@@ -352,7 +355,7 @@ def _solve(
                 return False
         return True
 
-    pending: list[int] = [c[0] for c in cls if len(c) == 1]
+    pending: list[int] = [c[0] for c in clauses if len(c) == 1]
     next_var = 1
     if not propagate():
         return None
@@ -388,9 +391,7 @@ def _solve(
 
 
 def _query_symbols(
-    kb: KnowledgeBase,
-    formulas: Iterable[DomainFormula],
-    extra_values: Iterable[int],
+    kb: KnowledgeBase, formulas: Iterable[DomainFormula]
 ) -> tuple[DomainSignature, frozenset[int]]:
     """The signature and the value pool, before its fresh value, of a
     query over the formulas."""
@@ -400,7 +401,6 @@ def _query_symbols(
     sig = kb.signature.union(signature_of(fs))
     ints = set(constants_of_formulas(fs))
     ints.add(0)
-    ints.update(extra_values)
     return sig, frozenset(ints)
 
 
@@ -421,7 +421,6 @@ def find_model(
     kb: KnowledgeBase,
     *,
     fresh_witnesses: int = DEFAULT_FRESH_WITNESSES,
-    extra_values: Iterable[int] = (),
     negated: Iterable[DomainFormula] = (),
 ) -> Optional[DomainInterpretation]:
     """A bounded model of kb's effective axioms plus the given formulas,
@@ -429,7 +428,7 @@ def find_model(
     asserted = tuple(formulas)
     negated = tuple(negated)
     axioms = kb.effective_axioms(asserted)
-    sig, ints = _query_symbols(kb, axioms + asserted + negated, extra_values)
+    sig, ints = _query_symbols(kb, axioms + asserted + negated)
     universe, values = _query_bounds(sig.nominals, ints, fresh_witnesses)
     g = _Grounder(universe, values, sig)
     for f in axioms:
@@ -444,51 +443,30 @@ def find_model(
     return g.decode(assignment)
 
 
-_REFUTE_CACHE: dict[tuple, Optional[DomainInterpretation]] = {}
-_MISSING = object()
-
-
-def _refute(
-    premises: frozenset[DomainFormula],
-    d: DomainFormula,
-    kb: KnowledgeBase,
-    fresh_witnesses: int,
-    extra_values: frozenset[int],
-) -> Optional[DomainInterpretation]:
-    key = (kb, premises, d, fresh_witnesses, extra_values)
-    model = _REFUTE_CACHE.get(key, _MISSING)
-    if model is not _MISSING:
-        return model
-    model = find_model(
-        premises,
-        kb,
-        fresh_witnesses=fresh_witnesses,
-        extra_values=extra_values,
-        negated=(d,),
-    )
-    _REFUTE_CACHE[key] = model
-    return model
-
-
 def entails(
     premises: Iterable[DomainFormula],
     conclusion: Iterable[DomainFormula],
     kb: KnowledgeBase,
     *,
     fresh_witnesses: int = DEFAULT_FRESH_WITNESSES,
-    extra_values: Iterable[int] = (),
 ) -> EntailmentVerdict:
     """Does every bounded model of kb and the premises satisfy every
-    conclusion formula?"""
+    conclusion formula?  Each search's answer is kept in kb's memo."""
     prem = frozenset(premises)
     concl = tuple(dict.fromkeys(conclusion))
-    extra = frozenset(extra_values)
+    memo = kb.refutations
     needed_search = False
     for d in concl:
         if d in prem:
             continue
         needed_search = True
-        model = _refute(prem, d, kb, fresh_witnesses, extra)
+        key = (prem, d, fresh_witnesses)
+        try:
+            model = memo[key]
+        except KeyError:
+            model = memo[key] = find_model(
+                prem, kb, fresh_witnesses=fresh_witnesses, negated=(d,)
+            )
         if model is not None:
             return NotEntailed(countermodel=model, violated=d)
     if not needed_search:
@@ -517,7 +495,7 @@ def entailed_atoms(
     if not kb.acyclic:
         # entails then answers Unknown or NotEntailed beyond inclusion
         return tuple(a for a in atoms if a in prem)
-    sig, ints = _query_symbols(kb, kb.effective_axioms(prem) + tuple(prem), ())
+    sig, ints = _query_symbols(kb, kb.effective_axioms(prem) + tuple(prem))
     countermodels: dict[tuple, DomainInterpretation] = {}
     out = []
     for a in atoms:
@@ -549,17 +527,8 @@ def _falsifies(model: DomainInterpretation, d: DomainFormula) -> bool:
         return False
 
 
-def consistent(
-    formulas: Iterable[DomainFormula],
-    kb: KnowledgeBase,
-    *,
-    fresh_witnesses: int = DEFAULT_FRESH_WITNESSES,
-    extra_values: Iterable[int] = (),
-) -> bool:
-    model = find_model(
-        formulas, kb, fresh_witnesses=fresh_witnesses, extra_values=extra_values
-    )
-    if model is not None:
+def consistent(formulas: Iterable[DomainFormula], kb: KnowledgeBase) -> bool:
+    if find_model(formulas, kb) is not None:
         return True
     if not kb.acyclic:
         raise BudgetExceeded(

@@ -1,16 +1,20 @@
 """Canonical JSON serialization of proof trees.
 
-Trees serialize to a stable, sorted JSON document; assertions,
-statements, and rule arguments are stored in their concrete syntax and
-re-parsed on load, so a round trip exercises the full grammar.
+Trees serialize to a stable, sorted JSON document
+`{format, version, tree}` for one tree, or `{format, version,
+procedures}` for one tree per procedure; assertions, statements, and
+rule arguments are stored in their concrete syntax and re-parsed on
+load, so a round trip exercises the full grammar.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator
 
 from .domainlogic import KnowledgeBase
+from .errors import ParseError
 from .status import ObligationStatus
 from .calculus import Judgement, Obligation, ProofTree
 from .lang import Program
@@ -43,9 +47,18 @@ def tree_to_dict(tree: ProofTree) -> dict[str, Any]:
     }
 
 
-def dumps(tree: ProofTree) -> str:
-    doc = {"format": FORMAT, "version": VERSION, "tree": tree_to_dict(tree)}
+def _document(**body: Any) -> str:
+    doc = {"format": FORMAT, "version": VERSION, **body}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def dumps(tree: ProofTree) -> str:
+    return _document(tree=tree_to_dict(tree))
+
+
+def dumps_procedures(results: Iterable[tuple[str, ProofTree]]) -> str:
+    """One tree per procedure, as `verify --proof-out` writes them."""
+    return _document(procedures={name: tree_to_dict(t) for name, t in results})
 
 
 def tree_from_dict(
@@ -84,8 +97,42 @@ def tree_from_dict(
     )
 
 
+def _read(text: str) -> dict[str, Any]:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"proof is not JSON: {exc.msg}", exc.lineno, exc.colno)
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != FORMAT:
+        raise ParseError(f"unrecognized proof format: {found!r}")
+    return doc
+
+
+@contextmanager
+def _malformed() -> Iterator[None]:
+    """Reports a document of the wrong shape as a ParseError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed proof: {type(exc).__name__}: {exc}") from exc
+
+
 def loads(text: str, kb: KnowledgeBase, program: Program) -> ProofTree:
-    doc = json.loads(text)
-    if doc.get("format") != FORMAT:
-        raise ValueError(f"unrecognized proof format: {doc.get('format')!r}")
-    return tree_from_dict(doc["tree"], kb, program)
+    """The tree of a document that `dumps` wrote."""
+    doc = _read(text)
+    with _malformed():
+        return tree_from_dict(doc["tree"], kb, program)
+
+
+def loads_procedures(
+    text: str, kb: KnowledgeBase, program: Program
+) -> list[tuple[str, ProofTree]]:
+    """A document's trees by name: its procedures in name order, or its
+    one tree named "proof"."""
+    doc = _read(text)
+    with _malformed():
+        if "tree" in doc:
+            named = [("proof", doc["tree"])]
+        else:
+            named = sorted(doc.get("procedures", {}).items())
+        return [(name, tree_from_dict(t, kb, program)) for name, t in named]

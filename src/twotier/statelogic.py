@@ -302,17 +302,15 @@ def characteristic_formula(sigma: ProgramState) -> StateFormula:
 
 
 def check_domain(
-    phi1: StateFormula, phi2: StateFormula, extra: Optional[Iterable[int]] = None
+    phi1: StateFormula, phi2: StateFormula
 ) -> tuple[tuple[str, ...], frozenset[int]]:
     """Variables and the small-model value domain for implication checks:
-    constants of either formula, 0, the caller-supplied extras, and one
-    fresh value per distinct variable."""
+    constants of either formula, 0, and one fresh value per distinct
+    variable."""
     nodes = _nodes(phi1, _nodes(phi2, []))
     variables = tuple(sorted({n.name for n in nodes if isinstance(n, Var)}))
     values = {n.value for n in nodes if isinstance(n, Lit)}
     values.add(0)
-    if extra is not None:
-        values.update(extra)
     fresh = max((abs(v) for v in values), default=0) + 1
     for _ in range(max(1, len(variables))):
         values.add(fresh)
@@ -320,23 +318,21 @@ def check_domain(
     return variables, frozenset(values)
 
 
-def state_implies(
-    phi1: StateFormula, phi2: StateFormula, domain_bound: Optional[Iterable[int]] = None
-) -> bool:
-    """Bounded-exhaustive implication check for the equality fragment."""
-    cex = state_implies_counterexample(phi1, phi2, domain_bound)
-    return cex is None
+def state_implies(phi1: StateFormula, phi2: StateFormula) -> bool:
+    """Exhaustive implication check over the small-model domain of the
+    equality fragment."""
+    return state_implies_counterexample(phi1, phi2) is None
 
 
 def state_implies_counterexample(
-    phi1: StateFormula, phi2: StateFormula, domain_bound: Optional[Iterable[int]] = None
+    phi1: StateFormula, phi2: StateFormula
 ) -> Optional[State]:
     """A state over the check domain satisfying phi1 but not phi2, or None."""
     if uses_uninterpreted(phi1) or uses_uninterpreted(phi2):
         raise FragmentUnsupported(
             "implication checking requires the pure equality fragment"
         )
-    variables, values = check_domain(phi1, phi2, domain_bound)
+    variables, values = check_domain(phi1, phi2)
     ordered = sorted(values)
     for combo in itertools.product(ordered, repeat=len(variables)):
         sigma = State(zip(variables, combo))

@@ -150,6 +150,25 @@ def test_check_rejects_unknown_format(capfd, tmp_path):
     bogus.write_text('{"format": "nope"}', encoding="utf-8")
     code, _, err = run(capfd, "check", str(bogus), ADD_PROG, ADD_KB)
     assert code == 2
+    assert "unrecognized proof format: 'nope'" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"format": "two-tier-proof", "procedures": {',
+        '{"format": "two-tier-proof", "tree": {"rule": "skip"}}',
+        '["two-tier-proof"]',
+    ],
+    ids=["invalid-json", "no-conclusion", "json-list"],
+)
+def test_check_rejects_malformed_proof(capfd, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capfd, "check", str(bad), ADD_PROG, ADD_KB)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_parse_kb_round_trip(capfd):
@@ -184,6 +203,8 @@ def test_usage_error_exit_code(capfd):
         ["check", "proofs.json", ADD_PROG, ADD_KB, "--unroll", "3"],
         ["verify", ADD_PROG, ADD_KB, "--unroll", "3"],
         ["fuzz", ADD_PROG, ADD_KB, "--fuel", "5"],
+        ["verify", ADD_PROG, ADD_KB, "--domain", "0,2"],
+        ["check", "proofs.json", ADD_PROG, ADD_KB, "--domain", "0,2"],
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_a_usage_error(capfd, argv):
@@ -193,6 +214,6 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(capfd, argv):
 
 
 def test_malformed_domain_is_a_usage_error(capfd):
-    code, _, err = run(capfd, "verify", ADD_PROG, ADD_KB, "--domain", "0,x")
+    code, _, err = run(capfd, "fuzz", ADD_PROG, ADD_KB, "--domain", "0,x")
     assert code == 2
     assert "--domain" in err

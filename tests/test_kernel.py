@@ -140,7 +140,7 @@ def test_abduce_no_explanation(corrected_pool):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The number of model searches, counted on an empty reasoner cache."""
+    """The number of model searches."""
     count = [0]
     search = reasoning.find_model
 
@@ -148,7 +148,6 @@ def searches(monkeypatch):
         count[0] += 1
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(reasoning, "_REFUTE_CACHE", {})
     monkeypatch.setattr(reasoning, "find_model", counting)
     return count
 
@@ -179,7 +178,6 @@ def test_cyclic_kb_kernels_need_no_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a cyclic kb entails no atom beyond the premises")
 
-    monkeypatch.setattr(reasoning, "_REFUTE_CACHE", {})
     monkeypatch.setattr(reasoning, "find_model", no_search)
     delta = (hv("v", 2), NZ("v"))
     assert alpha_deduce(delta, kb, pool).atoms == (NZ("v"), hv("v", 2))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from twotier.calculus import check_proof
+from twotier.errors import ParseError
 from twotier.serialize import FORMAT, dumps, loads, tree_from_dict, tree_to_dict
 from twotier.strategy import verify_program
 
@@ -50,7 +51,7 @@ def test_loaded_tree_replays_through_checker(corrected, corrected_ctx):
 
 def test_unknown_format_rejected(corrected):
     program, kb = corrected
-    with pytest.raises(ValueError, match="unrecognized proof format"):
+    with pytest.raises(ParseError, match="unrecognized proof format"):
         loads('{"format": "something-else", "tree": {}}', kb, program)
 
 

@@ -148,8 +148,8 @@ def test_state_implies_examples():
 @given(formulas(), formulas(), formulas())
 @settings(max_examples=60)
 def test_state_implies_transitive(p, q, r):
-    if state_implies(p, q, VALUES) and state_implies(q, r, VALUES):
-        assert state_implies(p, r, VALUES)
+    if state_implies(p, q) and state_implies(q, r):
+        assert state_implies(p, r)
 
 
 def test_check_domain_covers_constants_zero_and_fresh():
