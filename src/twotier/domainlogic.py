@@ -2,9 +2,9 @@
 
 The logic is ALC with nominals and an integer-valued concrete role
 fragment (exists/forall value restrictions against a single literal).
-Nominal concepts never appear in user input; they are introduced
-internally to negate ABox assertions during refutation and to encode
-stub closure.
+Nominal concepts `{a}` may be written in kb files; internally they are
+introduced only by stub closure, which restricts a stub's role to its
+stub individual.
 """
 
 from __future__ import annotations

@@ -13,17 +13,7 @@ class UnboundVariable(VerifierError):
         self.name = name
 
 
-class UndefinedSymbol(VerifierError):
-    def __init__(self, name: str):
-        super().__init__(f"function or predicate symbol without definition: {name}")
-        self.name = name
-
-
 class EmptyState(VerifierError):
-    pass
-
-
-class FragmentUnsupported(VerifierError):
     pass
 
 

@@ -131,14 +131,7 @@ def _parse_term(p: _Parser) -> sl.Term:
     t = p.peek()
     if t.kind == "int" or t.text == "-":
         return sl.Lit(p.expect_int())
-    name = p.expect_ident()
-    if p.accept("("):
-        args = [_parse_term(p)]
-        while p.accept(","):
-            args.append(_parse_term(p))
-        p.expect(")")
-        return sl.FunApp(name, tuple(args))
-    return sl.Var(name)
+    return sl.Var(p.expect_ident())
 
 
 def _parse_state_atom(p: _Parser) -> sl.StateFormula:
@@ -153,8 +146,6 @@ def _parse_state_atom(p: _Parser) -> sl.StateFormula:
         return sl.Eq(lhs, _parse_term(p))
     if p.accept("!="):
         return sl.Not(sl.Eq(lhs, _parse_term(p)))
-    if isinstance(lhs, sl.FunApp):
-        return sl.Pred(lhs.symbol, lhs.args)
     p.fail("expected '==' or '!=' after term")
 
 
@@ -409,13 +400,6 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
 # Programs
 
 
-def _parse_expr(p: _Parser) -> lang.Expr:
-    t = p.peek()
-    if t.kind == "int" or t.text == "-":
-        return sl.Lit(p.expect_int())
-    return sl.Var(p.expect_ident())
-
-
 _STMT_END = {"end", "else", "fi", "od"}
 
 
@@ -434,7 +418,7 @@ def _parse_statement(p: _Parser, sig: dl.DomainSignature) -> lang.Statement:
         return lang.Skip()
     if p.accept("if"):
         p.expect("(")
-        cond = _parse_expr(p)
+        cond = _parse_term(p)
         p.expect(")")
         p.expect("then")
         then = _parse_statements(p, sig)
@@ -444,7 +428,7 @@ def _parse_statement(p: _Parser, sig: dl.DomainSignature) -> lang.Statement:
         return lang.If(cond, then, orelse)
     if p.accept("while"):
         p.expect("(")
-        cond = _parse_expr(p)
+        cond = _parse_term(p)
         p.expect(")")
         p.expect("do")
         body = _parse_statements(p, sig)
@@ -452,11 +436,11 @@ def _parse_statement(p: _Parser, sig: dl.DomainSignature) -> lang.Statement:
         return lang.While(cond, body)
     name = p.expect_ident()
     if p.accept(":="):
-        expr = _parse_expr(p)
+        expr = _parse_term(p)
         p.expect(";")
         return lang.Assign(name, expr)
     p.expect("(")
-    arg = _parse_expr(p)
+    arg = _parse_term(p)
     p.expect(")")
     p.expect(";")
     return lang.Call(name, arg)

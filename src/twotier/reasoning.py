@@ -83,21 +83,6 @@ class Unknown:
 EntailmentVerdict = Entailed | NotEntailed | Unknown
 
 
-def negate_assertion(delta: DomainFormula) -> DomainFormula:
-    """ABox-level negation used when refuting a conclusion formula."""
-    if isinstance(delta, ConceptAssertion):
-        return ConceptAssertion(NotC(delta.concept), delta.individual)
-    if isinstance(delta, RoleAssertion):
-        return ConceptAssertion(
-            ForallRole(delta.role, NotC(Nominal(delta.obj))), delta.subject
-        )
-    if isinstance(delta, DataAssertion):
-        return ConceptAssertion(
-            NotC(ExistsData(delta.role, delta.value)), delta.subject
-        )
-    raise ValueError(f"cannot negate a terminological axiom: {delta}")
-
-
 # ---------------------------------------------------------------------------
 # Propositional grounding
 

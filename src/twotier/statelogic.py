@@ -1,24 +1,22 @@
-"""Quantifier-free state logic over program variables.
+"""Quantifier-free state logic over program variables: the equality
+fragment.
 
-Terms are program variables, integer literals, and applications of
-interpreted function symbols.  Formulas are built from equalities and
-interpreted predicates with conjunction and negation; disjunction,
-implication, disequality, and the constant true are parse-time
+Terms are program variables and integer literals.  Formulas are
+equalities between terms under negation and conjunction; disjunction,
+disequality and the constants true and false are parse-time
 abbreviations.  Evaluation follows the standard recursive semantics.
+Implication in this fragment is decided exactly by trying every state
+over a small domain (the small-model property: Pnueli, Rodeh,
+Shtrichman and Siegel, Inf. & Comp. 2002).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import (
-    EmptyState,
-    FragmentUnsupported,
-    UnboundVariable,
-    UndefinedSymbol,
-)
+from .errors import EmptyState, UnboundVariable
 
 
 # ---------------------------------------------------------------------------
@@ -41,16 +39,7 @@ class Lit:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class FunApp:
-    symbol: str
-    args: tuple["Term", ...]
-
-    def __str__(self) -> str:
-        return f"{self.symbol}({', '.join(map(str, self.args))})"
-
-
-Term = Var | Lit | FunApp
+Term = Var | Lit
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +55,6 @@ class Eq:
         if self.lhs == Lit(0) and self.rhs == Lit(0):
             return "true"
         return f"{self.lhs} == {self.rhs}"
-
-
-@dataclass(frozen=True)
-class Pred:
-    symbol: str
-    args: tuple[Term, ...]
-
-    def __str__(self) -> str:
-        return f"{self.symbol}({', '.join(map(str, self.args))})"
 
 
 @dataclass(frozen=True)
@@ -95,18 +75,11 @@ class And:
     rhs: "StateFormula"
 
     def __str__(self) -> str:
-        parts = []
-        for side in (self.lhs, self.rhs):
-            if isinstance(side, And):
-                parts.append(str(side))
-            elif isinstance(side, (Eq, Pred, Not)):
-                parts.append(str(side))
-            else:
-                parts.append(f"({side})")
-        return " && ".join(parts)
+        # no side needs parentheses: a negation renders as != or !(...)
+        return f"{self.lhs} && {self.rhs}"
 
 
-StateFormula = Eq | Pred | Not | And
+StateFormula = Eq | Not | And
 
 TRUE: StateFormula = Eq(Lit(0), Lit(0))
 
@@ -163,9 +136,6 @@ def _nodes(x: StateFormula | Term, acc: list) -> list:
         _nodes(x.rhs, acc)
     elif isinstance(x, Not):
         _nodes(x.arg, acc)
-    elif isinstance(x, (Pred, FunApp)):
-        for a in x.args:
-            _nodes(a, acc)
     return acc
 
 
@@ -175,10 +145,6 @@ def variables_of(phi: StateFormula | Term) -> frozenset[str]:
 
 def constants_of(phi: StateFormula | Term) -> frozenset[int]:
     return frozenset(n.value for n in _nodes(phi, []) if isinstance(n, Lit))
-
-
-def uses_uninterpreted(phi: StateFormula) -> bool:
-    return any(isinstance(n, (Pred, FunApp)) for n in _nodes(phi, []))
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +193,11 @@ class State(Mapping[str, int]):
 ProgramState = Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class StateInterpretation:
-    """Definitions for interpreted function and predicate symbols."""
-
-    fun_defs: Mapping[str, Callable[..., int]] = field(default_factory=dict)
-    pred_defs: Mapping[str, Callable[..., bool]] = field(default_factory=dict)
-
-
-EMPTY_INTERP = StateInterpretation()
-
-
 # ---------------------------------------------------------------------------
 # Semantics
 
 
-def eval_term(t: Term, sigma: ProgramState, interp: StateInterpretation = EMPTY_INTERP) -> int:
+def eval_term(t: Term, sigma: ProgramState) -> int:
     if isinstance(t, Lit):
         return t.value
     if isinstance(t, Var):
@@ -250,43 +205,25 @@ def eval_term(t: Term, sigma: ProgramState, interp: StateInterpretation = EMPTY_
             return sigma[t.name]
         except KeyError:
             raise UnboundVariable(t.name) from None
-    if isinstance(t, FunApp):
-        try:
-            fn = interp.fun_defs[t.symbol]
-        except KeyError:
-            raise UndefinedSymbol(t.symbol) from None
-        return int(fn(*(eval_term(a, sigma, interp) for a in t.args)))
     raise TypeError(f"not a term: {t!r}")
 
 
-def holds(phi: StateFormula, sigma: ProgramState, interp: StateInterpretation = EMPTY_INTERP) -> bool:
+def holds(phi: StateFormula, sigma: ProgramState) -> bool:
     if isinstance(phi, Eq):
-        return eval_term(phi.lhs, sigma, interp) == eval_term(phi.rhs, sigma, interp)
-    if isinstance(phi, Pred):
-        try:
-            pred = interp.pred_defs[phi.symbol]
-        except KeyError:
-            raise UndefinedSymbol(phi.symbol) from None
-        return bool(pred(*(eval_term(a, sigma, interp) for a in phi.args)))
+        return eval_term(phi.lhs, sigma) == eval_term(phi.rhs, sigma)
     if isinstance(phi, Not):
-        return not holds(phi.arg, sigma, interp)
+        return not holds(phi.arg, sigma)
     if isinstance(phi, And):
-        return holds(phi.lhs, sigma, interp) and holds(phi.rhs, sigma, interp)
+        return holds(phi.lhs, sigma) and holds(phi.rhs, sigma)
     raise TypeError(f"not a state formula: {phi!r}")
 
 
 def substitute(phi: StateFormula, v: str, e: Term) -> StateFormula:
     def sub_term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return e if t.name == v else t
-        if isinstance(t, FunApp):
-            return FunApp(t.symbol, tuple(sub_term(a) for a in t.args))
-        return t
+        return e if isinstance(t, Var) and t.name == v else t
 
     if isinstance(phi, Eq):
         return Eq(sub_term(phi.lhs), sub_term(phi.rhs))
-    if isinstance(phi, Pred):
-        return Pred(phi.symbol, tuple(sub_term(a) for a in phi.args))
     if isinstance(phi, Not):
         return Not(substitute(phi.arg, v, e))
     if isinstance(phi, And):
@@ -328,10 +265,6 @@ def state_implies_counterexample(
     phi1: StateFormula, phi2: StateFormula
 ) -> Optional[State]:
     """A state over the check domain satisfying phi1 but not phi2, or None."""
-    if uses_uninterpreted(phi1) or uses_uninterpreted(phi2):
-        raise FragmentUnsupported(
-            "implication checking requires the pure equality fragment"
-        )
     variables, values = check_domain(phi1, phi2)
     ordered = sorted(values)
     for combo in itertools.product(ordered, repeat=len(variables)):

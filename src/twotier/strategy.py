@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import NoExplanation, RuleShapeMismatch, UnboundVariable, UndefinedSymbol
+from .errors import BudgetExceeded, NoExplanation, RuleShapeMismatch, UnboundVariable
 from .statelogic import And, Eq, Lit, Not, StateFormula, disj, holds, same_state, substitute
 from .domainlogic import (
     ConceptAssertion,
@@ -106,7 +106,7 @@ def _provenance_note(
         needed = substitute(phi, var, expr)
         try:
             falsified = not holds(needed, counter_state)
-        except (UnboundVariable, UndefinedSymbol):
+        except UnboundVariable:
             falsified = False
         if not falsified:
             continue
@@ -256,7 +256,9 @@ def needed_pre(ctx: VerifCtx, stmt: Statement, post: TwoTierAssertion) -> TwoTie
             return assertion((), post.state)
         try:
             explanations = alpha_abduce(post.domain, ctx.kb, ctx.pool, max_results=1)
-        except NoExplanation:
+        except (NoExplanation, BudgetExceeded):
+            # an undecided abduction (cyclic kb) falls back like a failed
+            # one; the guess only picks `mid`, the obligations decide
             return assertion((), post.state)
         atoms = _invertible(ctx.lifting, explanations[0].atoms)
         if set(atoms) != set(explanations[0].atoms):

@@ -1,7 +1,9 @@
 from hypothesis import given, settings, strategies as st
 
+from twotier import assertions
 from twotier.assertions import (
     TRIVIAL,
+    ImplicationResult,
     assertion,
     assertion_holds,
     assertion_implies,
@@ -56,11 +58,22 @@ def test_implication_branch_condition_strengthening(corrected):
     assert assertion_implies(a1, a2, kb, lift).proved
 
 
-def test_implication_reflexive(corrected):
+def test_implication_reflexive(corrected, monkeypatch):
+    """a ==> a is Proved without enumerating states or querying the
+    reasoner, also up to domain order and trivially-true conjuncts."""
     kb = corrected[1]
     lift = lifting_for(kb)
-    a = assertion((SC,), And(Eq(Var("doors"), Lit(2)), neq(Var("bodyId"), Lit(0))))
-    assert assertion_implies(a, a, kb, lift).proved
+
+    def unreachable(*_args):
+        raise AssertionError("a reflexive implication ran a check")
+
+    monkeypatch.setattr(assertions, "state_implies_counterexample", unreachable)
+    monkeypatch.setattr(assertions.reasoning, "entails", unreachable)
+    a = assertion((SC, hv4), And(Eq(Var("doors"), Lit(2)), neq(Var("bodyId"), Lit(0))))
+    b = assertion((hv4, SC), And(TRUE, a.state))
+    for rhs in (a, b):
+        result = assertion_implies(a, rhs, kb, lift)
+        assert result == ImplicationResult(ObligationStatus.PROVED, "")
 
 
 def test_implication_failure_reports_counter_state(corrected):

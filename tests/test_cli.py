@@ -70,6 +70,58 @@ def test_verify_parse_error_exit_code(capfd, tmp_path):
     assert "error" in err
 
 
+UNINTERPRETED_PROG = """var w = 0;
+
+proc p(n)
+  requires [ - | f(w) == 1 ]
+  ensures [ - | f(w) == 1 ]
+begin
+  skip;
+end;
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "fuzz", "check", "parse"])
+def test_function_symbol_in_a_contract_is_a_parse_error(capfd, tmp_path, command):
+    prog = tmp_path / "uninterpreted.prog"
+    prog.write_text(UNINTERPRETED_PROG, encoding="utf-8")
+    argv = {
+        "verify": ["verify", str(prog), ADD_KB],
+        "fuzz": ["fuzz", str(prog), ADD_KB],
+        "check": ["check", str(tmp_path / "proofs.json"), str(prog), ADD_KB],
+        "parse": ["parse", str(prog), "--kb", ADD_KB],
+    }[command]
+    code, out, err = run(capfd, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: 4:19: expected '==' or '!=' after term\n"
+
+
+def test_undecided_abduction_leaves_the_procedure_open(capfd, tmp_path):
+    # under a cyclic kb the abduction behind a skip's heuristic
+    # precondition cannot decide consistency; the strategy falls back
+    # instead of aborting the run
+    kb = tmp_path / "cyclic.kb"
+    kb.write_text(
+        "concept A;\nrole wheels;\ndata-role hasValue;\n"
+        "individual c;\nindividual wheelsVar;\n"
+        "A <= some wheels . A;\nsome wheels . some hasValue . 4 <= A;\n"
+        "wheels(c, wheelsVar);\nstub wheels(c, wheelsVar) for var wheels;\n",
+        encoding="utf-8",
+    )
+    prog = tmp_path / "cyclic.prog"
+    prog.write_text(
+        "var wheels = 0;\n"
+        "proc p(n) requires [ - | - ] ensures [ A(c) | - ]\n"
+        "begin wheels := 4; skip; end;\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capfd, "verify", str(prog), str(kb))
+    assert code == 1
+    assert "procedure p: Open" in out
+    assert "assertion-implication Failed" in out
+
+
 def test_missing_file_exit_code(capfd):
     code, _, err = run(capfd, "verify", "/nonexistent.prog", COR_KB)
     assert code == 2

@@ -149,6 +149,19 @@ def test_parse_errors_carry_positions():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("f(w) == 1", 2), ("p(a)", 2), ("a == g(1)", 7)],
+    ids=["function-lhs", "predicate", "function-rhs"],
+)
+def test_function_and_predicate_symbols_are_parse_errors(text, column):
+    # the state tier is the equality fragment: nothing can interpret a
+    # function or predicate symbol, so the parser rejects one
+    with pytest.raises(ParseError) as exc:
+        parse_state_formula(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
 names = st.sampled_from(("a", "b", "wheels"))
 values = st.integers(-9, 9)
 

@@ -172,13 +172,6 @@ def test_consistency():
     assert reasoning.consistent((ConceptAssertion(B, "c"),), kb)
 
 
-def test_negate_assertion_roundtrip_examples():
-    f = ConceptAssertion(A, "c")
-    neg = reasoning.negate_assertion(f)
-    m = next(enumerate_models((0,)))
-    assert satisfies(m, f) != satisfies(m, neg)
-
-
 def test_closure_changes_stub_entailments(corrected):
     kb = corrected[1]
     HFW = ConceptAssertion(Atomic("HasFourWheels"), "c")

@@ -3,14 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotier.errors import FragmentUnsupported, UnboundVariable
+from twotier.errors import UnboundVariable
 from twotier.statelogic import (
     And,
     Eq,
-    FunApp,
     Lit,
     Not,
-    Pred,
     State,
     TRUE,
     Var,
@@ -168,10 +166,3 @@ def test_counterexample_soundness_is_exhaustive_at_bound():
     assert cex is not None
     assert holds(phi1, cex) and not holds(phi2, cex)
 
-
-def test_uninterpreted_symbols_are_rejected_by_implication():
-    phi = Pred("p", (Var("a"),))
-    with pytest.raises(FragmentUnsupported):
-        state_implies(phi, TRUE)
-    with pytest.raises(FragmentUnsupported):
-        state_implies(Eq(FunApp("f", (Var("a"),)), Lit(0)), TRUE)
