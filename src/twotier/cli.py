@@ -141,6 +141,10 @@ def cmd_explain(args: argparse.Namespace, out=None) -> int:
     except NoExplanation as exc:
         print(f"abduction: no explanation ({exc})", file=out)
         return EXIT_OK
+    except BudgetExceeded as exc:
+        # a cyclic kb leaves consistency undecided, as in strategy.needed_pre
+        print(f"abduction: undecided ({exc})", file=out)
+        return EXIT_OK
     for result in explanations:
         rendered = ", ".join(str(a) for a in result.atoms)
         print(

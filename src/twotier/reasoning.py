@@ -9,7 +9,8 @@ in the query plus zero and one fresh value.  The search grounds the
 query into propositional logic and runs a small DPLL solver.
 
 Absence of a countermodel at the bound certifies entailment only for
-acyclic terminologies; cyclic inputs yield Unknown verdicts.
+acyclic terminologies; cyclic inputs yield Unknown verdicts, and so does a
+search that runs out of its decision budget.
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ EntailmentVerdict = Entailed | NotEntailed | Unknown
 
 class _Grounder:
     """Grounds domain formulas over a fixed universe and value pool into
-    propositional clauses (Tseitin transformation)."""
+    propositional clauses (Tseitin transformation).  A concept at an
+    element, or a formula, becomes one literal; each conjunction or
+    disjunction of literals becomes one gate variable, shared by every
+    use of the same inputs."""
 
     def __init__(
         self,
@@ -101,8 +105,9 @@ class _Grounder:
         self.values = tuple(values)
         self.signature = signature
         self.var_ids: dict[tuple, int] = {}
-        self.clauses: list[tuple[int, ...]] = []
-        self._defs: dict[tuple, int] = {}
+        # the literal of Top, which holds in every model
+        self.true = self.var(("true",))
+        self.clauses: list[tuple[int, ...]] = [(self.true,)]
 
     def var(self, key: tuple) -> int:
         vid = self.var_ids.get(key)
@@ -111,120 +116,77 @@ class _Grounder:
             self.var_ids[key] = vid
         return vid
 
-    # boolean expression nodes: ('lit', id) | ('true',) | ('false',) |
-    # ('not', e) | ('and', (e...)) | ('or', (e...))
-
-    def concept_expr(self, c: Concept, x: str):
-        if isinstance(c, Top):
-            return ("true",)
-        if isinstance(c, Bottom):
-            return ("false",)
-        if isinstance(c, Atomic):
-            return ("lit", self.var(("C", c.name, x)))
-        if isinstance(c, Nominal):
-            # individuals denote themselves and are pairwise distinct
-            return ("true",) if c.name == x else ("false",)
-        if isinstance(c, NotC):
-            return ("not", self.concept_expr(c.arg, x))
-        if isinstance(c, AndC):
-            return ("and", (self.concept_expr(c.lhs, x), self.concept_expr(c.rhs, x)))
-        if isinstance(c, OrC):
-            return ("or", (self.concept_expr(c.lhs, x), self.concept_expr(c.rhs, x)))
-        if isinstance(c, ExistsRole):
-            parts = tuple(
-                (
-                    "and",
-                    (
-                        ("lit", self.var(("R", c.role, x, y))),
-                        self.concept_expr(c.arg, y),
-                    ),
-                )
-                for y in self.universe
-            )
-            return ("or", parts)
-        if isinstance(c, ForallRole):
-            parts = tuple(
-                (
-                    "or",
-                    (
-                        ("not", ("lit", self.var(("R", c.role, x, y)))),
-                        self.concept_expr(c.arg, y),
-                    ),
-                )
-                for y in self.universe
-            )
-            return ("and", parts)
-        if isinstance(c, ExistsData):
-            return ("lit", self.var(("T", c.role, x, c.value)))
-        if isinstance(c, ForallData):
-            parts = tuple(
-                ("not", ("lit", self.var(("T", c.role, x, v))))
-                for v in self.values
-                if v != c.value
-            )
-            return ("and", parts)
-        raise TypeError(f"not a concept: {c!r}")
-
-    def formula_expr(self, delta: DomainFormula):
-        if isinstance(delta, Subsumption):
-            parts = tuple(
-                (
-                    "or",
-                    (
-                        ("not", self.concept_expr(delta.lhs, x)),
-                        self.concept_expr(delta.rhs, x),
-                    ),
-                )
-                for x in self.universe
-            )
-            return ("and", parts)
-        if isinstance(delta, ConceptAssertion):
-            return self.concept_expr(delta.concept, delta.individual)
-        if isinstance(delta, RoleAssertion):
-            return ("lit", self.var(("R", delta.role, delta.subject, delta.obj)))
-        if isinstance(delta, DataAssertion):
-            return ("lit", self.var(("T", delta.role, delta.subject, delta.value)))
-        raise TypeError(f"not a domain formula: {delta!r}")
-
-    def _tseitin(self, expr) -> int:
-        """Returns a literal equisatisfiably representing expr."""
-        tag = expr[0]
-        if tag == "lit":
-            return expr[1]
-        if tag == "true":
-            t = self.var(("aux", "true"))
-            self.clauses.append((t,))
-            return t
-        if tag == "false":
-            t = self.var(("aux", "true"))
-            self.clauses.append((t,))
-            return -t
-        if tag == "not":
-            return -self._tseitin(expr[1])
-        cached = self._defs.get(expr)
-        if cached is not None:
-            return cached
+    def gate(self, tag: str, literals: Iterable[int]) -> int:
+        """A literal equivalent to the conjunction ("and") or disjunction
+        ("or") of the literals."""
         # no clause repeats a literal: the solver's unit test counts them
-        subs = tuple(dict.fromkeys(self._tseitin(e) for e in expr[1]))
-        out = self.var(("aux", len(self._defs), tag))
-        if tag == "and":
-            for s in subs:
-                self.clauses.append((-out, s))
-            self.clauses.append((out,) + tuple(-s for s in subs))
-        elif tag == "or":
-            for s in subs:
-                self.clauses.append((-s, out))
-            self.clauses.append((-out,) + subs)
-        else:
-            raise ValueError(tag)
-        self._defs[expr] = out
+        ins = tuple(dict.fromkeys(literals))
+        key = (tag, ins)
+        out = self.var_ids.get(key)
+        if out is None:
+            out = self.var(key)
+            if tag == "and":
+                self.clauses.extend((-out, s) for s in ins)
+                self.clauses.append((out,) + tuple(-s for s in ins))
+            else:
+                self.clauses.extend((-s, out) for s in ins)
+                self.clauses.append((-out,) + ins)
         return out
 
-    def assert_expr(self, expr) -> None:
-        self.clauses.append((self._tseitin(expr),))
+    def concept(self, c: Concept, x: str) -> int:
+        if isinstance(c, Atomic):
+            return self.var(("C", c.name, x))
+        if isinstance(c, Top):
+            return self.true
+        if isinstance(c, Bottom):
+            return -self.true
+        if isinstance(c, Nominal):
+            # individuals denote themselves and are pairwise distinct
+            return self.true if c.name == x else -self.true
+        if isinstance(c, NotC):
+            return -self.concept(c.arg, x)
+        if isinstance(c, AndC):
+            return self.gate("and", (self.concept(c.lhs, x), self.concept(c.rhs, x)))
+        if isinstance(c, OrC):
+            return self.gate("or", (self.concept(c.lhs, x), self.concept(c.rhs, x)))
+        if isinstance(c, ExistsRole):
+            return self.gate("or", [self.gate("and", e) for e in self._edges(c, x)])
+        if isinstance(c, ForallRole):
+            return self.gate(
+                "and", [self.gate("or", (-r, a)) for r, a in self._edges(c, x)]
+            )
+        if isinstance(c, ExistsData):
+            return self.var(("T", c.role, x, c.value))
+        if isinstance(c, ForallData):
+            return self.gate(
+                "and",
+                [-self.var(("T", c.role, x, v)) for v in self.values if v != c.value],
+            )
+        raise TypeError(f"not a concept: {c!r}")
 
-    def assert_formula(self, delta: DomainFormula) -> None:
-        self.assert_expr(self.formula_expr(delta))
+    def _edges(self, c: ExistsRole | ForallRole, x: str):
+        """(r(x, y), C(y)) for every element y, where c is over r and C."""
+        for y in self.universe:
+            yield self.var(("R", c.role, x, y)), self.concept(c.arg, y)
+
+    def formula(self, delta: DomainFormula) -> int:
+        if isinstance(delta, Subsumption):
+            # C <= D holds when !C | D holds at every element
+            c = OrC(NotC(delta.lhs), delta.rhs)
+            return self.gate("and", [self.concept(c, x) for x in self.universe])
+        if isinstance(delta, ConceptAssertion):
+            return self.concept(delta.concept, delta.individual)
+        if isinstance(delta, RoleAssertion):
+            return self.var(("R", delta.role, delta.subject, delta.obj))
+        if isinstance(delta, DataAssertion):
+            return self.var(("T", delta.role, delta.subject, delta.value))
+        raise TypeError(f"not a domain formula: {delta!r}")
+
+    def assert_formula(self, delta: DomainFormula, holds: bool = True) -> None:
+        """Adds the clause that delta holds, or with holds=False that it
+        does not."""
+        lit = self.formula(delta)
+        self.clauses.append((lit if holds else -lit,))
 
     def decode(self, assignment: dict[int, bool]) -> DomainInterpretation:
         sig = self.signature
@@ -351,7 +313,9 @@ def _solve(
             return {v: bool(assign[v]) for v in range(1, nvars + 1)}
         decisions += 1
         if decisions > budget:
-            raise BudgetExceeded("model search decision budget exhausted")
+            raise BudgetExceeded(
+                f"model search decision budget of {budget} exhausted"
+            )
         decision_marks.append((len(trail), -next_var))
         pending.clear()
         pending.append(-next_var)
@@ -365,10 +329,11 @@ def _solve(
                 if lit < 0:  # tried False first; try True now
                     decision_marks.append((mark, -lit))
                     pending.append(-lit)
+                    # every variable below the flipped one is still set
+                    next_var = -lit
                     break
             else:
                 return None
-            next_var = 1
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +386,7 @@ def find_model(
     for f in asserted:
         g.assert_formula(f)
     for f in negated:
-        g.assert_expr(("not", g.formula_expr(f)))
+        g.assert_formula(f, holds=False)
     assignment = _solve(g.clauses, len(g.var_ids))
     if assignment is None:
         return None
@@ -436,7 +401,9 @@ def entails(
     fresh_witnesses: int = DEFAULT_FRESH_WITNESSES,
 ) -> EntailmentVerdict:
     """Does every bounded model of kb and the premises satisfy every
-    conclusion formula?  Each search's answer is kept in kb's memo."""
+    conclusion formula?  Each search's answer is kept in kb's memo; a
+    search that runs out of its decision budget is not, and makes the
+    verdict Unknown."""
     prem = frozenset(premises)
     concl = tuple(dict.fromkeys(conclusion))
     memo = kb.refutations
@@ -449,9 +416,13 @@ def entails(
         try:
             model = memo[key]
         except KeyError:
-            model = memo[key] = find_model(
-                prem, kb, fresh_witnesses=fresh_witnesses, negated=(d,)
-            )
+            try:
+                model = find_model(
+                    prem, kb, fresh_witnesses=fresh_witnesses, negated=(d,)
+                )
+            except BudgetExceeded as exc:
+                return Unknown(bound=str(exc))
+            memo[key] = model
         if model is not None:
             return NotEntailed(countermodel=model, violated=d)
     if not needed_search:
@@ -498,7 +469,7 @@ def entailed_atoms(
         verdict = entails(prem, (a,), kb)
         if verdict.is_entailed:
             out.append(a)
-        else:
+        elif isinstance(verdict, NotEntailed):
             countermodels[bounds] = verdict.countermodel
     return tuple(out)
 

@@ -97,18 +97,20 @@ def test_function_symbol_in_a_contract_is_a_parse_error(capfd, tmp_path, command
     assert err == "error: 4:19: expected '==' or '!=' after term\n"
 
 
+CYCLIC_KB = (
+    "concept A;\nrole wheels;\ndata-role hasValue;\n"
+    "individual c;\nindividual wheelsVar;\n"
+    "A <= some wheels . A;\nsome wheels . some hasValue . 4 <= A;\n"
+    "wheels(c, wheelsVar);\nstub wheels(c, wheelsVar) for var wheels;\n"
+)
+
+
 def test_undecided_abduction_leaves_the_procedure_open(capfd, tmp_path):
     # under a cyclic kb the abduction behind a skip's heuristic
     # precondition cannot decide consistency; the strategy falls back
     # instead of aborting the run
     kb = tmp_path / "cyclic.kb"
-    kb.write_text(
-        "concept A;\nrole wheels;\ndata-role hasValue;\n"
-        "individual c;\nindividual wheelsVar;\n"
-        "A <= some wheels . A;\nsome wheels . some hasValue . 4 <= A;\n"
-        "wheels(c, wheelsVar);\nstub wheels(c, wheelsVar) for var wheels;\n",
-        encoding="utf-8",
-    )
+    kb.write_text(CYCLIC_KB, encoding="utf-8")
     prog = tmp_path / "cyclic.prog"
     prog.write_text(
         "var wheels = 0;\n"
@@ -142,6 +144,36 @@ def test_explain_smallcar_verbatim(capfd):
     first = next(l for l in out.splitlines() if l.startswith("abduced"))
     assert "hasValue(doorsVar, 2)" in first
     assert "hasValue(wheelsVar, 4)" in first
+
+
+def test_explain_reports_an_undecided_abduction(capfd, tmp_path):
+    kb = tmp_path / "cyclic.kb"
+    kb.write_text(CYCLIC_KB, encoding="utf-8")
+    code, out, err = run(capfd, "explain", str(kb), "--goal", "A(c)")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == [
+        "deduced kernel: {}",
+        "abduction: undecided (no model at the enumeration bound and the "
+        "terminology is cyclic; consistency undecided)",
+    ]
+
+
+def test_a_decision_budget_hit_is_an_unknown_obligation(capfd, monkeypatch):
+    from twotier import reasoning
+    from twotier.errors import BudgetExceeded
+
+    def exhausted(clauses, nvars, budget=reasoning.DEFAULT_DECISION_BUDGET):
+        raise BudgetExceeded(f"model search decision budget of {budget} exhausted")
+
+    monkeypatch.setattr(reasoning, "_solve", exhausted)
+    code, out, _ = run(capfd, "verify", ADD_PROG, ADD_KB)
+    assert code == 1
+    assert "procedure addWheels: Open" in out
+    assert "dl-entailment Unknown" in out
+    assert (
+        "undecided at bound: model search decision budget of 500000 exhausted" in out
+    )
 
 
 def test_explain_bad_goal_exit_code(capfd):

@@ -1,11 +1,14 @@
-"""The corpus output, byte for byte: structured and text `verify`, and the
-proof file `--proof-out` writes.  To regenerate an expected file after a
-deliberate change of output, from the repository root:
+"""The corpus output, byte for byte: structured and text `verify`, the
+proof file `--proof-out` writes, and text `verify` with closure off, whose
+open obligations print countermodels.  To regenerate an expected file
+after a deliberate change of output, from the repository root:
 
     PYTHONPATH=src python3 -m twotier.cli verify PROG KB --format structured \
         > tests/golden/STEM.structured.jsonl
     PYTHONPATH=src python3 -m twotier.cli verify PROG KB \
         --proof-out tests/golden/STEM.proof.json > tests/golden/STEM.txt
+    PYTHONPATH=src python3 -m twotier.cli verify PROG KB --closure off \
+        > tests/golden/STEM.closure-off.txt
 """
 
 from importlib import resources
@@ -43,3 +46,10 @@ def test_text_verify_and_proof_file(capfd, tmp_path, stem):
     assert code == STEMS[stem]
     assert capfd.readouterr().out == expected(f"{stem}.txt")
     assert proof.read_text(encoding="utf-8") == expected(f"{stem}.proof.json")
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_countermodels_with_closure_off(capfd, stem):
+    code = main(["verify", *corpus_args(stem), "--closure", "off"])
+    assert code == 1
+    assert capfd.readouterr().out == expected(f"{stem}.closure-off.txt")

@@ -1,10 +1,13 @@
+import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twotier import domainlogic, reasoning
+from twotier.errors import BudgetExceeded
 from twotier.domainlogic import (
     AndC,
     Atomic,
@@ -16,11 +19,15 @@ from twotier.domainlogic import (
     ExistsData,
     ExistsRole,
     ForallData,
+    ForallRole,
     KnowledgeBase,
+    Nominal,
     NotC,
+    OrC,
     RoleAssertion,
     Stub,
     Subsumption,
+    Top,
     equivalence,
     satisfies,
 )
@@ -269,11 +276,75 @@ def test_each_kb_keeps_its_own_answers(monkeypatch):
     assert len(searches) == 2
 
 
+# every concept constructor, over tiny_kb's signature
+CONCEPTS = st.recursive(
+    st.one_of(
+        st.sampled_from((Top(), Bottom(), A, B, Nominal("c"), Nominal("s"))),
+        st.integers(0, 2).map(lambda v: ExistsData("t", v)),
+        st.integers(0, 2).map(lambda v: ForallData("t", v)),
+    ),
+    lambda inner: st.one_of(
+        inner.map(NotC),
+        st.builds(AndC, inner, inner),
+        st.builds(OrC, inner, inner),
+        inner.map(lambda c: ExistsRole("r", c)),
+        inner.map(lambda c: ForallRole("r", c)),
+    ),
+    max_leaves=4,
+)
+INDIVIDUALS = st.sampled_from(("c", "s"))
+FORMULAS = st.one_of(
+    st.builds(Subsumption, CONCEPTS, CONCEPTS),
+    st.builds(ConceptAssertion, CONCEPTS, INDIVIDUALS),
+    st.builds(RoleAssertion, st.just("r"), INDIVIDUALS, INDIVIDUALS),
+    st.builds(DataAssertion, st.just("t"), INDIVIDUALS, st.integers(0, 2)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    axioms=st.lists(FORMULAS, max_size=2),
+    stubbed=st.booleans(),
+    closure=st.booleans(),
+    asserted=st.lists(FORMULAS, max_size=2),
+    negated=st.lists(FORMULAS, max_size=2),
+    fresh=st.integers(0, 2),
+)
+def test_models_satisfy_the_query(axioms, stubbed, closure, asserted, negated, fresh):
+    """A model from the search satisfies K's effective axioms and the
+    asserted formulas, and falsifies every negated one."""
+    stubs = (Stub("r", "c", "s", "v"),) if stubbed else ()
+    kb = KnowledgeBase(tiny_kb().signature, tuple(axioms), stubs, closure)
+    # a few queries take the solver seconds; a smaller budget bounds them
+    solve = functools.partial(reasoning._solve, budget=20_000)
+    try:
+        with mock.patch.object(reasoning, "_solve", solve):
+            model = reasoning.find_model(
+                asserted, kb, fresh_witnesses=fresh, negated=negated
+            )
+    except BudgetExceeded:
+        return  # undecided: no model to check
+    if model is None:
+        return
+    for f in kb.effective_axioms(asserted) + tuple(asserted):
+        assert satisfies(model, f), f
+    for f in negated:
+        assert not satisfies(model, f), f
+
+
 def test_grounding_repeats_no_literal():
     g = reasoning._Grounder(("c",), (0, 1), tiny_kb().signature)
     g.assert_formula(ConceptAssertion(AndC(A, A), "c"))
     assert g.clauses
     assert all(len(set(c)) == len(c) for c in g.clauses)
+
+
+def test_truth_is_one_literal_with_one_unit_clause():
+    g = reasoning._Grounder(("c", "s"), (0, 1), tiny_kb().signature)
+    g.assert_formula(ConceptAssertion(OrC(Top(), Nominal("s")), "c"))
+    g.assert_formula(Subsumption(Bottom(), A), holds=False)
+    truths = [c for c in g.clauses if set(c) <= {g.true, -g.true}]
+    assert truths == [(g.true,)]
 
 
 def test_tautologies_do_not_change_the_model():
