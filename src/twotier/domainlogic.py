@@ -443,6 +443,35 @@ class KnowledgeBase:
         witnesses) -> a countermodel, or None when there is none."""
         return {}
 
+    @cached_property
+    def grounding(self) -> dict[tuple, object]:
+        """The reasoner's one slot over this kb: (universe, value pool) of
+        the last search -> the background axioms grounded over it and
+        unit-propagated.  A search over another pair replaces the entry."""
+        return {}
+
+    @cached_property
+    def background(self) -> tuple[DomainFormula, ...]:
+        """The axioms every query grounds: K plus, when closure is enabled,
+        stub-closure axioms and value functionality for K's own data
+        triples."""
+        if not self.closure_enabled:
+            return self.axioms
+        return (
+            self.axioms
+            + self.closure_axioms()
+            + self.value_functionality_axioms(self.axioms)
+        )
+
+    @cached_property
+    def background_symbols(self) -> tuple[DomainSignature, frozenset[int]]:
+        """The declared signature plus the background axioms' symbols, and
+        the axioms' integer constants."""
+        return (
+            self.signature.union(signature_of(self.background)),
+            constants_of_formulas(self.background),
+        )
+
     def closure_axioms(self) -> tuple[DomainFormula, ...]:
         """Per stub (R, c, s, v): the subject's only R-successor is s."""
         return tuple(
@@ -467,19 +496,20 @@ class KnowledgeBase:
                     )
         return tuple(out)
 
-    def effective_axioms(
-        self, extra_asserted: Iterable[DomainFormula] = ()
+    def query_axioms(
+        self, asserted: Iterable[DomainFormula]
     ) -> tuple[DomainFormula, ...]:
-        """K plus, when closure is enabled, stub-closure axioms and value
-        functionality for data triples asserted in K or the query."""
+        """When closure is enabled, value functionality for the asserted
+        data triples that K does not assert itself."""
         if not self.closure_enabled:
-            return self.axioms
-        asserted = list(self.axioms) + list(extra_asserted)
-        return (
-            self.axioms
-            + self.closure_axioms()
-            + self.value_functionality_axioms(asserted)
+            return ()
+        return self.value_functionality_axioms(
+            f for f in asserted if f not in self._axiom_set
         )
+
+    @cached_property
+    def _axiom_set(self) -> frozenset[DomainFormula]:
+        return frozenset(self.axioms)
 
 
 def definition_graph(

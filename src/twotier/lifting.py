@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import OutsideLiftableFragment, SignatureViolation
+from .errors import EmptyState, OutsideLiftableFragment, SignatureViolation
 from .statelogic import (
     And,
     Eq,
@@ -23,7 +23,6 @@ from .statelogic import (
     StateFormula,
     TRUE,
     Var,
-    characteristic_formula,
     conj,
     conjuncts,
     holds,
@@ -131,7 +130,13 @@ class SpecLifting:
         return frozenset(lifted), tuple(residue)
 
     def lift_state(self, sigma: ProgramState) -> frozenset[DomainFormula]:
-        return self.lift_spec(characteristic_formula(sigma))
+        """The lifting of sigma's characteristic formula, built directly:
+        hasValue(stub(v), sigma(v)) for every variable v."""
+        if not sigma:
+            raise EmptyState("characteristic formula of the empty state")
+        return frozenset(
+            DataAssertion(VALUE_ROLE, self.stub_for(v), n) for v, n in sigma.items()
+        )
 
     # -- inverse lifting ----------------------------------------------------
 

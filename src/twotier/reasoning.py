@@ -6,7 +6,10 @@ negation of d.  Interpretations range over a universe of the occurring
 individuals plus a configurable number of anonymous elements (individuals
 are kept pairwise distinct), and data values over the integers occurring
 in the query plus zero and one fresh value.  The search grounds the
-query into propositional logic and runs a small DPLL solver.
+query into propositional logic and runs a small DPLL solver.  Each
+knowledge base keeps K grounded and unit-propagated over the last
+universe and value pool a search used, so a search over the same pair
+grounds and propagates only its own formulas.
 
 Absence of a countermodel at the bound certifies entailment only for
 acyclic terminologies; cyclic inputs yield Unknown verdicts, and so does a
@@ -15,6 +18,7 @@ search that runs out of its decision budget.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -95,19 +99,21 @@ class _Grounder:
     disjunction of literals becomes one gate variable, shared by every
     use of the same inputs."""
 
-    def __init__(
-        self,
-        universe: Sequence[str],
-        values: Sequence[int],
-        signature: DomainSignature,
-    ):
+    def __init__(self, universe: Sequence[str], values: Sequence[int]):
         self.universe = tuple(universe)
         self.values = tuple(values)
-        self.signature = signature
         self.var_ids: dict[tuple, int] = {}
         # the literal of Top, which holds in every model
         self.true = self.var(("true",))
         self.clauses: list[tuple[int, ...]] = [(self.true,)]
+
+    def extension(self) -> "_Grounder":
+        """A grounder that numbers on from this one's variables and holds
+        only the clauses added to it; this one is left unchanged."""
+        g = copy.copy(self)
+        g.var_ids = dict(self.var_ids)
+        g.clauses = []
+        return g
 
     def var(self, key: tuple) -> int:
         vid = self.var_ids.get(key)
@@ -188,8 +194,9 @@ class _Grounder:
         lit = self.formula(delta)
         self.clauses.append((lit if holds else -lit,))
 
-    def decode(self, assignment: dict[int, bool]) -> DomainInterpretation:
-        sig = self.signature
+    def decode(
+        self, assignment: dict[int, bool], sig: DomainSignature
+    ) -> DomainInterpretation:
         concept_ext: dict[str, frozenset[str]] = {}
         abs_ext: dict[str, frozenset[tuple[str, str]]] = {}
         conc_ext: dict[str, frozenset[tuple[str, int]]] = {}
@@ -232,64 +239,67 @@ _ANON_PREFIX = "_anon"
 # DPLL
 
 
-def _solve(
-    clauses: list[tuple[int, ...]],
-    nvars: int,
-    budget: int = DEFAULT_DECISION_BUDGET,
-) -> Optional[dict[int, bool]]:
-    """Iterative DPLL with counter-based unit propagation.
+@dataclass(slots=True)
+class _SolverState:
+    """Clauses with their occurrence lists, per-clause counts of false and
+    of true literals, the assignment (indexed by variable) and the trail
+    of assigned literals in assignment order."""
 
-    No clause may repeat a literal.  A clause with complementary literals
-    is true under every assignment of their variable, so it never becomes
-    unit or conflicting."""
-    nclauses = len(clauses)
-    occ: dict[int, list[int]] = {}
-    for ci, c in enumerate(clauses):
-        if not c:
-            return None
-        for lit in c:
-            occ.setdefault(lit, []).append(ci)
-    nfalse = [0] * nclauses
-    nsat = [0] * nclauses
-    assign: list[Optional[bool]] = [None] * (nvars + 1)
-    trail: list[int] = []  # literals in assignment order
-    decision_marks: list[tuple[int, int]] = []  # (trail length, decided lit)
-    decisions = 0
+    clauses: list[tuple[int, ...]]
+    occ: dict[int, list[int]]
+    nfalse: list[int]
+    nsat: list[int]
+    assign: list[Optional[bool]]
+    trail: list[int]
 
-    def set_lit(lit: int) -> Optional[int]:
-        """Assign lit true, update counters; returns a conflicting clause
-        index or None.  New unit literals are appended to `pending`."""
-        v = abs(lit)
-        assign[v] = lit > 0
-        trail.append(lit)
-        for ci in occ.get(lit, ()):
-            nsat[ci] += 1
-        conflict = None
-        for ci in occ.get(-lit, ()):
-            nfalse[ci] += 1
-            if nsat[ci] == 0:
-                c = clauses[ci]
-                if nfalse[ci] == len(c):
-                    conflict = ci
-                elif nfalse[ci] == len(c) - 1:
-                    for l2 in c:
-                        if assign[abs(l2)] is None:
-                            pending.append(l2)
-                            break
-        return conflict
+    def extend(
+        self, clauses: Sequence[tuple[int, ...]], nvars: int
+    ) -> Optional["_SolverState"]:
+        """A copy of this state, which must be a level-0 fixpoint, with the
+        clauses appended over variables up to nvars and unit propagation
+        run to its fixpoint; None on a conflict.  This state is left
+        unchanged.  The fixpoint does not depend on the order in which
+        clauses arrive, so it equals that of propagating every clause at
+        once."""
+        assign = self.assign + [None] * (nvars + 1 - len(self.assign))
+        nfalse = self.nfalse.copy()
+        nsat = self.nsat.copy()
+        added: dict[int, list[int]] = {}
+        pending: list[int] = []
+        for ci, c in enumerate(clauses, len(self.clauses)):
+            nf = ns = 0
+            free = 0
+            for lit in c:
+                added.setdefault(lit, []).append(ci)
+                val = assign[abs(lit)]
+                if val is None:
+                    free = lit
+                elif val == (lit > 0):
+                    ns += 1
+                else:
+                    nf += 1
+            nfalse.append(nf)
+            nsat.append(ns)
+            if ns == 0:
+                if nf == len(c):
+                    return None
+                if nf == len(c) - 1:
+                    pending.append(free)
+        occ = self.occ.copy()
+        for lit, cis in added.items():
+            old = occ.get(lit)
+            occ[lit] = cis if old is None else old + cis
+        state = _SolverState(
+            self.clauses + list(clauses), occ, nfalse, nsat, assign, self.trail.copy()
+        )
+        return state if state.propagate(pending) else None
 
-    def unset_to(mark: int) -> None:
-        while len(trail) > mark:
-            lit = trail.pop()
-            v = abs(lit)
-            assign[v] = None
-            for ci in occ.get(lit, ()):
-                nsat[ci] -= 1
-            for ci in occ.get(-lit, ()):
-                nfalse[ci] -= 1
-
-    def propagate() -> bool:
-        """Drain pending implications; False on conflict."""
+    def propagate(self, pending: list[int]) -> bool:
+        """Assign the pending literals and every literal they imply; False
+        on a conflict.  Every assigned literal's counters are updated in
+        full, so that `unset_to` can undo them."""
+        clauses, occ, nfalse, nsat = self.clauses, self.occ, self.nfalse, self.nsat
+        assign, trail = self.assign, self.trail
         while pending:
             lit = pending.pop()
             v = abs(lit)
@@ -298,14 +308,62 @@ def _solve(
                 if cur != (lit > 0):
                     return False
                 continue
-            if set_lit(lit) is not None:
+            assign[v] = lit > 0
+            trail.append(lit)
+            for ci in occ.get(lit, ()):
+                nsat[ci] += 1
+            conflict = False
+            for ci in occ.get(-lit, ()):
+                nfalse[ci] += 1
+                if nsat[ci] == 0:
+                    c = clauses[ci]
+                    if nfalse[ci] == len(c):
+                        conflict = True
+                    elif nfalse[ci] == len(c) - 1:
+                        for l2 in c:
+                            if assign[abs(l2)] is None:
+                                pending.append(l2)
+                                break
+            if conflict:
                 return False
         return True
 
-    pending: list[int] = [c[0] for c in clauses if len(c) == 1]
-    next_var = 1
-    if not propagate():
+    def unset_to(self, mark: int) -> None:
+        """Unassign the trail's literals beyond its first `mark`."""
+        occ, nfalse, nsat = self.occ, self.nfalse, self.nsat
+        assign, trail = self.assign, self.trail
+        while len(trail) > mark:
+            lit = trail.pop()
+            assign[abs(lit)] = None
+            for ci in occ.get(lit, ()):
+                nsat[ci] -= 1
+            for ci in occ.get(-lit, ()):
+                nfalse[ci] -= 1
+
+
+_NO_CLAUSES = _SolverState([], {}, [], [], [None], [])
+
+
+def _solve(
+    base: _SolverState,
+    clauses: Sequence[tuple[int, ...]],
+    nvars: int,
+    budget: int = DEFAULT_DECISION_BUDGET,
+) -> Optional[dict[int, bool]]:
+    """Iterative DPLL with counter-based unit propagation over base's
+    clauses and the given ones, from a copy of base's level-0 state.
+
+    No clause may repeat a literal.  A clause with complementary literals
+    is true under every assignment of their variable, so it never becomes
+    unit or conflicting."""
+    state = base.extend(clauses, nvars)
+    if state is None:
         return None
+    assign, trail = state.assign, state.trail
+    decision_marks: list[tuple[int, int]] = []  # (trail length, decided lit)
+    decisions = 0
+    pending: list[int] = []
+    next_var = 1
     while True:
         while next_var <= nvars and assign[next_var] is not None:
             next_var += 1
@@ -319,13 +377,13 @@ def _solve(
         decision_marks.append((len(trail), -next_var))
         pending.clear()
         pending.append(-next_var)
-        while not propagate():
+        while not state.propagate(pending):
             # backtrack to the most recent decision still having an
             # untried polarity
             pending.clear()
             while decision_marks:
                 mark, lit = decision_marks.pop()
-                unset_to(mark)
+                state.unset_to(mark)
                 if lit < 0:  # tried False first; try True now
                     decision_marks.append((mark, -lit))
                     pending.append(-lit)
@@ -341,17 +399,17 @@ def _solve(
 
 
 def _query_symbols(
-    kb: KnowledgeBase, formulas: Iterable[DomainFormula]
+    kb: KnowledgeBase, query: Iterable[DomainFormula]
 ) -> tuple[DomainSignature, frozenset[int]]:
     """The signature and the value pool, before its fresh value, of a
-    query over the formulas."""
-    # the formulas include kb's axioms, so their symbols and constants
-    # cover the kb's
-    fs = tuple(formulas)
-    sig = kb.signature.union(signature_of(fs))
-    ints = set(constants_of_formulas(fs))
-    ints.add(0)
-    return sig, frozenset(ints)
+    query over kb's background axioms and the query's formulas.  The
+    query axioms add no symbol or constant beyond the query's own."""
+    query = tuple(query)
+    sig, ints = kb.background_symbols
+    return (
+        sig.union(signature_of(query)),
+        ints | constants_of_formulas(query) | {0},
+    )
 
 
 def _query_bounds(
@@ -366,6 +424,25 @@ def _query_bounds(
     return universe, tuple(sorted(ints | {fresh}))
 
 
+def _grounded_background(
+    kb: KnowledgeBase, universe: tuple[str, ...], values: tuple[int, ...]
+) -> tuple[_Grounder, Optional[_SolverState]]:
+    """kb's background axioms grounded over the universe and value pool,
+    and their level-0 state (None if it conflicts), from kb's slot; on a
+    miss the slot is refilled for this pair."""
+    slot = kb.grounding
+    key = (universe, values)
+    entry = slot.get(key)
+    if entry is None:
+        g = _Grounder(universe, values)
+        for f in kb.background:
+            g.assert_formula(f)
+        entry = (g, _NO_CLAUSES.extend(g.clauses, len(g.var_ids)))
+        slot.clear()
+        slot[key] = entry
+    return entry
+
+
 def find_model(
     formulas: Iterable[DomainFormula],
     kb: KnowledgeBase,
@@ -373,24 +450,33 @@ def find_model(
     fresh_witnesses: int = DEFAULT_FRESH_WITNESSES,
     negated: Iterable[DomainFormula] = (),
 ) -> Optional[DomainInterpretation]:
-    """A bounded model of kb's effective axioms plus the given formulas,
-    with every formula in `negated` false; None if none exists."""
-    asserted = tuple(formulas)
+    """A bounded model of kb's background axioms, the query axioms of the
+    given formulas and the formulas, with every formula in `negated`
+    false; None if none exists.
+
+    The background axioms come grounded and propagated from kb's slot;
+    only the query's part is grounded here, numbered after them as a
+    grounding of the whole would number it.  The formulas are grounded
+    in the order of their printed forms, so the variable order, and with
+    it the model, does not depend on the order they come in."""
+    asserted = tuple(sorted(formulas, key=str))
     negated = tuple(negated)
-    axioms = kb.effective_axioms(asserted)
-    sig, ints = _query_symbols(kb, axioms + asserted + negated)
+    sig, ints = _query_symbols(kb, asserted + negated)
     universe, values = _query_bounds(sig.nominals, ints, fresh_witnesses)
-    g = _Grounder(universe, values, sig)
-    for f in axioms:
+    background, level0 = _grounded_background(kb, universe, values)
+    if level0 is None:
+        return None
+    g = background.extension()
+    for f in kb.query_axioms(asserted):
         g.assert_formula(f)
     for f in asserted:
         g.assert_formula(f)
     for f in negated:
         g.assert_formula(f, holds=False)
-    assignment = _solve(g.clauses, len(g.var_ids))
+    assignment = _solve(level0, g.clauses, len(g.var_ids))
     if assignment is None:
         return None
-    return g.decode(assignment)
+    return g.decode(assignment, sig)
 
 
 def entails(
@@ -451,7 +537,7 @@ def entailed_atoms(
     if not kb.acyclic:
         # entails then answers Unknown or NotEntailed beyond inclusion
         return tuple(a for a in atoms if a in prem)
-    sig, ints = _query_symbols(kb, kb.effective_axioms(prem) + tuple(prem))
+    sig, ints = _query_symbols(kb, prem)
     countermodels: dict[tuple, DomainInterpretation] = {}
     out = []
     for a in atoms:

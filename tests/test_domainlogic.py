@@ -12,6 +12,7 @@ from twotier.domainlogic import (
     ExistsRole,
     ForallData,
     ForallRole,
+    KnowledgeBase,
     Nominal,
     NotC,
     OrC,
@@ -135,9 +136,16 @@ def test_closure_and_functionality_axioms(corrected):
     closure = kb.closure_axioms()
     rendered = {str(f) for f in closure}
     assert "(all wheels . {wheelsVar})(c)" in rendered
-    func = kb.value_functionality_axioms(
-        (DataAssertion("hasValue", "wheelsVar", 4),)
-    )
+    hv4 = DataAssertion("hasValue", "wheelsVar", 4)
+    func = kb.value_functionality_axioms((hv4,))
     assert str(func[0]) == "(all hasValue . 4)(wheelsVar)"
+    assert kb.background[: len(kb.axioms)] == kb.axioms
+    assert set(closure) <= set(kb.background)
+    assert kb.query_axioms((hv4,)) == func
+    # a triple K asserts is closed in the background, not per query
+    with_hv4 = KnowledgeBase(kb.signature, kb.axioms + (hv4,), kb.stubs)
+    assert func[0] in with_hv4.background
+    assert with_hv4.query_axioms((hv4,)) == ()
     off = kb.with_closure(False)
-    assert off.effective_axioms((DataAssertion("hasValue", "wheelsVar", 4),)) == off.axioms
+    assert off.background == off.axioms
+    assert off.query_axioms((hv4,)) == ()

@@ -3,8 +3,19 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotier.errors import OutsideLiftableFragment, SignatureViolation
-from twotier.statelogic import And, Eq, Lit, Not, State, TRUE, Var, conj, holds
+from twotier.errors import EmptyState, OutsideLiftableFragment, SignatureViolation
+from twotier.statelogic import (
+    And,
+    Eq,
+    Lit,
+    Not,
+    State,
+    TRUE,
+    Var,
+    characteristic_formula,
+    conj,
+    holds,
+)
 from twotier.domainlogic import (
     Atomic,
     ConceptAssertion,
@@ -65,6 +76,22 @@ def test_lift_state(corrected):
         DataAssertion("hasValue", "doorsVar", 2),
         DataAssertion("hasValue", "wheelsVar", 4),
     }
+    with pytest.raises(EmptyState):
+        lift.lift_state(State({}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma=st.dictionaries(
+        st.sampled_from(("wheels", "doors", "bodyId", "x", "y")),
+        st.integers(-3, 5),
+        min_size=1,
+    )
+)
+def test_lift_state_lifts_the_characteristic_formula(corrected, sigma):
+    lift = SpecLifting.direct(corrected[1], ("x",))
+    state = State(sigma)
+    assert lift.lift_state(state) == lift.lift_spec(characteristic_formula(state))
 
 
 def test_kernel_signature_contains_lift_images(corrected):

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import random
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -31,6 +33,9 @@ from twotier.domainlogic import (
     equivalence,
     satisfies,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen_scaled  # noqa: E402
 
 A = Atomic("A")
 B = Atomic("B")
@@ -276,6 +281,90 @@ def test_each_kb_keeps_its_own_answers(monkeypatch):
     assert len(searches) == 2
 
 
+def test_premise_order_does_not_change_the_model():
+    """Premises over the same variables in either order give one model:
+    grounding them as they come would number A(c) or B(c) first, and
+    the least model would differ."""
+    either = ConceptAssertion(OrC(A, B), "c")
+    other = ConceptAssertion(OrC(B, A), "c")
+    kb = tiny_kb()
+    first = reasoning.find_model((either, other), kb)
+    assert first is not None
+    assert reasoning.find_model((other, either), kb) == first
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kb=kbs(),
+    queries=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(ATOMS), max_size=3),
+            st.lists(st.sampled_from(ATOMS), max_size=1),
+            st.integers(0, 2),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+)
+def test_a_kb_slot_gives_the_models_of_fresh_kbs(kb, queries):
+    """Queries over several universes and value pools, answered in turn
+    on one kb whose slot is refilled as the context changes, give the
+    model each gives alone on an equal kb built afresh."""
+    for asserted, negated, fresh in queries:
+        alone = KnowledgeBase(kb.signature, kb.axioms, kb.stubs, kb.closure_enabled)
+        expected = reasoning.find_model(
+            asserted, alone, fresh_witnesses=fresh, negated=negated
+        )
+        model = reasoning.find_model(
+            asserted, kb, fresh_witnesses=fresh, negated=negated
+        )
+        assert model == expected
+        assert len(kb.grounding) == 1
+
+
+def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
+    """The fuzzer's queries on one set_i of s2 ground the kb's background
+    axioms once each time the context changes, not once per search."""
+    from twotier import parsing
+    from twotier.calculus import VerifCtx, validate_judgement_empirically
+    from twotier.strategy import verify_procedure
+
+    kb_text, prog_text = gen_scaled.scaled(2, 1)
+    kb = parsing.parse_kb(kb_text)
+    program = parsing.parse_program(prog_text, kb)
+    ctx = VerifCtx.build(program, kb)
+    tree = verify_procedure(ctx, program.procedure("set_1"))
+    assert tree.closed
+
+    groundings = []
+    init = reasoning._Grounder.__init__
+
+    def counting_init(self, universe, values):
+        groundings.append((tuple(universe), tuple(values)))
+        init(self, universe, values)
+
+    contexts = []
+    search = reasoning.find_model
+
+    def recording(*args, **kwargs):
+        model = search(*args, **kwargs)
+        (key,) = kb.grounding
+        contexts.append(key)
+        return model
+
+    monkeypatch.setattr(reasoning._Grounder, "__init__", counting_init)
+    monkeypatch.setattr(reasoning, "find_model", recording)
+    kb.grounding.clear()
+    report = validate_judgement_empirically(
+        ctx, tree.conclusion, (0, 1, 2, 3), seed=1
+    )
+    assert report.ok
+    switches = [k for i, k in enumerate(contexts) if i == 0 or k != contexts[i - 1]]
+    # 16 searches over 6 runs of one context
+    assert groundings == switches
+    assert len(switches) < len(contexts)
+
+
 # every concept constructor, over tiny_kb's signature
 CONCEPTS = st.recursive(
     st.one_of(
@@ -311,8 +400,8 @@ FORMULAS = st.one_of(
     fresh=st.integers(0, 2),
 )
 def test_models_satisfy_the_query(axioms, stubbed, closure, asserted, negated, fresh):
-    """A model from the search satisfies K's effective axioms and the
-    asserted formulas, and falsifies every negated one."""
+    """A model from the search satisfies K's background axioms, the query
+    axioms and the asserted formulas, and falsifies every negated one."""
     stubs = (Stub("r", "c", "s", "v"),) if stubbed else ()
     kb = KnowledgeBase(tiny_kb().signature, tuple(axioms), stubs, closure)
     # a few queries take the solver seconds; a smaller budget bounds them
@@ -326,21 +415,21 @@ def test_models_satisfy_the_query(axioms, stubbed, closure, asserted, negated, f
         return  # undecided: no model to check
     if model is None:
         return
-    for f in kb.effective_axioms(asserted) + tuple(asserted):
+    for f in kb.background + kb.query_axioms(asserted) + tuple(asserted):
         assert satisfies(model, f), f
     for f in negated:
         assert not satisfies(model, f), f
 
 
 def test_grounding_repeats_no_literal():
-    g = reasoning._Grounder(("c",), (0, 1), tiny_kb().signature)
+    g = reasoning._Grounder(("c",), (0, 1))
     g.assert_formula(ConceptAssertion(AndC(A, A), "c"))
     assert g.clauses
     assert all(len(set(c)) == len(c) for c in g.clauses)
 
 
 def test_truth_is_one_literal_with_one_unit_clause():
-    g = reasoning._Grounder(("c", "s"), (0, 1), tiny_kb().signature)
+    g = reasoning._Grounder(("c", "s"), (0, 1))
     g.assert_formula(ConceptAssertion(OrC(Top(), Nominal("s")), "c"))
     g.assert_formula(Subsumption(Bottom(), A), holds=False)
     truths = [c for c in g.clauses if set(c) <= {g.true, -g.true}]
@@ -348,13 +437,34 @@ def test_truth_is_one_literal_with_one_unit_clause():
 
 
 def test_tautologies_do_not_change_the_model():
-    g = reasoning._Grounder(("c", "s"), (0, 1, 2), tiny_kb().signature)
+    g = reasoning._Grounder(("c", "s"), (0, 1, 2))
     for f in AXIOM_POOL + POOL[:4]:
         g.assert_formula(f)
     nvars = len(g.var_ids)
-    model = reasoning._solve(g.clauses, nvars)
+    model = reasoning._solve(reasoning._NO_CLAUSES, g.clauses, nvars)
     assert model is not None
     tautology = (1, -1, nvars)
     for at in (0, len(g.clauses) // 2, len(g.clauses)):
         clauses = g.clauses[:at] + [tautology] + g.clauses[at:]
-        assert reasoning._solve(clauses, nvars) == model
+        assert reasoning._solve(reasoning._NO_CLAUSES, clauses, nvars) == model
+
+
+def test_a_propagated_base_does_not_change_the_search():
+    """Clauses split at any point between a level-0 base and the search's
+    own clauses give the model and the verdict of one search over all of
+    them, and leave the base as it was."""
+    for extra in ((), (Subsumption(B, Bottom()),)):
+        g = reasoning._Grounder(("c", "s", "_anon0"), (0, 1, 2))
+        for f in AXIOM_POOL + POOL[:4] + extra:
+            g.assert_formula(f)
+        nvars = len(g.var_ids)
+        whole = reasoning._solve(reasoning._NO_CLAUSES, g.clauses, nvars)
+        assert (whole is None) == bool(extra)
+        for at in range(len(g.clauses) + 1):
+            base = reasoning._NO_CLAUSES.extend(g.clauses[:at], nvars)
+            if base is None:
+                assert whole is None
+                continue
+            before = (base.nfalse.copy(), base.nsat.copy(), base.trail.copy())
+            assert reasoning._solve(base, g.clauses[at:], nvars) == whole
+            assert (base.nfalse, base.nsat, base.trail) == before
