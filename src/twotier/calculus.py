@@ -732,6 +732,7 @@ def validate_judgement_empirically(
         outcome = interpret(j.stmt, sigma, run)
         if outcome.fuel_exhausted:
             fuel_issues += 1
+        found = len(counterexamples)
         for sigma2 in outcome.states:
             if not assertion_holds(sigma2, j.post, ctx.kb, ctx.lifting):
                 counterexamples.append(
@@ -741,4 +742,9 @@ def validate_judgement_empirically(
                         detail="postcondition violated",
                     )
                 )
+        if len(counterexamples) - found > 1:
+            # outcome.states is a set, whose order follows the hash seed
+            counterexamples[found:] = sorted(
+                counterexamples[found:], key=lambda cx: cx.sigma_prime
+            )
     return FuzzReport(tested, tuple(counterexamples), fuel_issues)

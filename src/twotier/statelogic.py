@@ -5,14 +5,16 @@ Terms are program variables and integer literals.  Formulas are
 equalities between terms under negation and conjunction; disjunction,
 disequality and the constants true and false are parse-time
 abbreviations.  Evaluation follows the standard recursive semantics.
-Implication in this fragment is decided exactly by trying every state
-over a small domain (the small-model property: Pnueli, Rodeh,
-Shtrichman and Siegel, Inf. & Comp. 2002).
+Implication in this fragment is decided exactly over a small domain
+(the small-model property: Pnueli, Rodeh, Shtrichman and Siegel, Inf. &
+Comp. 2002) by a depth-first search for a state that satisfies the
+premise but not the conclusion.  The search cuts every partial state
+under which that is already false, and tries only one of the values
+that neither formula mentions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -256,19 +258,75 @@ def check_domain(
 
 
 def state_implies(phi1: StateFormula, phi2: StateFormula) -> bool:
-    """Exhaustive implication check over the small-model domain of the
-    equality fragment."""
+    """Implication over the small-model domain of the equality fragment,
+    decided by the pruned search of `state_implies_counterexample`."""
     return state_implies_counterexample(phi1, phi2) is None
+
+
+def _partial_holds(phi: StateFormula, partial: dict[str, int]) -> Optional[bool]:
+    """phi under a partial state: True or False when every completion
+    agrees, None when it depends on an unassigned variable."""
+    kind = type(phi)
+    if kind is Eq:
+        lhs, rhs = phi.lhs, phi.rhs
+        left = lhs.value if type(lhs) is Lit else partial.get(lhs.name)
+        right = rhs.value if type(rhs) is Lit else partial.get(rhs.name)
+        if left is None or right is None:
+            return True if lhs == rhs else None
+        return left == right
+    if kind is Not:
+        arg = _partial_holds(phi.arg, partial)
+        return None if arg is None else not arg
+    if kind is And:
+        left = _partial_holds(phi.lhs, partial)
+        if left is False:
+            return False
+        right = _partial_holds(phi.rhs, partial)
+        if right is False:
+            return False
+        return True if left and right else None
+    raise TypeError(f"not a state formula: {phi!r}")
 
 
 def state_implies_counterexample(
     phi1: StateFormula, phi2: StateFormula
 ) -> Optional[State]:
-    """A state over the check domain satisfying phi1 but not phi2, or None."""
+    """The first state, in itertools.product order over the check
+    domain's sorted values, that satisfies phi1 but not phi2; None if
+    there is none.
+
+    The search assigns the variables in sorted order, each value in
+    ascending order, and cuts a branch as soon as phi1 && !phi2 is false
+    under the partial state.  Values that occur in neither formula are
+    interchangeable: swapping two of them maps counter-states to
+    counter-states.  So a variable tries only the smallest of them that
+    no earlier variable holds; the first counter-state that gives it a
+    larger unused one would have a smaller swapped twin."""
     variables, values = check_domain(phi1, phi2)
     ordered = sorted(values)
-    for combo in itertools.product(ordered, repeat=len(variables)):
-        sigma = State(zip(variables, combo))
-        if holds(phi1, sigma) and not holds(phi2, sigma):
-            return sigma
-    return None
+    goal = And(phi1, Not(phi2))
+    interchangeable = values - constants_of(goal)
+    partial: dict[str, int] = {}
+
+    def search(i: int) -> bool:
+        # goal is not false under partial; with every variable assigned,
+        # it is true
+        if i == len(variables):
+            return True
+        name = variables[i]
+        held = set(partial.values())
+        fresh_tried = False
+        for value in ordered:
+            if value in interchangeable and value not in held:
+                if fresh_tried:
+                    continue
+                fresh_tried = True
+            partial[name] = value
+            if _partial_holds(goal, partial) is not False and search(i + 1):
+                return True
+        del partial[name]
+        return False
+
+    if _partial_holds(goal, partial) is False or not search(0):
+        return None
+    return State(partial)

@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twotier
 from twotier import calculus
 from twotier.assertions import assertion
 from twotier.calculus import (
@@ -340,3 +345,39 @@ def test_empirical_validation_samples_the_states_of_the_full_product(corrected_c
     expected = [s for s in random.Random(5).sample(states, 100) if s["wheels"] != 4]
     assert report.tested == 100
     assert [dict(cx.sigma) for cx in report.counterexamples] == expected
+
+
+FUZZ_ADDWHEELS = """
+from importlib import resources
+from twotier import parsing
+from twotier.assertions import assertion
+from twotier.calculus import Judgement, VerifCtx, validate_judgement_empirically
+from twotier.lang import Call
+from twotier.statelogic import Eq, Lit, Var
+
+corpus = resources.files("twotier") / "corpus"
+kb = parsing.parse_kb((corpus / "assembly_corrected.kb").read_text())
+program = parsing.parse_program((corpus / "assembly_corrected.prog").read_text(), kb)
+j = Judgement(assertion(), Call("addWheels", Lit(4)), assertion((), Eq(Var("doors"), Lit(0))))
+report = validate_judgement_empirically(VerifCtx.build(program, kb), j, (0, 2, 4), samples=50)
+print(len(report.counterexamples))
+for cx in report.counterexamples:
+    print(cx)
+"""
+
+
+def test_fuzz_counterexamples_do_not_depend_on_the_hash_seed():
+    # the call havocs its callee's variables: each sigma has many outcomes
+    src = str(Path(twotier.__file__).resolve().parents[1])
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", FUZZ_ADDWHEELS],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2", "3")
+    }
+    assert len(outputs) == 1
+    assert outputs.pop().startswith("432\n")

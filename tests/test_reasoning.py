@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotier import domainlogic, reasoning
+from twotier import domainlogic, parsing, reasoning
 from twotier.errors import BudgetExceeded
 from twotier.domainlogic import (
     AndC,
@@ -325,7 +325,6 @@ def test_a_kb_slot_gives_the_models_of_fresh_kbs(kb, queries):
 def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
     """The fuzzer's queries on one set_i of s2 ground the kb's background
     axioms once each time the context changes, not once per search."""
-    from twotier import parsing
     from twotier.calculus import VerifCtx, validate_judgement_empirically
     from twotier.strategy import verify_procedure
 
@@ -468,3 +467,20 @@ def test_a_propagated_base_does_not_change_the_search():
             before = (base.nfalse.copy(), base.nsat.copy(), base.trail.copy())
             assert reasoning._solve(base, g.clauses[at:], nvars) == whole
             assert (base.nfalse, base.nsat, base.trail) == before
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="two anonymous elements do not bound this kb's models (ROADMAP item 1)",
+)
+def test_three_existentials_need_three_witnesses():
+    kb = parsing.parse_kb(
+        "concept A; concept B; concept C; role r; individual a;\n"
+        "A <= B & C & (some r . (B & !C)) & (some r . (C & !B))"
+        " & (some r . (!B & !C));\n"
+        "closure off;\n"
+    )
+    # A(a) has a model with three r-successors, one per existential,
+    # which fresh_witnesses=3 finds
+    goal = ConceptAssertion(NotC(A), "a")
+    assert not reasoning.entails((), (goal,), kb).is_entailed

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twotier import statelogic
 from twotier.errors import UnboundVariable
 from twotier.statelogic import (
     And,
@@ -38,15 +39,15 @@ terms = st.one_of(
 
 
 @st.composite
-def formulas(draw, depth=3):
+def formulas(draw, depth=3, leaves=terms):
     if depth == 0:
-        return Eq(draw(terms), draw(terms))
+        return Eq(draw(leaves), draw(leaves))
     choice = draw(st.integers(0, 3))
     if choice == 0:
-        return Eq(draw(terms), draw(terms))
+        return Eq(draw(leaves), draw(leaves))
     if choice == 1:
-        return Not(draw(formulas(depth=depth - 1)))
-    return And(draw(formulas(depth=depth - 1)), draw(formulas(depth=depth - 1)))
+        return Not(draw(formulas(depth - 1, leaves)))
+    return And(draw(formulas(depth - 1, leaves)), draw(formulas(depth - 1, leaves)))
 
 
 @st.composite
@@ -166,3 +167,50 @@ def test_counterexample_soundness_is_exhaustive_at_bound():
     assert cex is not None
     assert holds(phi1, cex) and not holds(phi2, cex)
 
+
+def first_counter_state(phi1, phi2):
+    """The first state of the product over the check domain that
+    satisfies phi1 but not phi2."""
+    names, values = check_domain(phi1, phi2)
+    for combo in itertools.product(sorted(values), repeat=len(names)):
+        sigma = State(zip(names, combo))
+        if holds(phi1, sigma) and not holds(phi2, sigma):
+            return sigma
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_counterexample_is_the_first_state_of_the_enumeration(data):
+    # constant pools with negative constants, with and without 0
+    constants = data.draw(st.sampled_from(((-2, 0, 3), (-1, 2), (-3, -1), (5,))))
+    leaves = st.one_of(
+        st.sampled_from(constants).map(Lit), st.sampled_from(VARS).map(Var)
+    )
+    p, q = data.draw(formulas(leaves=leaves)), data.draw(formulas(leaves=leaves))
+    # the last two pairs are valid
+    phi1, phi2 = data.draw(st.sampled_from(((p, q), (And(p, q), p), (p, disj(q, p)))))
+    assert state_implies_counterexample(phi1, phi2) == first_counter_state(phi1, phi2)
+
+
+def test_a_chain_of_equalities_is_decided_without_enumerating(monkeypatch):
+    built = []
+
+    class CountedState(State):
+        __slots__ = ()
+
+        def __init__(self, bindings=()):
+            built.append(bindings)
+            if len(built) > 1000:
+                raise AssertionError("enumerated the check domain")
+            super().__init__(bindings)
+
+    monkeypatch.setattr(statelogic, "State", CountedState)
+    names = "abcdefgh"
+    chain = conj(Eq(Var(x), Var(y)) for x, y in zip(names, names[1:]))
+    # nine values over eight variables: 9**8 states to enumerate
+    assert state_implies(chain, Eq(Var("a"), Var("h")))
+    assert state_implies_counterexample(chain, Eq(Var("a"), Lit(0))) == State(
+        {x: 1 for x in names}
+    )
+    assert len(built) <= 8
