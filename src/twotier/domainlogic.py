@@ -221,14 +221,6 @@ class DomainSignature:
             self.atomic_concepts | other.atomic_concepts,
         )
 
-    def subsumed_by(self, other: "DomainSignature") -> bool:
-        return (
-            self.nominals <= other.nominals
-            and self.abstract_roles <= other.abstract_roles
-            and self.concrete_roles <= other.concrete_roles
-            and self.atomic_concepts <= other.atomic_concepts
-        )
-
     def missing_from(self, other: "DomainSignature") -> list[str]:
         out: list[str] = []
         out.extend(sorted(self.nominals - other.nominals))
@@ -445,10 +437,19 @@ class KnowledgeBase:
 
     @cached_property
     def grounding(self) -> dict[tuple, object]:
-        """The reasoner's one slot over this kb: (universe, value pool) of
-        the last search -> the background axioms grounded over it and
-        unit-propagated.  A search over another pair replaces the entry."""
+        """The reasoner's one slot over this kb: the context of the last
+        search -> the background axioms grounded over it and
+        unit-propagated.  The context is (universe, value pool) when the
+        background reads the pool, and (universe, None) when it does not;
+        a search in another context replaces the entry."""
         return {}
+
+    @cached_property
+    def background_reads_values(self) -> bool:
+        """Whether a background axiom holds a ∀-data restriction
+        (`all t . n`), the only construct whose meaning depends on the
+        pool of data values."""
+        return any(isinstance(n, ForallData) for n in _nodes_of(self.background))
 
     @cached_property
     def background(self) -> tuple[DomainFormula, ...]:

@@ -7,9 +7,11 @@ individuals plus a configurable number of anonymous elements (individuals
 are kept pairwise distinct), and data values over the integers occurring
 in the query plus zero and one fresh value.  The search grounds the
 query into propositional logic and runs a small DPLL solver.  Each
-knowledge base keeps K grounded and unit-propagated over the last
-universe and value pool a search used, so a search over the same pair
-grounds and propagates only its own formulas.
+knowledge base keeps K grounded and unit-propagated over the context of
+the last search, so a search in the same context grounds and propagates
+only its own formulas.  The context is the universe, and also the value
+pool when K holds a ∀-data restriction: no other construct reads the
+pool, so without one K grounds alike over every pool.
 
 Absence of a countermodel at the bound certifies entailment only for
 acyclic terminologies; cyclic inputs yield Unknown verdicts, and so does a
@@ -107,10 +109,12 @@ class _Grounder:
         self.true = self.var(("true",))
         self.clauses: list[tuple[int, ...]] = [(self.true,)]
 
-    def extension(self) -> "_Grounder":
-        """A grounder that numbers on from this one's variables and holds
-        only the clauses added to it; this one is left unchanged."""
+    def extension(self, values: Sequence[int]) -> "_Grounder":
+        """A grounder over the value pool that numbers on from this one's
+        variables and holds only the clauses added to it; this one is left
+        unchanged."""
         g = copy.copy(self)
+        g.values = tuple(values)
         g.var_ids = dict(self.var_ids)
         g.clauses = []
         return g
@@ -429,9 +433,12 @@ def _grounded_background(
 ) -> tuple[_Grounder, Optional[_SolverState]]:
     """kb's background axioms grounded over the universe and value pool,
     and their level-0 state (None if it conflicts), from kb's slot; on a
-    miss the slot is refilled for this pair."""
+    miss the slot is refilled for this context.  A background without a
+    ∀-data restriction grounds to the same clauses over every pool, so
+    its context is the universe alone and its grounder's pool is that of
+    the search that filled the slot."""
     slot = kb.grounding
-    key = (universe, values)
+    key = (universe, values if kb.background_reads_values else None)
     entry = slot.get(key)
     if entry is None:
         g = _Grounder(universe, values)
@@ -455,10 +462,11 @@ def find_model(
     false; None if none exists.
 
     The background axioms come grounded and propagated from kb's slot;
-    only the query's part is grounded here, numbered after them as a
-    grounding of the whole would number it.  The formulas are grounded
-    in the order of their printed forms, so the variable order, and with
-    it the model, does not depend on the order they come in."""
+    only the query's part is grounded here, over the query's own value
+    pool and numbered after them as a grounding of the whole would
+    number it.  The formulas are grounded in the order of their printed
+    forms, so the variable order, and with it the model, does not depend
+    on the order they come in."""
     asserted = tuple(sorted(formulas, key=str))
     negated = tuple(negated)
     sig, ints = _query_symbols(kb, asserted + negated)
@@ -466,7 +474,7 @@ def find_model(
     background, level0 = _grounded_background(kb, universe, values)
     if level0 is None:
         return None
-    g = background.extension()
+    g = background.extension(values)
     for f in kb.query_axioms(asserted):
         g.assert_formula(f)
     for f in asserted:

@@ -322,6 +322,20 @@ def test_a_kb_slot_gives_the_models_of_fresh_kbs(kb, queries):
         assert len(kb.grounding) == 1
 
 
+def count_groundings(monkeypatch) -> list[tuple[tuple, tuple]]:
+    """The (universe, value pool) of every grounder made from now on, in
+    order."""
+    groundings = []
+    init = reasoning._Grounder.__init__
+
+    def counting_init(self, universe, values):
+        groundings.append((tuple(universe), tuple(values)))
+        init(self, universe, values)
+
+    monkeypatch.setattr(reasoning._Grounder, "__init__", counting_init)
+    return groundings
+
+
 def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
     """The fuzzer's queries on one set_i of s2 ground the kb's background
     axioms once each time the context changes, not once per search."""
@@ -335,13 +349,6 @@ def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
     tree = verify_procedure(ctx, program.procedure("set_1"))
     assert tree.closed
 
-    groundings = []
-    init = reasoning._Grounder.__init__
-
-    def counting_init(self, universe, values):
-        groundings.append((tuple(universe), tuple(values)))
-        init(self, universe, values)
-
     contexts = []
     search = reasoning.find_model
 
@@ -351,7 +358,7 @@ def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
         contexts.append(key)
         return model
 
-    monkeypatch.setattr(reasoning._Grounder, "__init__", counting_init)
+    groundings = count_groundings(monkeypatch)
     monkeypatch.setattr(reasoning, "find_model", recording)
     kb.grounding.clear()
     report = validate_judgement_empirically(
@@ -359,9 +366,85 @@ def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
     )
     assert report.ok
     switches = [k for i, k in enumerate(contexts) if i == 0 or k != contexts[i - 1]]
+    # K holds no ∀-data restriction, so the slot is keyed by the universe
+    assert not kb.background_reads_values
     # 16 searches over 6 runs of one context
-    assert groundings == switches
+    assert [(universe, None) for universe, _ in groundings] == switches
     assert len(switches) < len(contexts)
+
+
+def test_fuzzing_addwheels_grounds_k_once(monkeypatch):
+    """The fuzzer's queries on the corrected addWheels judgement range
+    over several value pools and one universe; K holds no ∀-data
+    restriction, so they share one grounding of K."""
+    from tests.conftest import load_corpus
+    from twotier.calculus import VerifCtx, validate_judgement_empirically
+    from twotier.strategy import verify_procedure
+
+    program, kb = load_corpus("assembly_corrected")
+    ctx = VerifCtx.build(program, kb)
+    tree = verify_procedure(ctx, program.procedure("addWheels"))
+    assert tree.closed
+    assert not kb.background_reads_values
+
+    searched = []
+    bounds = reasoning._query_bounds
+
+    def recording(*args):
+        out = bounds(*args)
+        searched.append(out)
+        return out
+
+    monkeypatch.setattr(reasoning, "_query_bounds", recording)
+    groundings = count_groundings(monkeypatch)
+    kb.grounding.clear()
+    report = validate_judgement_empirically(ctx, tree.conclusion, (0, 1, 2, 4))
+    assert report.ok
+    assert len({universe for universe, _ in searched}) == 1
+    assert len({values for _, values in searched}) > 1
+    assert len(groundings) == 1
+
+
+@pytest.mark.parametrize(
+    "axioms, closure, pools",
+    [
+        ([Subsumption(A, ExistsData("t", 1))], False, [(0, 1, 2)]),
+        (
+            [Subsumption(A, ForallData("t", 1))],
+            False,
+            [(0, 1, 2), (0, 1, 3, 4), (0, 1, 2)],
+        ),
+        # closure makes K's data triple functional: (all t . 1)(c)
+        ([DataAssertion("t", "c", 1)], True, [(0, 1, 2), (0, 1, 3, 4), (0, 1, 2)]),
+    ],
+    ids=["exists-data-axiom", "forall-data-axiom", "closed-data-triple"],
+)
+def test_k_is_grounded_again_only_when_it_reads_the_pool(
+    axioms, closure, pools, monkeypatch
+):
+    """Searches over three value pools in one universe.  K without a
+    ∀-data restriction is grounded once for all three; K with one grounds
+    over the pool, so it is grounded again on each change: K grounded
+    over (0, 1, 2) would let c have the t-value 3.  Each search gives the
+    model of an equal kb built afresh."""
+    kb = tiny_kb(axioms, closure)
+    assert kb.background_reads_values == (len(pools) > 1)
+    a_c = ConceptAssertion(A, "c")
+    queries = [
+        ((a_c,), ()),
+        ((a_c, ConceptAssertion(ExistsData("t", 3), "c")), ()),
+        ((a_c,), (ConceptAssertion(ExistsData("t", 1), "c"),)),
+    ]
+    groundings = count_groundings(monkeypatch)
+    models = [
+        reasoning.find_model(asserted, kb, negated=negated)
+        for asserted, negated in queries
+    ]
+    assert [values for _, values in groundings] == pools
+    assert (models[1] is None) == kb.background_reads_values
+    for (asserted, negated), model in zip(queries, models):
+        alone = KnowledgeBase(kb.signature, kb.axioms, kb.stubs, kb.closure_enabled)
+        assert reasoning.find_model(asserted, alone, negated=negated) == model
 
 
 # every concept constructor, over tiny_kb's signature
@@ -467,6 +550,36 @@ def test_a_propagated_base_does_not_change_the_search():
             before = (base.nfalse.copy(), base.nsat.copy(), base.trail.copy())
             assert reasoning._solve(base, g.clauses[at:], nvars) == whole
             assert (base.nfalse, base.nsat, base.trail) == before
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="chronological DPLL exhausts its budget on this query (ROADMAP item 2)",
+)
+def test_a_tautology_is_entailed_under_premises():
+    """The conclusion is a tautology, so it is entailed under any premises;
+    with these two the search runs out of decisions and answers Unknown."""
+    kb = KnowledgeBase(
+        DomainSignature(
+            nominals=frozenset({"a", "b", "d"}),
+            atomic_concepts=frozenset({"A"}),
+            abstract_roles=frozenset({"r"}),
+            concrete_roles=frozenset({"t"}),
+        ),
+        (),
+    )
+    premises = (
+        ConceptAssertion(ForallData("t", 2), "d"),
+        Subsumption(ExistsData("t", 0), OrC(ForallRole("r", A), Bottom())),
+    )
+    some_1 = ExistsData("t", 1)
+    tautology = Subsumption(AndC(some_1, ExistsData("t", 2)), NotC(NotC(some_1)))
+    assert reasoning.entails((), (tautology,), kb, fresh_witnesses=1).is_entailed
+    # unbounded, the search takes seconds to give up
+    solve = functools.partial(reasoning._solve, budget=20_000)
+    with mock.patch.object(reasoning, "_solve", solve):
+        verdict = reasoning.entails(premises, (tautology,), kb, fresh_witnesses=1)
+    assert verdict.is_entailed
 
 
 @pytest.mark.xfail(
