@@ -704,7 +704,11 @@ def validate_judgement_empirically(
     """Run the statement from every precondition-satisfying state over
     the bounded domain and check the postcondition on every outcome.
     When there are more than `samples` states, a seeded sample of them
-    is drawn without building the others."""
+    is drawn without building the others.  One run shares a RunContext,
+    so a call's havoc and what follows it are interpreted once (see
+    `interpret`), and the postcondition is checked once per distinct
+    outcome state: whether a state meets it depends on the state alone,
+    so the report is the one a fresh check per outcome would give."""
     run = RunContext(
         program=ctx.program,
         kb=ctx.kb,
@@ -724,6 +728,7 @@ def validate_judgement_empirically(
     counterexamples: list[FuzzCounterexample] = []
     fuel_issues = 0
     tested = 0
+    post_holds: dict[State, bool] = {}
     for combo in combos:
         sigma = State(zip(names, combo))
         if not assertion_holds(sigma, j.pre, ctx.kb, ctx.lifting):
@@ -734,7 +739,11 @@ def validate_judgement_empirically(
             fuel_issues += 1
         found = len(counterexamples)
         for sigma2 in outcome.states:
-            if not assertion_holds(sigma2, j.post, ctx.kb, ctx.lifting):
+            ok = post_holds.get(sigma2)
+            if ok is None:
+                ok = assertion_holds(sigma2, j.post, ctx.kb, ctx.lifting)
+                post_holds[sigma2] = ok
+            if not ok:
                 counterexamples.append(
                     FuzzCounterexample(
                         sigma=tuple(sorted(sigma.items())),

@@ -152,14 +152,6 @@ class Program:
             acc |= constants_of(p.contract.post.state)
         return frozenset(acc | {e.value for e in exprs if isinstance(e, Lit)})
 
-    def initial_state(self) -> State:
-        sigma: dict[str, int] = {}
-        for v, e in self.globals:
-            sigma[v] = eval_term(e, sigma)
-        for p in self.procedures:
-            sigma.setdefault(p.parameter, 0)
-        return State(sigma)
-
 
 # ---------------------------------------------------------------------------
 # Contract instantiation
@@ -192,6 +184,7 @@ class RunContext:
     fuel: int = 1000
     _havoc_cache: dict = field(default_factory=dict)
     _states_cache: dict = field(default_factory=dict)
+    _image_cache: dict = field(default_factory=dict)
 
     def all_states(self) -> tuple[State, ...]:
         key = (self.program.variables, self.var_domain)
@@ -222,6 +215,24 @@ class RunContext:
             self._havoc_cache[key] = cached
         return cached
 
+    def image(self, s: Statement, states: frozenset[State]) -> InterpOutcome:
+        """The outcomes of s from every state of a set of more than one,
+        computed once per (s, states): such a set is a call's havoc, or
+        an image of one, and recurs for every state the call is run from."""
+        key = (s, states)
+        cached = self._image_cache.get(key)
+        if cached is None:
+            out: set[State] = set()
+            pre_v = fuel_x = False
+            for sigma in states:
+                o = interpret(s, sigma, self)
+                out |= o.states
+                pre_v = pre_v or o.pre_violated
+                fuel_x = fuel_x or o.fuel_exhausted
+            cached = InterpOutcome(frozenset(out), pre_v, fuel_x)
+            self._image_cache[key] = cached
+        return cached
+
 
 @dataclass(frozen=True)
 class InterpOutcome:
@@ -231,6 +242,14 @@ class InterpOutcome:
 
 
 def interpret(s: Statement, sigma: ProgramState, ctx: RunContext) -> InterpOutcome:
+    """The outcomes of s from sigma.  Only a call gives one state more
+    than one outcome, and from every state that meets its pre it gives
+    the same set (`RunContext.post_states`).  So a sequence runs its rest
+    once per distinct intermediate set of more than one state
+    (`RunContext.image`) and reuses that image whenever the set recurs.
+    The outcomes depend on nothing but the statement, the state and the
+    run context, so the reuse is exact.  A sequence whose first part
+    has one outcome is not memoized."""
     sigma = sigma if isinstance(sigma, State) else State(sigma)
     if isinstance(s, Skip):
         return InterpOutcome(frozenset({sigma}))
@@ -238,15 +257,20 @@ def interpret(s: Statement, sigma: ProgramState, ctx: RunContext) -> InterpOutco
         return InterpOutcome(frozenset({sigma.set(s.var, eval_term(s.expr, sigma))}))
     if isinstance(s, Seq):
         first = interpret(s.first, sigma, ctx)
-        states: set[State] = set()
-        pre_v = first.pre_violated
-        fuel_x = first.fuel_exhausted
-        for mid in first.states:
-            out = interpret(s.second, mid, ctx)
-            states |= out.states
-            pre_v = pre_v or out.pre_violated
-            fuel_x = fuel_x or out.fuel_exhausted
-        return InterpOutcome(frozenset(states), pre_v, fuel_x)
+        if not first.states:
+            return first
+        if len(first.states) == 1:
+            (mid,) = first.states
+            rest = interpret(s.second, mid, ctx)
+        else:
+            rest = ctx.image(s.second, first.states)
+        if not (first.pre_violated or first.fuel_exhausted):
+            return rest
+        return InterpOutcome(
+            rest.states,
+            first.pre_violated or rest.pre_violated,
+            first.fuel_exhausted or rest.fuel_exhausted,
+        )
     if isinstance(s, If):
         branch = s.then if eval_term(s.cond, sigma) != 0 else s.orelse
         return interpret(branch, sigma, ctx)

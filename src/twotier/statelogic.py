@@ -156,12 +156,13 @@ def constants_of(phi: StateFormula | Term) -> frozenset[int]:
 class State(Mapping[str, int]):
     """Immutable, hashable finite map from variable names to integers."""
 
-    __slots__ = ("_items", "_dict")
+    __slots__ = ("_items", "_dict", "_hash")
 
     def __init__(self, bindings: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         d = dict(bindings)
         self._dict = d
         self._items = tuple(sorted(d.items()))
+        self._hash = hash(self._items)
 
     def __getitem__(self, key: str) -> int:
         return self._dict[key]
@@ -173,7 +174,7 @@ class State(Mapping[str, int]):
         return len(self._dict)
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if isinstance(other, State):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import twotier
-from twotier import calculus
+from twotier import calculus, lang
 from twotier.assertions import assertion
 from twotier.calculus import (
     Judgement,
@@ -381,3 +383,91 @@ def test_fuzz_counterexamples_do_not_depend_on_the_hash_seed():
     }
     assert len(outputs) == 1
     assert outputs.pop().startswith("432\n")
+
+
+EMPTY = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+
+
+@pytest.mark.parametrize(
+    "ctx_name, proc, domain, tested, found, fuel_issues, digest",
+    [
+        ("addwheels_ctx", "addWheels", (0, 2, 4), 3, 0, 0, EMPTY),
+        ("addwheels_ctx", "addWheels", (0, 1, 2, 4), 4, 0, 0, EMPTY),
+        ("corrected_ctx", "addWheels", (0, 2, 4), 54, 0, 0, EMPTY),
+        ("corrected_ctx", "addWheels", (0, 1, 2, 4), 192, 0, 0, EMPTY),
+        ("corrected_ctx", "assembly", (0, 2, 4), 162, 0, 0, EMPTY),
+        ("corrected_ctx", "assembly", (0, 1, 2, 4), 768, 0, 0, EMPTY),
+        ("verbatim_ctx", "addWheels", (0, 2, 4), 54, 0, 0, EMPTY),
+        ("verbatim_ctx", "addWheels", (0, 1, 2, 4), 192, 0, 0, EMPTY),
+        (
+            "verbatim_ctx",
+            "assembly",
+            (0, 2, 4),
+            162,
+            2916,
+            0,
+            "2691f368c3adc0ecce8aed5599c3bfa942bd281fd8d86abd5655db958dc78bbe",
+        ),
+        (
+            "verbatim_ctx",
+            "assembly",
+            (0, 1, 2, 4),
+            768,
+            36864,
+            0,
+            "9e23fcfa8bb220e0d7cd8722f9fd827a42a9ba315c02e4fa365a94b4e8d3d7ec",
+        ),
+    ],
+)
+def test_fuzz_reports_of_the_corpus_are_pinned(
+    request, ctx_name, proc, domain, tested, found, fuel_issues, digest
+):
+    """Each corpus procedure's contract fuzzed over two domains gives the
+    same report, counterexamples in the same order, as an interpreter
+    that runs a call's continuation and checks the post for every state."""
+    ctx = request.getfixturevalue(ctx_name)
+    p = ctx.program.procedure(proc)
+    j = Judgement(p.contract.pre, p.body, p.contract.post)
+    report = validate_judgement_empirically(ctx, j, domain)
+    listed = [[cx.sigma, cx.sigma_prime, cx.detail] for cx in report.counterexamples]
+    assert (report.tested, len(report.counterexamples), report.fuel_issues) == (
+        tested,
+        found,
+        fuel_issues,
+    )
+    assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
+
+
+def test_fuzzing_runs_a_havoc_once(corrected_ctx, monkeypatch):
+    """Every tested state of assembly reaches addWheels(4)'s one havoc set:
+    the fuzzer interprets `doors := nrDoors` once per state of that set
+    and checks the post once per outcome state, not once per tested state."""
+    domain = (0, 1, 2, 4)
+    run = RunContext(
+        corrected_ctx.program, corrected_ctx.kb, corrected_ctx.lifting, domain
+    )
+    havoc = run.post_states("addWheels", 4)
+    last = Assign("doors", Var("nrDoors"))
+    p = corrected_ctx.program.procedure("assembly")
+    j = Judgement(p.contract.pre, p.body, p.contract.post)
+    interpreted: list = []
+    checked: list = []
+    interpret, holds = lang.interpret, calculus.assertion_holds
+
+    def counting_interpret(s, sigma, ctx):
+        if s == last:
+            interpreted.append(sigma)
+        return interpret(s, sigma, ctx)
+
+    def counting_holds(sigma, a, kb, lifting):
+        if a == j.post:
+            checked.append(sigma)
+        return holds(sigma, a, kb, lifting)
+
+    monkeypatch.setattr(lang, "interpret", counting_interpret)
+    monkeypatch.setattr(calculus, "assertion_holds", counting_holds)
+    report = validate_judgement_empirically(corrected_ctx, j, domain)
+    assert report.tested == 768 and report.ok
+    assert len(havoc) > 1
+    assert len(interpreted) == len(set(interpreted)) and set(interpreted) <= havoc
+    assert checked and len(checked) == len(set(checked))

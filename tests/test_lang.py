@@ -37,9 +37,10 @@ def test_program_shape(corrected):
     program = corrected[0]
     assert program.variables == ("bodyId", "wheels", "doors", "nrDoors", "nrWheels", "id")
     assert {0, 2, 4} <= program.constants()
-    sigma = program.initial_state()
-    assert sigma["nrDoors"] == 2 and sigma["wheels"] == 0
-    assert sigma["id"] == 0  # parameters default to zero
+    initial = dict(program.globals)
+    assert initial["nrDoors"] == Lit(2) and initial["wheels"] == Lit(0)
+    # a parameter is declared by its procedure, with no initial value
+    assert "id" not in initial and program.procedure("assembly").parameter == "id"
     with pytest.raises(UnknownProcedure):
         program.procedure("nope")
 

@@ -293,19 +293,28 @@ def test_premise_order_does_not_change_the_model():
     assert reasoning.find_model((other, either), kb) == first
 
 
+@st.composite
+def queries_in_turn(draw):
+    """Queries over several universes and value pools.  A query may be
+    followed by one over the same universe that adds a data atom of K's
+    individuals with a value the first does not hold: the slot then has K
+    grounded over the first query's pool."""
+    queries = []
+    for _ in range(draw(st.integers(2, 6))):
+        asserted = draw(st.lists(st.sampled_from(ATOMS), max_size=3))
+        negated = draw(st.lists(st.sampled_from(ATOMS), max_size=1))
+        fresh = draw(st.integers(0, 2))
+        queries.append((asserted, negated, fresh))
+        if draw(st.booleans()):
+            held = {a.value for a in asserted + negated if isinstance(a, DataAssertion)}
+            value = draw(st.sampled_from([v for v in (0, 2, 5, 7) if v not in held]))
+            data = DataAssertion("t", draw(st.sampled_from("cs")), value)
+            queries.append((asserted + [data], negated, fresh))
+    return queries
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    kb=kbs(),
-    queries=st.lists(
-        st.tuples(
-            st.lists(st.sampled_from(ATOMS), max_size=3),
-            st.lists(st.sampled_from(ATOMS), max_size=1),
-            st.integers(0, 2),
-        ),
-        min_size=2,
-        max_size=6,
-    ),
-)
+@given(kb=kbs(), queries=queries_in_turn())
 def test_a_kb_slot_gives_the_models_of_fresh_kbs(kb, queries):
     """Queries over several universes and value pools, answered in turn
     on one kb whose slot is refilled as the context changes, give the
