@@ -72,6 +72,12 @@ class Judgement:
 
         return f"{self.pre} {statement_to_line(self.stmt)} {self.post}"
 
+    def with_side(self, side: str, a: TwoTierAssertion) -> "Judgement":
+        """This judgement with its `side` ("pre" or "post") assertion replaced."""
+        if side == "pre":
+            return Judgement(a, self.stmt, self.post)
+        return Judgement(self.pre, self.stmt, a)
+
 
 @dataclass(frozen=True)
 class Obligation:
@@ -81,6 +87,9 @@ class Obligation:
     note: str = ""
 
 
+# core, inversion and lift are each one rule, applied to either side
+SIDES = ("pre", "post")
+SIDED_KINDS = ("lift", "core", "inv")
 RULE_NAMES = {
     "pre-lift",
     "post-lift",
@@ -140,21 +149,12 @@ class ProofTree:
         return tuple(out)
 
     def rules_used(self) -> frozenset[str]:
-        acc = {self.rule}
-        for p in self.premises:
-            acc |= p.rules_used()
-        return frozenset(acc)
+        return frozenset(node.rule for _, node in self.walk())
 
     def walk(self, path: str = "root") -> Iterator[tuple[str, "ProofTree"]]:
         yield path, self
         for i, p in enumerate(self.premises):
             yield from p.walk(f"{path}.{i}")
-
-    def arg(self, name: str) -> Optional[str]:
-        for k, v in self.args:
-            if k == name:
-                return v
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,12 @@ def apply_rule(
     inner_pre: Optional[TwoTierAssertion] = None,
     inner_post: Optional[TwoTierAssertion] = None,
 ) -> tuple[tuple[Judgement, ...], tuple[Obligation, ...]]:
+    """The premise judgements and side obligations of one step of `rule`
+    concluding `target`.  Core, inversion and lift are each one rule
+    applied to a named side: `pre-core` and `post-core` enrich that
+    side's domain tier with kernel atoms, `pre-inv` and `post-inv`
+    recover state conjuncts from its domain atoms, and `pre-lift` and
+    `post-lift` add the lifting of its state tier."""
     rule = canonical_rule(rule)
     pre, stmt, post = target.pre, target.stmt, target.post
     lifting = ctx.lifting
@@ -301,18 +307,15 @@ def apply_rule(
 
     if rule == "contract":
         _require(isinstance(stmt, Call), "contract rule requires a call")
-        cpre = contract_pre(ctx.program, stmt.proc, stmt.arg)
-        cpost = contract_post(ctx.program, stmt.proc, stmt.arg)
-        _require(
-            same_assertion(pre, cpre),
-            "contract rule requires the declared precondition "
-            f"(expected {cpre})",
+        declared = (
+            contract_pre(ctx.program, stmt.proc, stmt.arg),
+            contract_post(ctx.program, stmt.proc, stmt.arg),
         )
-        _require(
-            same_assertion(post, cpost),
-            "contract rule requires the declared postcondition "
-            f"(expected {cpost})",
-        )
+        for side, a in zip(SIDES, declared):
+            _require(
+                same_assertion(getattr(target, side), a),
+                f"contract rule requires the declared {side}condition (expected {a})",
+            )
         return (), ()
 
     if rule == "seq":
@@ -347,65 +350,30 @@ def apply_rule(
         ob2, _ = ctx.implication_obligation(inner_post, post)
         return ((Judgement(inner_pre, stmt, inner_post),), (ob1, ob2))
 
-    if rule == "pre-lift":
-        lifted = lifting.lift_spec(pre.state)
-        enriched = assertion(tuple(pre.domain) + tuple(sorted(lifted, key=str)), pre.state)
-        return ((Judgement(enriched, stmt, post),), ())
-
-    if rule == "post-lift":
-        lifted = lifting.lift_spec(post.state)
-        enriched = assertion(
-            tuple(post.domain) + tuple(sorted(lifted, key=str)), post.state
-        )
-        return ((Judgement(pre, stmt, enriched),), ())
-
-    if rule == "pre-core":
-        if kernel is None:
-            raise MissingArgument("pre-core rule needs the kernel atoms")
-        enriched = assertion(tuple(pre.domain) + tuple(kernel), pre.state)
-        return (
-            (Judgement(enriched, stmt, post),),
-            (ctx.dl_obligation(pre.domain, kernel),),
-        )
-
-    if rule == "post-core":
-        if kernel is None:
-            raise MissingArgument("post-core rule needs the kernel atoms")
-        enriched = assertion(tuple(post.domain) + tuple(kernel), post.state)
-        return (
-            (Judgement(pre, stmt, enriched),),
-            (ctx.dl_obligation(post.domain, kernel),),
-        )
-
-    if rule == "pre-inv":
-        if delta_prime is None:
-            raise MissingArgument("pre-inv rule needs the recovered atoms")
-        _require(
-            set(delta_prime) <= set(pre.domain),
-            "pre-inv rule requires the recovered atoms to come from the "
-            "domain precondition",
-        )
-        recovered = lifting.delift(delta_prime)
-        enriched = assertion(pre.domain, And(pre.state, recovered))
-        return (
-            (Judgement(enriched, stmt, post),),
-            (ctx.signature_obligation(delta_prime),),
-        )
-
-    if rule == "post-inv":
-        if delta_prime is None:
-            raise MissingArgument("post-inv rule needs the recovered atoms")
-        _require(
-            set(delta_prime) <= set(post.domain),
-            "post-inv rule requires the recovered atoms to come from the "
-            "domain postcondition",
-        )
-        recovered = lifting.delift(delta_prime)
-        enriched = assertion(post.domain, And(post.state, recovered))
-        return (
-            (Judgement(pre, stmt, enriched),),
-            (ctx.signature_obligation(delta_prime),),
-        )
+    side, _, kind = rule.partition("-")
+    if side in SIDES and kind in SIDED_KINDS:
+        a = getattr(target, side)
+        if kind == "lift":
+            lifted = tuple(sorted(lifting.lift_spec(a.state), key=str))
+            enriched = assertion(tuple(a.domain) + lifted, a.state)
+            obligations = ()
+        elif kind == "core":
+            if kernel is None:
+                raise MissingArgument(f"{rule} rule needs the kernel atoms")
+            enriched = assertion(tuple(a.domain) + tuple(kernel), a.state)
+            obligations = (ctx.dl_obligation(a.domain, kernel),)
+        else:
+            if delta_prime is None:
+                raise MissingArgument(f"{rule} rule needs the recovered atoms")
+            _require(
+                set(delta_prime) <= set(a.domain),
+                f"{rule} rule requires the recovered atoms to come from the "
+                f"domain {side}condition",
+            )
+            recovered = lifting.delift(delta_prime)
+            enriched = assertion(a.domain, And(a.state, recovered))
+            obligations = (ctx.signature_obligation(delta_prime),)
+        return (target.with_side(side, enriched),), obligations
 
     if rule == "lift-var":
         _require(isinstance(stmt, Assign), "lift-var rule requires an assignment")
@@ -419,14 +387,11 @@ def apply_rule(
             same_state(pre.state, needed),
             "lift-var rule requires the substituted postcondition state",
         )
-        _require(
-            set(pre.domain) == set(lifted_pre),
-            "lift-var rule requires the lifted precondition domain tier",
-        )
-        _require(
-            set(post.domain) == set(lifted_post),
-            "lift-var rule requires the lifted postcondition domain tier",
-        )
+        for side, lifted in zip(SIDES, (lifted_pre, lifted_post)):
+            _require(
+                set(getattr(target, side).domain) == set(lifted),
+                f"lift-var rule requires the lifted {side}condition domain tier",
+            )
         return (), (ctx.dl_obligation(lifted_post, post.domain),)
 
     if rule == "total":
@@ -484,13 +449,48 @@ def _node(
     )
 
 
+def _cons(ctx: VerifCtx, target: Judgement, sub: ProofTree) -> ProofTree:
+    """A cons step concluding `target` over `sub`, whose conclusion gives
+    the inner pre- and postcondition."""
+    inner = sub.conclusion
+    return _node(
+        ctx, "cons", target, premises=(sub,), inner_pre=inner.pre, inner_post=inner.post
+    )
+
+
+def _kernel_steps(
+    ctx: VerifCtx, tree: ProofTree, outer: Judgement, side: str, alpha, recovered, full
+) -> ProofTree:
+    """Wrap `tree`, which proves `outer` with its `side` domain tier
+    enlarged to `full`, in the `{side}-inv` step recovering the state
+    conjuncts of `recovered` and the `{side}-core` step adding the
+    kernel atoms `alpha`, each left out when it has no atoms."""
+    if recovered:
+        enriched = outer.with_side(side, assertion(full, getattr(outer, side).state))
+        tree = _node(ctx, f"{side}-inv", enriched, premises=(tree,), delta_prime=recovered)
+    if alpha:
+        tree = _node(ctx, f"{side}-core", outer, premises=(tree,), kernel=alpha)
+    return tree
+
+
+# a rule's arguments in stored order, each marked True when it is a list
+# of domain atoms (stored as "a; b") rather than an assertion
+RULE_ARGS = (
+    ("kernel", True),
+    ("delta_prime", True),
+    ("mid", False),
+    ("inner_pre", False),
+    ("inner_post", False),
+)
+
+
 def render_args(kwargs: dict) -> tuple[tuple[str, str], ...]:
     out = []
-    for key in ("kernel", "delta_prime", "mid", "inner_pre", "inner_post"):
+    for key, atoms in RULE_ARGS:
         value = kwargs.get(key)
         if value is None:
             continue
-        if key in ("kernel", "delta_prime"):
+        if atoms:
             out.append((key, "; ".join(str(f) for f in value)))
         else:
             out.append((key, str(value)))
@@ -502,22 +502,14 @@ def expand_lift_var(ctx: VerifCtx, target: Judgement) -> ProofTree:
     stmt = target.stmt
     assert isinstance(stmt, Assign)
     inner_pre = assertion((), target.pre.state)
-    var_leaf = _node(ctx, "var", Judgement(inner_pre, stmt, target.post))
-    return _node(
-        ctx,
-        "cons",
-        target,
-        premises=(var_leaf,),
-        inner_pre=inner_pre,
-        inner_post=target.post,
-    )
+    return _cons(ctx, target, _node(ctx, "var", Judgement(inner_pre, stmt, target.post)))
 
 
 def expand_total(
     ctx: VerifCtx, target: Judgement, kernel: tuple[DomainFormula, ...]
 ) -> ProofTree:
-    """The primitive derivation behind rule total: cons, post-core,
-    post-inv, cons, var."""
+    """The primitive derivation behind rule total, for a non-empty
+    kernel: cons, post-core, post-inv, cons, var."""
     stmt = target.stmt
     assert isinstance(stmt, Assign)
     delta = target.post.domain
@@ -527,36 +519,13 @@ def expand_total(
     bare_pre = assertion((), needed)
     enlarged = assertion(tuple(delta) + tuple(kernel), hat)
     var_leaf = _node(ctx, "var", Judgement(bare_pre, stmt, enlarged))
-    inner_cons = _node(
-        ctx,
-        "cons",
-        Judgement(bare_pre, stmt, assertion(enlarged.domain, hat)),
-        premises=(var_leaf,),
-        inner_pre=bare_pre,
-        inner_post=enlarged,
+    inner_cons = _cons(
+        ctx, Judgement(bare_pre, stmt, assertion(enlarged.domain, hat)), var_leaf
     )
-    post_inv = _node(
-        ctx,
-        "post-inv",
-        Judgement(bare_pre, stmt, assertion(enlarged.domain, phi)),
-        premises=(inner_cons,),
-        delta_prime=tuple(kernel),
-    )
-    post_core = _node(
-        ctx,
-        "post-core",
-        Judgement(bare_pre, stmt, assertion(delta, phi)),
-        premises=(post_inv,),
-        kernel=tuple(kernel),
-    )
-    return _node(
-        ctx,
-        "cons",
-        target,
-        premises=(post_core,),
-        inner_pre=bare_pre,
-        inner_post=assertion(delta, phi),
-    )
+    outer = Judgement(bare_pre, stmt, assertion(delta, phi))
+    kernel = tuple(kernel)
+    tree = _kernel_steps(ctx, inner_cons, outer, "post", kernel, kernel, enlarged.domain)
+    return _cons(ctx, target, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +556,13 @@ def _parse_args(ctx: VerifCtx, node: ProofTree) -> dict:
     from .parsing import parse_assertion, parse_domain_formula
 
     sig = ctx.kb.symbols
+    atom_lists = dict(RULE_ARGS)
     out: dict = {}
     for key, value in node.args:
-        if key in ("kernel", "delta_prime"):
+        if atom_lists.get(key):
             parts = [p.strip() for p in value.split(";") if p.strip()]
             out[key] = tuple(parse_domain_formula(p, sig) for p in parts)
-        elif key in ("mid", "inner_pre", "inner_post"):
+        elif key in atom_lists:
             out[key] = parse_assertion(value, sig)
     return out
 

@@ -24,7 +24,7 @@ from .calculus import (
     check_proof,
     validate_judgement_empirically,
 )
-from .strategy import verify_procedure
+from .strategy import verify_program
 from . import parsing, serialize
 
 EXIT_OK = 0
@@ -64,11 +64,10 @@ def load_kb(path: str, closure: Optional[bool]) -> KnowledgeBase:
     return kb
 
 
-def load_program(path: str, kb: KnowledgeBase):
-    return parsing.parse_program(Path(path).read_text(encoding="utf-8"), kb)
-
-
-def build_ctx(program, kb: KnowledgeBase, args: argparse.Namespace) -> VerifCtx:
+def load_ctx(args: argparse.Namespace) -> VerifCtx:
+    """The verification context of the program and kb files `args` names."""
+    kb = load_kb(args.kb, args.closure)
+    program = parsing.parse_program(Path(args.program).read_text(encoding="utf-8"), kb)
     return VerifCtx.build(program, kb, fresh_witnesses=args.fresh)
 
 
@@ -104,26 +103,20 @@ def structured_record(name: str, tree: ProofTree) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def run_verification(ctx: VerifCtx) -> list[tuple[str, ProofTree]]:
-    return [(p.name, verify_procedure(ctx, p)) for p in ctx.program.procedures]
-
-
 def cmd_verify(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    kb = load_kb(args.kb, args.closure)
-    program = load_program(args.program, kb)
-    ctx = build_ctx(program, kb, args)
-    results = run_verification(ctx)
-    for name, tree in results:
+    ctx = load_ctx(args)
+    results = verify_program(ctx)
+    for name, tree in results.items():
         if args.format == "structured":
             print(structured_record(name, tree), file=out)
         else:
             print_tree_verdicts(name, tree, out)
     if args.proof_out:
         Path(args.proof_out).write_text(
-            serialize.dumps_procedures(results), encoding="utf-8"
+            serialize.dumps_procedures(results.items()), encoding="utf-8"
         )
-    return EXIT_OK if all(t.closed for _, t in results) else EXIT_FAILED
+    return EXIT_OK if all(t.closed for t in results.values()) else EXIT_FAILED
 
 
 def cmd_explain(args: argparse.Namespace, out=None) -> int:
@@ -158,13 +151,10 @@ def cmd_explain(args: argparse.Namespace, out=None) -> int:
 
 def cmd_fuzz(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    kb = load_kb(args.kb, args.closure)
-    program = load_program(args.program, kb)
-    ctx = build_ctx(program, kb, args)
-    domain = args.domain or default_domain(program, kb)
+    ctx = load_ctx(args)
+    domain = args.domain or default_domain(ctx.program, ctx.kb)
     print(f"seed: {args.seed}; domain: {list(domain)}", file=out)
-    results = run_verification(ctx)
-    closed = [(name, t) for name, t in results if t.closed]
+    closed = [(name, t) for name, t in verify_program(ctx).items() if t.closed]
     if not closed:
         print("nothing Closed to test", file=out)
         return EXIT_OK
@@ -192,11 +182,9 @@ def cmd_fuzz(args: argparse.Namespace, out=None) -> int:
 
 def cmd_check(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    kb = load_kb(args.kb, args.closure)
-    program = load_program(args.program, kb)
-    ctx = build_ctx(program, kb, args)
+    ctx = load_ctx(args)
     text = Path(args.proof).read_text(encoding="utf-8")
-    named = serialize.loads_procedures(text, kb, program)
+    named = serialize.loads_procedures(text, ctx.kb, ctx.program)
     exit_code = EXIT_OK
     for name, tree in named:
         report = check_proof(ctx, tree)

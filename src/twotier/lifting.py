@@ -103,15 +103,12 @@ class SpecLifting:
         return None
 
     def lift_spec(self, phi: StateFormula) -> frozenset[DomainFormula]:
-        out: set[DomainFormula] = set()
-        for c in conjuncts(phi):
-            if c == TRUE:
-                continue
-            img = self.lift_atom(c)
-            if img is None:
-                raise OutsideLiftableFragment(c)
-            out.add(img)
-        return frozenset(out)
+        """Images of every conjunct; the first conjunct outside the
+        fragment raises OutsideLiftableFragment."""
+        lifted, residue = self.lift_partial(phi)
+        if residue:
+            raise OutsideLiftableFragment(residue[0])
+        return lifted
 
     def lift_partial(
         self, phi: StateFormula
@@ -161,12 +158,7 @@ class SpecLifting:
         outside = signature_of(atoms).missing_from(self.kernel_signature)
         if outside:
             raise SignatureViolation(outside[0])
-        images = []
-        for d in sorted(atoms, key=str):
-            img = self.delift_atom(d)
-            if img is not None:
-                images.append(img)
-        return conj(images)
+        return conj(img for _d, img in self.delift_pairs(atoms) if img is not None)
 
     def delift_pairs(
         self, delta: Iterable[DomainFormula]

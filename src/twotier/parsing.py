@@ -458,6 +458,8 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
         p.expect(";")
         globals_.append((name, value))
     while p.accept("proc"):
+        if any(proc.name == p.peek().text for proc in procedures):
+            p.fail(f"duplicate procedure {p.peek().text!r}")
         pname = p.expect_ident()
         p.expect("(")
         param = p.expect_ident()

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Iterator
 from .domainlogic import KnowledgeBase
 from .errors import ParseError
 from .status import ObligationStatus
-from .calculus import Judgement, Obligation, ProofTree
+from .calculus import RULE_ARGS, Judgement, Obligation, ProofTree
 from .lang import Program
 
 FORMAT = "two-tier-proof"
@@ -85,7 +85,7 @@ def tree_from_dict(
         tree_from_dict(p, kb, program) for p in data.get("premises", ())
     )
     stored = data.get("args", {})
-    order = ("kernel", "delta_prime", "mid", "inner_pre", "inner_post")
+    order = dict(RULE_ARGS)  # the known keys, then the others sorted
     args = tuple((k, stored[k]) for k in order if k in stored)
     args += tuple((k, v) for k, v in sorted(stored.items()) if k not in order)
     return ProofTree(

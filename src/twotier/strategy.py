@@ -9,10 +9,12 @@ carrying diagnostics.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .errors import BudgetExceeded, NoExplanation, RuleShapeMismatch, UnboundVariable
 from .statelogic import And, Eq, Lit, Not, StateFormula, disj, holds, same_state, substitute
+from .statelogic import state_implies_counterexample
 from .domainlogic import (
     ConceptAssertion,
     DataAssertion,
@@ -44,9 +46,10 @@ from .calculus import (
     OPEN_RULE,
     ProofTree,
     VerifCtx,
+    _cons,
+    _kernel_steps,
     _node,
     apply_rule,
-    render_args,
 )
 
 
@@ -176,49 +179,18 @@ def _derive_assign(ctx: VerifCtx, j: Judgement) -> ProofTree:
     tree = _node(ctx, "var", Judgement(inner_pre, stmt, inner_post))
 
     if d1full or not same_state(phi1hat, phineed):
-        cons_j = Judgement(assertion(d1full, phi1hat), stmt, inner_post)
-        ob1, res1 = ctx.implication_obligation(cons_j.pre, inner_pre)
-        ob2, _ = ctx.implication_obligation(inner_post, inner_post)
-        if res1.counter_state is not None and dp2:
-            note = _provenance_note(
-                ctx, res1.counter_state, dp2, stmt.var, stmt.expr
-            )
+        tree = _cons(ctx, Judgement(assertion(d1full, phi1hat), stmt, inner_post), tree)
+        ob1 = tree.obligations[0]
+        if dp2 and ob1.status == ObligationStatus.FAILED:
+            # the counter-state, if any, that refuted the state tier
+            cex = state_implies_counterexample(phi1hat, phineed)
+            note = "" if cex is None else _provenance_note(ctx, cex, dp2, stmt.var, stmt.expr)
             if note:
-                ob1 = Obligation(ob1.kind, ob1.payload, ob1.status, ob1.note + "; " + note)
-        tree = ProofTree(
-            conclusion=cons_j,
-            rule="cons",
-            premises=(tree,),
-            obligations=(ob1, ob2),
-            args=render_args({"inner_pre": inner_pre, "inner_post": inner_post}),
-        )
-    if dp1:
-        tree = _node(
-            ctx,
-            "pre-inv",
-            Judgement(assertion(d1full, j.pre.state), stmt, inner_post),
-            premises=(tree,),
-            delta_prime=dp1,
-        )
-    if alpha1:
-        tree = _node(
-            ctx,
-            "pre-core",
-            Judgement(j.pre, stmt, inner_post),
-            premises=(tree,),
-            kernel=alpha1,
-        )
-    if dp2:
-        tree = _node(
-            ctx,
-            "post-inv",
-            Judgement(j.pre, stmt, assertion(d2full, j.post.state)),
-            premises=(tree,),
-            delta_prime=dp2,
-        )
-    if alpha2:
-        tree = _node(ctx, "post-core", j, premises=(tree,), kernel=alpha2)
-    return tree
+                ob1 = replace(ob1, note=ob1.note + "; " + note)
+                tree = replace(tree, obligations=(ob1,) + tree.obligations[1:])
+    outer = Judgement(j.pre, stmt, inner_post)
+    tree = _kernel_steps(ctx, tree, outer, "pre", alpha1, dp1, d1full)
+    return _kernel_steps(ctx, tree, j, "post", alpha2, dp2, d2full)
 
 
 def _derive_call(ctx: VerifCtx, j: Judgement) -> ProofTree:
@@ -229,18 +201,13 @@ def _derive_call(ctx: VerifCtx, j: Judgement) -> ProofTree:
     leaf = _node(ctx, "contract", Judgement(cpre, stmt, cpost))
     if same_assertion(j.pre, cpre) and same_assertion(j.post, cpost):
         return leaf
-    return _node(
-        ctx, "cons", j, premises=(leaf,), inner_pre=cpre, inner_post=cpost
-    )
+    return _cons(ctx, j, leaf)
 
 
 def _derive_skip(ctx: VerifCtx, j: Judgement) -> ProofTree:
     if same_assertion(j.pre, j.post):
         return _node(ctx, "skip", j)
-    leaf = _node(ctx, "skip", Judgement(j.post, j.stmt, j.post))
-    return _node(
-        ctx, "cons", j, premises=(leaf,), inner_pre=j.post, inner_post=j.post
-    )
+    return _cons(ctx, j, _node(ctx, "skip", Judgement(j.post, j.stmt, j.post)))
 
 
 def needed_pre(ctx: VerifCtx, stmt: Statement, post: TwoTierAssertion) -> TwoTierAssertion:
@@ -299,26 +266,8 @@ def _clear_pre_domain(ctx: VerifCtx, j: Judgement, inner):
     that a rule requiring an empty-domain precondition applies."""
     alpha1, dp1, d1full, phi1hat = _enrich(ctx, j.pre)
     cleared = Judgement(assertion((), phi1hat), j.stmt, j.post)
-    tree = inner(cleared)
-    tree = _node(
-        ctx,
-        "cons",
-        Judgement(assertion(d1full, phi1hat), j.stmt, j.post),
-        premises=(tree,),
-        inner_pre=cleared.pre,
-        inner_post=j.post,
-    )
-    if dp1:
-        tree = _node(
-            ctx,
-            "pre-inv",
-            Judgement(assertion(d1full, j.pre.state), j.stmt, j.post),
-            premises=(tree,),
-            delta_prime=dp1,
-        )
-    if alpha1:
-        tree = _node(ctx, "pre-core", j, premises=(tree,), kernel=alpha1)
-    return tree
+    tree = _cons(ctx, Judgement(assertion(d1full, phi1hat), j.stmt, j.post), inner(cleared))
+    return _kernel_steps(ctx, tree, j, "pre", alpha1, dp1, d1full)
 
 
 def _derive_if(ctx: VerifCtx, j: Judgement) -> ProofTree:

@@ -101,6 +101,12 @@ def test_contract_rule(corrected_ctx):
             "contract",
             Judgement(assertion((), TRUE), stmt, post),
         )
+    with pytest.raises(RuleShapeMismatch) as info:
+        apply_rule(corrected_ctx, "contract", Judgement(pre, stmt, assertion((), TRUE)))
+    assert str(info.value) == (
+        "contract rule requires the declared postcondition "
+        "(expected [ HasFourWheels(c) | nrDoors == 2 && bodyId != 0 ])"
+    )
 
 
 def test_seq_rule_needs_mid(corrected_ctx):
@@ -193,6 +199,111 @@ def test_lift_rules_enrich_domain(corrected_ctx):
     assert premise2.post.domain == (hv4,)
 
 
+ASSIGN = Assign("wheels", Var("nrWheels"))
+hv2 = DataAssertion("hasValue", "wheelsVar", 2)
+
+
+# rule, conclusion, arguments, the premise, its obligations as (kind,
+# payload, status), and (arguments, error type, message) of failing calls
+SIDED_CASES = [
+    (
+        "pre-lift",
+        Judgement(assertion((), wheels4), Skip(), assertion((HFW,), TRUE)),
+        {},
+        "[ hasValue(wheelsVar, 4) | wheels == 4 ] skip; [ HasFourWheels(c) | - ]",
+        [],
+        [],
+    ),
+    (
+        "post-lift",
+        Judgement(assertion((HFW,), TRUE), Skip(), assertion((), wheels4)),
+        {},
+        "[ HasFourWheels(c) | - ] skip; [ hasValue(wheelsVar, 4) | wheels == 4 ]",
+        [],
+        [],
+    ),
+    (
+        "pre-core",
+        Judgement(assertion((HFW,), param4), ASSIGN, assertion((), wheels4)),
+        {"kernel": (hv2,)},
+        "[ HasFourWheels(c), hasValue(wheelsVar, 2) | nrWheels == 4 ] "
+        "wheels := nrWheels; [ - | wheels == 4 ]",
+        [("dl-entailment", "{HasFourWheels(c)} |= {hasValue(wheelsVar, 2)}", "Failed")],
+        [({}, MissingArgument, "pre-core rule needs the kernel atoms")],
+    ),
+    (
+        "pre-abd",
+        Judgement(assertion((HFW,), param4), ASSIGN, assertion((), wheels4)),
+        {"kernel": (hv2,)},
+        "[ HasFourWheels(c), hasValue(wheelsVar, 2) | nrWheels == 4 ] "
+        "wheels := nrWheels; [ - | wheels == 4 ]",
+        [("dl-entailment", "{HasFourWheels(c)} |= {hasValue(wheelsVar, 2)}", "Failed")],
+        [({}, MissingArgument, "pre-core rule needs the kernel atoms")],
+    ),
+    (
+        "post-core",
+        Judgement(assertion((), param4), ASSIGN, assertion((HFW,), wheels4)),
+        {"kernel": (hv4,)},
+        "[ - | nrWheels == 4 ] wheels := nrWheels; "
+        "[ HasFourWheels(c), hasValue(wheelsVar, 4) | wheels == 4 ]",
+        [("dl-entailment", "{HasFourWheels(c)} |= {hasValue(wheelsVar, 4)}", "Proved")],
+        [({}, MissingArgument, "post-core rule needs the kernel atoms")],
+    ),
+    (
+        "pre-inv",
+        Judgement(assertion((HFW, hv4), param4), ASSIGN, assertion((), wheels4)),
+        {"delta_prime": (hv4,)},
+        "[ HasFourWheels(c), hasValue(wheelsVar, 4) | nrWheels == 4 && wheels == 4 ] "
+        "wheels := nrWheels; [ - | wheels == 4 ]",
+        [("signature-check", "sig({hasValue(wheelsVar, 4)}) within kernel", "Proved")],
+        [
+            ({}, MissingArgument, "pre-inv rule needs the recovered atoms"),
+            (
+                {"delta_prime": (hv2,)},
+                RuleShapeMismatch,
+                "pre-inv rule requires the recovered atoms to come from the "
+                "domain precondition",
+            ),
+        ],
+    ),
+    (
+        "post-inv",
+        Judgement(assertion((), param4), ASSIGN, assertion((HFW, hv4), wheels4)),
+        {"delta_prime": (hv4,)},
+        "[ - | nrWheels == 4 ] wheels := nrWheels; "
+        "[ HasFourWheels(c), hasValue(wheelsVar, 4) | wheels == 4 && wheels == 4 ]",
+        [("signature-check", "sig({hasValue(wheelsVar, 4)}) within kernel", "Proved")],
+        [
+            ({}, MissingArgument, "post-inv rule needs the recovered atoms"),
+            (
+                {"delta_prime": (hv2,)},
+                RuleShapeMismatch,
+                "post-inv rule requires the recovered atoms to come from the "
+                "domain postcondition",
+            ),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, target, kwargs, premise, obligations, errors",
+    SIDED_CASES,
+    ids=[case[0] for case in SIDED_CASES],
+)
+def test_sided_rules(corrected_ctx, rule, target, kwargs, premise, obligations, errors):
+    """Each side of core, inversion and lift, and an alias: the premise
+    it leaves, the obligations it discharges and the errors of a missing
+    or misplaced argument."""
+    (got,), obs = apply_rule(corrected_ctx, rule, target, **kwargs)
+    assert str(got) == premise
+    assert [(o.kind, o.payload, o.status.value) for o in obs] == obligations
+    for bad_kwargs, error, text in errors:
+        with pytest.raises(error) as info:
+            apply_rule(corrected_ctx, rule, target, **bad_kwargs)
+        assert str(info.value) == text
+
+
 def test_lift_var_rule_and_expansion_agree(corrected_ctx):
     stmt = Assign("wheels", Var("nrWheels"))
     j = Judgement(
@@ -206,6 +317,15 @@ def test_lift_var_rule_and_expansion_agree(corrected_ctx):
     tree = expand_lift_var(corrected_ctx, j)
     assert tree.closed
     assert tree.spine() == ("cons", "var")
+    for bad, side in (
+        (Judgement(assertion((), param4), stmt, j.post), "pre"),
+        (Judgement(j.pre, stmt, assertion((), wheels4)), "post"),
+    ):
+        with pytest.raises(RuleShapeMismatch) as info:
+            apply_rule(corrected_ctx, "lift-var", bad)
+        assert str(info.value) == (
+            f"lift-var rule requires the lifted {side}condition domain tier"
+        )
 
 
 def test_total_rule_and_expansion_agree(corrected_ctx):

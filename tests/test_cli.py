@@ -97,6 +97,34 @@ def test_function_symbol_in_a_contract_is_a_parse_error(capfd, tmp_path, command
     assert err == "error: 4:19: expected '==' or '!=' after term\n"
 
 
+DUPLICATE_PROG = """var wheels = 0;
+
+proc addWheels(n)
+  requires [ - | - ]
+  ensures [ - | wheels == 1 ]
+begin
+  wheels := n;
+end;
+
+proc addWheels(n)
+  requires [ - | - ]
+  ensures [ - | - ]
+begin
+  skip;
+end;
+"""
+
+
+def test_duplicate_procedure_is_a_parse_error(capfd, tmp_path):
+    # keyed by name, the Closed second verdict would hide the Open first
+    prog = tmp_path / "duplicate.prog"
+    prog.write_text(DUPLICATE_PROG, encoding="utf-8")
+    code, out, err = run(capfd, "verify", str(prog), ADD_KB)
+    assert code == 2
+    assert out == ""
+    assert err == "error: 10:6: duplicate procedure 'addWheels'\n"
+
+
 CYCLIC_KB = (
     "concept A;\nrole wheels;\ndata-role hasValue;\n"
     "individual c;\nindividual wheelsVar;\n"

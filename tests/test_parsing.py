@@ -110,6 +110,14 @@ def test_program_round_trip_is_byte_identical():
         assert parse_program(program_to_text(program), kb) == program
 
 
+def test_duplicate_procedure_is_a_parse_error(corrected):
+    # calls resolve a name to one procedure, and verdicts are keyed by it
+    text = corpus_text("assembly_corrected.prog")
+    with pytest.raises(ParseError, match="duplicate procedure 'addWheels'") as exc:
+        parse_program(text + text[text.index("proc addWheels"):], corrected[1])
+    assert exc.value.line == text.count("\n") + 1
+
+
 def test_parse_statements(corrected):
     kb = corrected[1]
     assert parse_statement("skip;", kb) == Skip()

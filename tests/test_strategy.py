@@ -1,5 +1,10 @@
+import hashlib
+import sys
+from pathlib import Path
+
 import pytest
 
+from twotier import serialize
 from twotier.assertions import assertion
 from twotier.calculus import Judgement, VerifCtx, check_proof
 from twotier.domainlogic import Atomic, ConceptAssertion, Subsumption
@@ -9,6 +14,9 @@ from twotier.statelogic import And, Eq, Lit, TRUE, Var, neq
 from twotier.strategy import derive, verify_procedure, verify_program
 
 from tests.conftest import corpus_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen_programs  # noqa: E402
 
 
 def test_addwheels_closes_with_expected_spine(addwheels_ctx):
@@ -178,3 +186,21 @@ def test_derive_matches_verify_procedure(corrected_ctx):
     via = verify_procedure(corrected_ctx, proc)
     assert direct.rule == via.rule
     assert direct.closed == via.closed
+
+
+def test_generated_trees_are_pinned():
+    """The proof trees of 500 generated programs, byte for byte: a sha256
+    over the serialized tree of every procedure, in `verify_program`
+    order."""
+    kb = parse_kb(corpus_text(f"{gen_programs.HOST_STEM}.kb"))
+    digest = hashlib.sha256()
+    closed = 0
+    for text in gen_programs.programs(42, 500):
+        program = parse_program(text, kb)
+        for tree in verify_program(VerifCtx.build(program, kb)).values():
+            digest.update(serialize.dumps(tree).encode())
+            closed += tree.closed
+    assert closed == 578  # 78 generated procedures and 500 addWheels
+    assert digest.hexdigest() == (
+        "36b390cf7d003bb56ae94044dc4b665b11498c75e307d7a94dfb5c1f19afe127"
+    )
