@@ -34,7 +34,6 @@ from .lifting import SpecLifting
 from .kernel import CandidatePool
 from .status import ObligationStatus, status_of_verdict
 from .assertions import (
-    ImplicationResult,
     TwoTierAssertion,
     assertion,
     assertion_holds,
@@ -221,21 +220,18 @@ class VerifCtx:
 
     def implication_obligation(
         self, a1: TwoTierAssertion, a2: TwoTierAssertion
-    ) -> tuple[Obligation, ImplicationResult]:
+    ) -> Obligation:
         result = assertion_implies(a1, a2, self.kb, self.lifting)
         note = result.detail
         if result.counter_state is not None:
             note += f"; counter-state {dict(result.counter_state)}"
         if result.counter_model is not None:
             note += "; countermodel:\n" + result.counter_model.describe()
-        return (
-            Obligation(
-                kind="assertion-implication",
-                payload=f"{a1} ==> {a2}",
-                status=result.status,
-                note=note,
-            ),
-            result,
+        return Obligation(
+            kind="assertion-implication",
+            payload=f"{a1} ==> {a2}",
+            status=result.status,
+            note=note,
         )
 
     def signature_obligation(self, atoms: Iterable[DomainFormula]) -> Obligation:
@@ -346,8 +342,8 @@ def apply_rule(
     if rule == "cons":
         if inner_pre is None or inner_post is None:
             raise MissingArgument("cons rule needs the inner pre and post")
-        ob1, _ = ctx.implication_obligation(pre, inner_pre)
-        ob2, _ = ctx.implication_obligation(inner_post, post)
+        ob1 = ctx.implication_obligation(pre, inner_pre)
+        ob2 = ctx.implication_obligation(inner_post, post)
         return ((Judgement(inner_pre, stmt, inner_post),), (ob1, ob2))
 
     side, _, kind = rule.partition("-")
@@ -672,13 +668,16 @@ def validate_judgement_empirically(
     seed: int = 0,
 ) -> FuzzReport:
     """Run the statement from every precondition-satisfying state over
-    the bounded domain and check the postcondition on every outcome.
-    When there are more than `samples` states, a seeded sample of them
-    is drawn without building the others.  One run shares a RunContext,
-    so a call's havoc and what follows it are interpreted once (see
-    `interpret`), and the postcondition is checked once per distinct
-    outcome state: whether a state meets it depends on the state alone,
-    so the report is the one a fresh check per outcome would give."""
+    the bounded domain and check the postcondition on every outcome.  A
+    run that calls a procedure outside its precondition is a
+    counterexample with no outcome state, listed before that state's
+    postcondition violations.  When there are more than `samples`
+    states, a seeded sample of them is drawn without building the
+    others.  One run shares a RunContext, so a call's havoc and what
+    follows it are interpreted once (see `interpret`), and the
+    postcondition is checked once per distinct outcome state: whether a
+    state meets it depends on the state alone, so the report is the one
+    a fresh check per outcome would give."""
     run = RunContext(
         program=ctx.program,
         kb=ctx.kb,
@@ -707,6 +706,12 @@ def validate_judgement_empirically(
         outcome = interpret(j.stmt, sigma, run)
         if outcome.fuel_exhausted:
             fuel_issues += 1
+        if outcome.pre_violated:
+            counterexamples.append(
+                FuzzCounterexample(
+                    tuple(sorted(sigma.items())), None, "callee precondition violated"
+                )
+            )
         found = len(counterexamples)
         for sigma2 in outcome.states:
             ok = post_holds.get(sigma2)

@@ -172,7 +172,7 @@ def cmd_fuzz(args: argparse.Namespace, out=None) -> int:
         for cx in report.counterexamples:
             print(
                 f"  sigma={dict(cx.sigma)} sigma'="
-                f"{dict(cx.sigma_prime) if cx.sigma_prime else None} "
+                f"{dict(cx.sigma_prime) if cx.sigma_prime is not None else None} "
                 f"violates: {cx.detail}",
                 file=out,
             )

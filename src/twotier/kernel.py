@@ -22,6 +22,8 @@ from .lifting import NONZERO_CONCEPT, VALUE_ROLE, SpecLifting
 from .status import ObligationStatus, status_of_verdict as _status
 from . import reasoning
 
+ABDUCTION_MAX_SIZE = 3
+
 
 class KernelMode(str, Enum):
     DEDUCED = "Deduced"
@@ -87,14 +89,14 @@ def alpha_abduce(
     delta: Iterable[DomainFormula],
     kb: KnowledgeBase,
     pool: CandidatePool,
-    max_size: int = 3,
     max_results: int = 16,
 ) -> list[KernelResult]:
-    """All subset-minimal consistent pool subsets entailing delta, in
-    increasing size then lexicographic atom order."""
+    """All subset-minimal consistent pool subsets of at most
+    ABDUCTION_MAX_SIZE atoms entailing delta, in increasing size then
+    lexicographic atom order."""
     delta = tuple(dict.fromkeys(delta))
     found: list[tuple[DomainFormula, ...]] = []
-    for size in range(0, max_size + 1):
+    for size in range(0, ABDUCTION_MAX_SIZE + 1):
         for combo in itertools.combinations(pool.atoms, size):
             if any(set(prev) <= set(combo) for prev in found):
                 continue
@@ -108,7 +110,7 @@ def alpha_abduce(
             break
     if not found:
         raise NoExplanation(
-            f"no pool subset of size <= {max_size} explains the goal"
+            f"no pool subset of size <= {ABDUCTION_MAX_SIZE} explains the goal"
         )
     results = []
     for atoms in found:

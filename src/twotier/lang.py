@@ -11,6 +11,7 @@ empty (flagged for diagnostics).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -183,24 +184,21 @@ class RunContext:
     var_domain: tuple[int, ...]
     fuel: int = 1000
     _havoc_cache: dict = field(default_factory=dict)
-    _states_cache: dict = field(default_factory=dict)
+    _states: Optional[tuple[State, ...]] = None
     _image_cache: dict = field(default_factory=dict)
 
     def all_states(self) -> tuple[State, ...]:
-        key = (self.program.variables, self.var_domain)
-        cached = self._states_cache.get(key)
-        if cached is None:
-            import itertools
-
+        """Every state over the program's variables and the run's domain,
+        built on first use."""
+        if self._states is None:
             names = self.program.variables
-            cached = tuple(
+            self._states = tuple(
                 State(zip(names, combo))
                 for combo in itertools.product(
                     sorted(self.var_domain), repeat=len(names)
                 )
             )
-            self._states_cache[key] = cached
-        return cached
+        return self._states
 
     def post_states(self, proc: str, arg_value: int) -> frozenset[State]:
         key = (proc, arg_value)

@@ -8,10 +8,11 @@ are kept pairwise distinct), and data values over the integers occurring
 in the query plus zero and one fresh value.  The search grounds the
 query into propositional logic and runs a small DPLL solver.  Each
 knowledge base keeps K grounded and unit-propagated over the context of
-the last search, so a search in the same context grounds and propagates
-only its own formulas.  The context is the universe, and also the value
-pool when K holds a ∀-data restriction: no other construct reads the
-pool, so without one K grounds alike over every pool.
+the last search; a search in the same context grounds its own formulas
+onto that state, solves in place and restores it.  The context is the
+universe, and also the value pool when K holds a ∀-data restriction: no
+other construct reads the pool, so without one K grounds alike over
+every pool.
 
 Absence of a countermodel at the bound certifies entailment only for
 acyclic terminologies; cyclic inputs yield Unknown verdicts, and so does a
@@ -20,7 +21,6 @@ search that runs out of its decision budget.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -96,10 +96,13 @@ EntailmentVerdict = Entailed | NotEntailed | Unknown
 
 class _Grounder:
     """Grounds domain formulas over a fixed universe and value pool into
-    propositional clauses (Tseitin transformation).  A concept at an
-    element, or a formula, becomes one literal; each conjunction or
-    disjunction of literals becomes one gate variable, shared by every
-    use of the same inputs."""
+    propositional clauses (Tseitin transformation), and holds the DPLL
+    state over them.  A concept at an element, or a formula, becomes one
+    literal; each conjunction or disjunction of literals becomes one gate
+    variable, shared by every use of the same inputs.  The state is each
+    literal's occurrence list, per-clause counts of false and of true
+    literals, the assignment (indexed by variable) and the trail of
+    assigned literals in assignment order."""
 
     def __init__(self, universe: Sequence[str], values: Sequence[int]):
         self.universe = tuple(universe)
@@ -108,16 +111,11 @@ class _Grounder:
         # the literal of Top, which holds in every model
         self.true = self.var(("true",))
         self.clauses: list[tuple[int, ...]] = [(self.true,)]
-
-    def extension(self, values: Sequence[int]) -> "_Grounder":
-        """A grounder over the value pool that numbers on from this one's
-        variables and holds only the clauses added to it; this one is left
-        unchanged."""
-        g = copy.copy(self)
-        g.values = tuple(values)
-        g.var_ids = dict(self.var_ids)
-        g.clauses = []
-        return g
+        self.occ: dict[int, list[int]] = {}
+        self.nfalse: list[int] = []
+        self.nsat: list[int] = []
+        self.assign: list[Optional[bool]] = [None]
+        self.trail: list[int] = []
 
     def var(self, key: tuple) -> int:
         vid = self.var_ids.get(key)
@@ -198,9 +196,8 @@ class _Grounder:
         lit = self.formula(delta)
         self.clauses.append((lit if holds else -lit,))
 
-    def decode(
-        self, assignment: dict[int, bool], sig: DomainSignature
-    ) -> DomainInterpretation:
+    def decode(self, sig: DomainSignature) -> DomainInterpretation:
+        assign, var_ids = self.assign, self.var_ids
         concept_ext: dict[str, frozenset[str]] = {}
         abs_ext: dict[str, frozenset[tuple[str, str]]] = {}
         conc_ext: dict[str, frozenset[tuple[str, int]]] = {}
@@ -208,21 +205,21 @@ class _Grounder:
             concept_ext[name] = frozenset(
                 x
                 for x in self.universe
-                if assignment.get(self.var_ids.get(("C", name, x), 0), False)
+                if assign[var_ids.get(("C", name, x), 0)]
             )
         for role in sig.abstract_roles:
             abs_ext[role] = frozenset(
                 (x, y)
                 for x in self.universe
                 for y in self.universe
-                if assignment.get(self.var_ids.get(("R", role, x, y), 0), False)
+                if assign[var_ids.get(("R", role, x, y), 0)]
             )
         for role in sig.concrete_roles:
             conc_ext[role] = frozenset(
                 (x, v)
                 for x in self.universe
                 for v in self.values
-                if assignment.get(self.var_ids.get(("T", role, x, v), 0), False)
+                if assign[var_ids.get(("T", role, x, v), 0)]
             )
         nominal_map = {
             n: n for n in self.universe if not n.startswith(_ANON_PREFIX)
@@ -235,46 +232,22 @@ class _Grounder:
             nominal_map=nominal_map,
         )
 
-
-_ANON_PREFIX = "_anon"
-
-
-# ---------------------------------------------------------------------------
-# DPLL
-
-
-@dataclass(slots=True)
-class _SolverState:
-    """Clauses with their occurrence lists, per-clause counts of false and
-    of true literals, the assignment (indexed by variable) and the trail
-    of assigned literals in assignment order."""
-
-    clauses: list[tuple[int, ...]]
-    occ: dict[int, list[int]]
-    nfalse: list[int]
-    nsat: list[int]
-    assign: list[Optional[bool]]
-    trail: list[int]
-
-    def extend(
-        self, clauses: Sequence[tuple[int, ...]], nvars: int
-    ) -> Optional["_SolverState"]:
-        """A copy of this state, which must be a level-0 fixpoint, with the
-        clauses appended over variables up to nvars and unit propagation
-        run to its fixpoint; None on a conflict.  This state is left
-        unchanged.  The fixpoint does not depend on the order in which
-        clauses arrive, so it equals that of propagating every clause at
-        once."""
-        assign = self.assign + [None] * (nvars + 1 - len(self.assign))
-        nfalse = self.nfalse.copy()
-        nsat = self.nsat.copy()
-        added: dict[int, list[int]] = {}
+    def settle(self) -> bool:
+        """Index the clauses added since the last call and run unit
+        propagation to its fixpoint; False on a conflict.  The state must
+        be a level-0 fixpoint, and the new fixpoint does not depend on the
+        order in which clauses arrive, so it equals that of propagating
+        every clause at once."""
+        clauses, occ, nfalse, nsat = self.clauses, self.occ, self.nfalse, self.nsat
+        assign = self.assign
+        assign.extend([None] * (len(self.var_ids) + 1 - len(assign)))
         pending: list[int] = []
-        for ci, c in enumerate(clauses, len(self.clauses)):
+        for ci in range(len(nfalse), len(clauses)):
+            c = clauses[ci]
             nf = ns = 0
             free = 0
             for lit in c:
-                added.setdefault(lit, []).append(ci)
+                occ.setdefault(lit, []).append(ci)
                 val = assign[abs(lit)]
                 if val is None:
                     free = lit
@@ -286,17 +259,10 @@ class _SolverState:
             nsat.append(ns)
             if ns == 0:
                 if nf == len(c):
-                    return None
+                    return False
                 if nf == len(c) - 1:
                     pending.append(free)
-        occ = self.occ.copy()
-        for lit, cis in added.items():
-            old = occ.get(lit)
-            occ[lit] = cis if old is None else old + cis
-        state = _SolverState(
-            self.clauses + list(clauses), occ, nfalse, nsat, assign, self.trail.copy()
-        )
-        return state if state.propagate(pending) else None
+        return self.propagate(pending)
 
     def propagate(self, pending: list[int]) -> bool:
         """Assign the pending literals and every literal they imply; False
@@ -344,26 +310,55 @@ class _SolverState:
             for ci in occ.get(-lit, ()):
                 nfalse[ci] -= 1
 
+    def mark(self) -> tuple:
+        """What `restore` needs to bring back this state, which must be a
+        settled level-0 fixpoint: the lengths of the variable table and the
+        trail, the value pool, and a copy of the per-clause counts, which
+        have one entry per clause."""
+        counts = (self.nfalse.copy(), self.nsat.copy())
+        return (len(self.var_ids), len(self.trail), self.values) + counts
 
-_NO_CLAUSES = _SolverState([], {}, [], [], [None], [])
+    def restore(self, mark: tuple) -> None:
+        """Take back every variable, clause and assignment made since the
+        mark.  The saved counts are put back whole: undoing them literal by
+        literal through `unset_to` costs more."""
+        nvars, ntrail, values, nfalse, nsat = mark
+        nclauses = len(nfalse)
+        occ, assign, trail = self.occ, self.assign, self.trail
+        # the indexed clauses beyond the mark are the last entries of
+        # their literals' occurrence lists
+        for ci in range(nclauses, len(self.nfalse)):
+            for lit in self.clauses[ci]:
+                occ[lit].pop()
+        del self.clauses[nclauses:]
+        while len(trail) > ntrail:
+            assign[abs(trail.pop())] = None
+        del assign[nvars + 1 :]
+        for _ in range(len(self.var_ids) - nvars):
+            self.var_ids.popitem()
+        self.values, self.nfalse, self.nsat = values, nfalse, nsat
 
 
-def _solve(
-    base: _SolverState,
-    clauses: Sequence[tuple[int, ...]],
-    nvars: int,
-    budget: int = DEFAULT_DECISION_BUDGET,
-) -> Optional[dict[int, bool]]:
-    """Iterative DPLL with counter-based unit propagation over base's
-    clauses and the given ones, from a copy of base's level-0 state.
+_ANON_PREFIX = "_anon"
+
+
+# ---------------------------------------------------------------------------
+# DPLL
+
+
+def _solve(g: _Grounder, budget: int = DEFAULT_DECISION_BUDGET) -> bool:
+    """Iterative DPLL with counter-based unit propagation over g's
+    clauses, in place from g's level-0 state once settled; True when a
+    model exists, which g's assignment then holds.  The search's literals
+    stay on g's trail for `_Grounder.restore` to take back.
 
     No clause may repeat a literal.  A clause with complementary literals
     is true under every assignment of their variable, so it never becomes
     unit or conflicting."""
-    state = base.extend(clauses, nvars)
-    if state is None:
-        return None
-    assign, trail = state.assign, state.trail
+    if not g.settle():
+        return False
+    assign, trail = g.assign, g.trail
+    nvars = len(assign) - 1
     decision_marks: list[tuple[int, int]] = []  # (trail length, decided lit)
     decisions = 0
     pending: list[int] = []
@@ -372,7 +367,7 @@ def _solve(
         while next_var <= nvars and assign[next_var] is not None:
             next_var += 1
         if next_var > nvars:
-            return {v: bool(assign[v]) for v in range(1, nvars + 1)}
+            return True
         decisions += 1
         if decisions > budget:
             raise BudgetExceeded(
@@ -381,13 +376,13 @@ def _solve(
         decision_marks.append((len(trail), -next_var))
         pending.clear()
         pending.append(-next_var)
-        while not state.propagate(pending):
+        while not g.propagate(pending):
             # backtrack to the most recent decision still having an
             # untried polarity
             pending.clear()
             while decision_marks:
                 mark, lit = decision_marks.pop()
-                state.unset_to(mark)
+                g.unset_to(mark)
                 if lit < 0:  # tried False first; try True now
                     decision_marks.append((mark, -lit))
                     pending.append(-lit)
@@ -395,7 +390,7 @@ def _solve(
                     next_var = -lit
                     break
             else:
-                return None
+                return False
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +425,22 @@ def _query_bounds(
 
 def _grounded_background(
     kb: KnowledgeBase, universe: tuple[str, ...], values: tuple[int, ...]
-) -> tuple[_Grounder, Optional[_SolverState]]:
-    """kb's background axioms grounded over the universe and value pool,
-    and their level-0 state (None if it conflicts), from kb's slot; on a
+) -> Optional[_Grounder]:
+    """kb's background axioms grounded over the universe and value pool
+    and settled at level 0 (None if they conflict), from kb's slot; on a
     miss the slot is refilled for this context.  A background without a
     ∀-data restriction grounds to the same clauses over every pool, so
     its context is the universe alone and its grounder's pool is that of
     the search that filled the slot."""
     slot = kb.grounding
     key = (universe, values if kb.background_reads_values else None)
-    entry = slot.get(key)
-    if entry is None:
+    if key not in slot:
         g = _Grounder(universe, values)
         for f in kb.background:
             g.assert_formula(f)
-        entry = (g, _NO_CLAUSES.extend(g.clauses, len(g.var_ids)))
         slot.clear()
-        slot[key] = entry
-    return entry
+        slot[key] = g if g.settle() else None
+    return slot[key]
 
 
 def find_model(
@@ -461,30 +454,32 @@ def find_model(
     given formulas and the formulas, with every formula in `negated`
     false; None if none exists.
 
-    The background axioms come grounded and propagated from kb's slot;
-    only the query's part is grounded here, over the query's own value
-    pool and numbered after them as a grounding of the whole would
-    number it.  The formulas are grounded in the order of their printed
-    forms, so the variable order, and with it the model, does not depend
-    on the order they come in."""
+    The background axioms come grounded and settled in kb's slot.  Only
+    the query's part is grounded here, onto the slot's grounder over the
+    query's own value pool and numbered after them as a grounding of the
+    whole would number it; restoring the mark afterwards leaves the slot
+    as it was, also on a budget hit.  The formulas are grounded in the
+    order of their printed forms, so the variable order, and with it the
+    model, does not depend on the order they come in."""
     asserted = tuple(sorted(formulas, key=str))
     negated = tuple(negated)
     sig, ints = _query_symbols(kb, asserted + negated)
     universe, values = _query_bounds(sig.nominals, ints, fresh_witnesses)
-    background, level0 = _grounded_background(kb, universe, values)
-    if level0 is None:
+    g = _grounded_background(kb, universe, values)
+    if g is None:
         return None
-    g = background.extension(values)
-    for f in kb.query_axioms(asserted):
-        g.assert_formula(f)
-    for f in asserted:
-        g.assert_formula(f)
-    for f in negated:
-        g.assert_formula(f, holds=False)
-    assignment = _solve(level0, g.clauses, len(g.var_ids))
-    if assignment is None:
-        return None
-    return g.decode(assignment, sig)
+    mark = g.mark()
+    try:
+        g.values = values
+        for f in kb.query_axioms(asserted):
+            g.assert_formula(f)
+        for f in asserted:
+            g.assert_formula(f)
+        for f in negated:
+            g.assert_formula(f, holds=False)
+        return g.decode(sig) if _solve(g) else None
+    finally:
+        g.restore(mark)
 
 
 def entails(

@@ -191,7 +191,7 @@ def test_a_decision_budget_hit_is_an_unknown_obligation(capfd, monkeypatch):
     from twotier import reasoning
     from twotier.errors import BudgetExceeded
 
-    def exhausted(base, clauses, nvars, budget=reasoning.DEFAULT_DECISION_BUDGET):
+    def exhausted(g, budget=reasoning.DEFAULT_DECISION_BUDGET):
         raise BudgetExceeded(f"model search decision budget of {budget} exhausted")
 
     monkeypatch.setattr(reasoning, "_solve", exhausted)

@@ -30,6 +30,9 @@ import pytest
 
 from twotier.cli import main
 
+# every golden output must be the same under any PYTHONHASHSEED
+pytestmark = pytest.mark.hashseed
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # corpus stem -> the exit code of verify and of check of its proof file
 STEMS = {"addwheels": 0, "assembly_corrected": 0, "assembly_verbatim": 1}

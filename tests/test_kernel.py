@@ -133,9 +133,11 @@ def test_abduce_minimality(verbatim_pool):
 
 def test_abduce_no_explanation(corrected_pool):
     kb, pool = corrected_pool
-    with pytest.raises(NoExplanation):
+    with pytest.raises(
+        NoExplanation, match=r"^no pool subset of size <= 3 explains the goal$"
+    ):
         # 7 is outside every pool atom's value set
-        alpha_abduce((hv("doorsVar", 7),), kb, pool, max_size=2)
+        alpha_abduce((hv("doorsVar", 7),), kb, pool)
 
 
 @pytest.fixture

@@ -345,6 +345,7 @@ def count_groundings(monkeypatch) -> list[tuple[tuple, tuple]]:
     return groundings
 
 
+@pytest.mark.hashseed
 def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
     """The fuzzer's queries on one set_i of s2 ground the kb's background
     axioms once each time the context changes, not once per search."""
@@ -382,6 +383,7 @@ def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
     assert len(switches) < len(contexts)
 
 
+@pytest.mark.hashseed
 def test_fuzzing_addwheels_grounds_k_once(monkeypatch):
     """The fuzzer's queries on the corrected addWheels judgement range
     over several value pools and one universe; K holds no ∀-data
@@ -414,6 +416,7 @@ def test_fuzzing_addwheels_grounds_k_once(monkeypatch):
     assert len(groundings) == 1
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize(
     "axioms, closure, pools",
     [
@@ -527,38 +530,85 @@ def test_truth_is_one_literal_with_one_unit_clause():
     assert truths == [(g.true,)]
 
 
+def context(g, clauses):
+    """A context over g's variable table holding the clauses, none of them
+    settled yet."""
+    ctx = reasoning._Grounder(g.universe, g.values)
+    ctx.var_ids = dict(g.var_ids)
+    ctx.clauses = list(clauses)
+    return ctx
+
+
+def search(ctx):
+    """The model the search finds on ctx, as its total assignment, or
+    None."""
+    return ctx.assign[1:] if reasoning._solve(ctx) else None
+
+
+def snapshot(ctx):
+    """Everything the solver reads and writes on ctx."""
+    return (
+        list(ctx.clauses),
+        {lit: list(cis) for lit, cis in ctx.occ.items() if cis},
+        list(ctx.nfalse),
+        list(ctx.nsat),
+        list(ctx.assign),
+        list(ctx.trail),
+        dict(ctx.var_ids),
+        ctx.values,
+    )
+
+
 def test_tautologies_do_not_change_the_model():
     g = reasoning._Grounder(("c", "s"), (0, 1, 2))
     for f in AXIOM_POOL + POOL[:4]:
         g.assert_formula(f)
     nvars = len(g.var_ids)
-    model = reasoning._solve(reasoning._NO_CLAUSES, g.clauses, nvars)
+    model = search(context(g, g.clauses))
     assert model is not None
     tautology = (1, -1, nvars)
     for at in (0, len(g.clauses) // 2, len(g.clauses)):
         clauses = g.clauses[:at] + [tautology] + g.clauses[at:]
-        assert reasoning._solve(reasoning._NO_CLAUSES, clauses, nvars) == model
+        assert search(context(g, clauses)) == model
 
 
 def test_a_propagated_base_does_not_change_the_search():
-    """Clauses split at any point between a level-0 base and the search's
-    own clauses give the model and the verdict of one search over all of
-    them, and leave the base as it was."""
+    """Clauses split at any point between a settled level-0 base and the
+    search's own clauses give the model and the verdict of one search
+    over all of them, and restoring the mark leaves the base as it was."""
     for extra in ((), (Subsumption(B, Bottom()),)):
         g = reasoning._Grounder(("c", "s", "_anon0"), (0, 1, 2))
         for f in AXIOM_POOL + POOL[:4] + extra:
             g.assert_formula(f)
-        nvars = len(g.var_ids)
-        whole = reasoning._solve(reasoning._NO_CLAUSES, g.clauses, nvars)
+        whole = search(context(g, g.clauses))
         assert (whole is None) == bool(extra)
         for at in range(len(g.clauses) + 1):
-            base = reasoning._NO_CLAUSES.extend(g.clauses[:at], nvars)
-            if base is None:
+            base = context(g, g.clauses[:at])
+            if not base.settle():
                 assert whole is None
                 continue
-            before = (base.nfalse.copy(), base.nsat.copy(), base.trail.copy())
-            assert reasoning._solve(base, g.clauses[at:], nvars) == whole
-            assert (base.nfalse, base.nsat, base.trail) == before
+            before = snapshot(base)
+            mark = base.mark()
+            base.clauses.extend(g.clauses[at:])
+            assert search(base) == whole
+            base.restore(mark)
+            assert snapshot(base) == before
+
+
+# a query whose conclusion is a tautology, on which chronological DPLL
+# runs out of decisions under these premises (ROADMAP item 2)
+TAUTOLOGY_SIG = DomainSignature(
+    nominals=frozenset({"a", "b", "d"}),
+    atomic_concepts=frozenset({"A"}),
+    abstract_roles=frozenset({"r"}),
+    concrete_roles=frozenset({"t"}),
+)
+TAUTOLOGY_PREMISES = (
+    ConceptAssertion(ForallData("t", 2), "d"),
+    Subsumption(ExistsData("t", 0), OrC(ForallRole("r", A), Bottom())),
+)
+SOME_1 = ExistsData("t", 1)
+TAUTOLOGY = Subsumption(AndC(SOME_1, ExistsData("t", 2)), NotC(NotC(SOME_1)))
 
 
 @pytest.mark.xfail(
@@ -568,27 +618,36 @@ def test_a_propagated_base_does_not_change_the_search():
 def test_a_tautology_is_entailed_under_premises():
     """The conclusion is a tautology, so it is entailed under any premises;
     with these two the search runs out of decisions and answers Unknown."""
-    kb = KnowledgeBase(
-        DomainSignature(
-            nominals=frozenset({"a", "b", "d"}),
-            atomic_concepts=frozenset({"A"}),
-            abstract_roles=frozenset({"r"}),
-            concrete_roles=frozenset({"t"}),
-        ),
-        (),
-    )
-    premises = (
-        ConceptAssertion(ForallData("t", 2), "d"),
-        Subsumption(ExistsData("t", 0), OrC(ForallRole("r", A), Bottom())),
-    )
-    some_1 = ExistsData("t", 1)
-    tautology = Subsumption(AndC(some_1, ExistsData("t", 2)), NotC(NotC(some_1)))
-    assert reasoning.entails((), (tautology,), kb, fresh_witnesses=1).is_entailed
+    kb = KnowledgeBase(TAUTOLOGY_SIG, ())
+    assert reasoning.entails((), (TAUTOLOGY,), kb, fresh_witnesses=1).is_entailed
     # unbounded, the search takes seconds to give up
     solve = functools.partial(reasoning._solve, budget=20_000)
     with mock.patch.object(reasoning, "_solve", solve):
-        verdict = reasoning.entails(premises, (tautology,), kb, fresh_witnesses=1)
+        verdict = reasoning.entails(
+            TAUTOLOGY_PREMISES, (TAUTOLOGY,), kb, fresh_witnesses=1
+        )
     assert verdict.is_entailed
+
+
+def test_a_search_out_of_budget_leaves_the_slot_as_it_was():
+    """A search that runs out of its decision budget takes its part back
+    off K's grounding, so the next query gives a fresh kb's model."""
+    kb = KnowledgeBase(TAUTOLOGY_SIG, ())
+    assert reasoning.find_model(TAUTOLOGY_PREMISES, kb, fresh_witnesses=1) is not None
+    (g,) = kb.grounding.values()
+    before = snapshot(g)
+    solve = functools.partial(reasoning._solve, budget=200)
+    with mock.patch.object(reasoning, "_solve", solve), pytest.raises(BudgetExceeded):
+        reasoning.find_model(
+            TAUTOLOGY_PREMISES, kb, fresh_witnesses=1, negated=(TAUTOLOGY,)
+        )
+    (after,) = kb.grounding.values()
+    assert after is g and snapshot(g) == before
+    query = TAUTOLOGY_PREMISES[:1]
+    alone = KnowledgeBase(TAUTOLOGY_SIG, ())
+    expected = reasoning.find_model(query, alone, fresh_witnesses=1)
+    assert expected is not None
+    assert reasoning.find_model(query, kb, fresh_witnesses=1) == expected
 
 
 @pytest.mark.xfail(

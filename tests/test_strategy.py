@@ -188,6 +188,7 @@ def test_derive_matches_verify_procedure(corrected_ctx):
     assert direct.closed == via.closed
 
 
+@pytest.mark.hashseed
 def test_generated_trees_are_pinned():
     """The proof trees of 500 generated programs, byte for byte: a sha256
     over the serialized tree of every procedure, in `verify_program`
