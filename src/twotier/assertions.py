@@ -64,7 +64,7 @@ def assertion_holds(
         return True
     lifted_phi, _residue = lifting.lift_partial(a.state)
     premises = lifting.lift_state(sigma) | lifted_phi
-    return reasoning.entails(premises, a.domain, kb).is_entailed
+    return reasoning.entailed(premises, a.domain, kb)
 
 
 @dataclass(frozen=True)

@@ -436,6 +436,16 @@ class KnowledgeBase:
         return {}
 
     @cached_property
+    def detachments(self) -> dict[tuple, bool]:
+        """The reasoner's memo of the certificates behind a restricted
+        query's countermodel (see `reasoning.entailed`): (kept premises,
+        violated formula, number of detached individuals) -> whether the
+        countermodel still holds with that many anonymous elements
+        dropped, and (premise subsumptions, a detached individual's
+        premises renamed) -> whether a one-element type satisfies them."""
+        return {}
+
+    @cached_property
     def grounding(self) -> dict[tuple, object]:
         """The reasoner's one slot over this kb: the context of the last
         search -> the background axioms grounded over it and

@@ -17,6 +17,14 @@ every pool.
 Absence of a countermodel at the bound certifies entailment only for
 acyclic terminologies; cyclic inputs yield Unknown verdicts, and so does a
 search that runs out of its decision budget.
+
+`entailed` gives the verdict alone, for `assertion_holds`.  It asks the
+query first without the premises about individuals that neither K nor
+the conclusion names, over one more anonymous element for each, so that
+states differing only in such individuals share a search.  Its answer
+is that of the full query: an `Entailed` always, a `NotEntailed` when
+the countermodel extends to one over the full query's universe, and
+otherwise it asks the full query.
 """
 
 from __future__ import annotations
@@ -520,6 +528,158 @@ def entails(
     if kb.acyclic:
         return Entailed(certificate=f"no countermodel at bound ({bound})")
     return Unknown(bound=bound)
+
+
+def entailed(
+    premises: Iterable[DomainFormula],
+    conclusion: Sequence[DomainFormula],
+    kb: KnowledgeBase,
+) -> bool:
+    """`entails(premises, conclusion, kb).is_entailed`, asked first without
+    the premises about individuals that nothing else names.
+
+    Let D be the individuals of the premises that kb's background
+    symbols and the conclusion do not name and that every premise naming
+    them is about alone: a data triple t(d, n) or an atomic concept
+    assertion A(d) (a syntactic locality module; Cuenca Grau, Horrocks,
+    Kazakov & Sattler, *Modular Reuse of Ontologies*, JAIR 2008).  The
+    restricted query keeps the other premises and adds |D| anonymous
+    elements, so its universe has the size of the full query's.
+
+    - `Entailed` is exact.  Rename each member of D in a countermodel of
+      the full query to a fresh anonymous element, and map every value
+      outside the restricted pool to its fresh value: no formula of the
+      restricted query names either, and concepts only compare values
+      with constants, so the result is a countermodel of the restricted
+      query.  No restricted countermodel means no full one (up to a
+      decision-budget hit on the full query, which would be Unknown).
+    - `NotEntailed` is trusted with a certificate.  Drop |D| anonymous
+      elements that no other element points to from the restricted
+      countermodel; the others keep their successors and so their
+      concepts.  What remains is checked, once per restricted query,
+      against K, the kept premises, their query axioms and the negated
+      conclusion.  Each member of D is then added as a detached element
+      (no edges to other elements) of a type that satisfies K's
+      subsumptions, the premise subsumptions, its own premises and their
+      query axioms, found once per (kb, its premises up to renaming) by
+      a one-element search.  With the restricted fresh value mapped to
+      the full one, that interpretation is a countermodel over exactly
+      the full query's universe and pool, which the full search would
+      also find.
+    - Otherwise the full query is asked, as `entails` would."""
+    prem = frozenset(premises)
+    named = kb.background_symbols[0].nominals | signature_of(conclusion).nominals
+    own: dict[str, list[DomainFormula]] = {}
+    for p in prem:
+        about = _about_one(p)
+        if about is None:
+            named = named | signature_of((p,)).nominals
+        else:
+            own.setdefault(about, []).append(p)
+    detached = [ps for d, ps in own.items() if d not in named]
+    if not detached:
+        return entails(prem, conclusion, kb).is_entailed
+    kept = prem.difference(*detached)
+    fresh = DEFAULT_FRESH_WITNESSES + len(detached)
+    verdict = entails(kept, conclusion, kb, fresh_witnesses=fresh)
+    if verdict.is_entailed:
+        return True
+    if isinstance(verdict, NotEntailed) and _detaches(verdict, kept, detached, kb):
+        return False
+    return entails(prem, conclusion, kb).is_entailed
+
+
+def _about_one(p: DomainFormula) -> Optional[str]:
+    """The individual p is about alone, for a data triple or an atomic
+    concept assertion; None for any other formula."""
+    if isinstance(p, DataAssertion):
+        return p.subject
+    if isinstance(p, ConceptAssertion) and isinstance(p.concept, Atomic):
+        return p.individual
+    return None
+
+
+def _detaches(
+    verdict: NotEntailed,
+    kept: frozenset[DomainFormula],
+    detached: list[list[DomainFormula]],
+    kb: KnowledgeBase,
+) -> bool:
+    """Whether the restricted countermodel, with len(detached) anonymous
+    elements traded for detached ones, is a countermodel of the full
+    query (see `entailed`)."""
+    memo = kb.detachments
+    key = (kept, verdict.violated, len(detached))
+    if key not in memo:
+        memo[key] = _trims(verdict, kept, len(detached), kb)
+    if not memo[key]:
+        return False
+    spread = tuple(sorted((p for p in kept if isinstance(p, Subsumption)), key=str))
+    for ps in detached:
+        key = (spread, frozenset(_renamed(p, _TYPE_ELEMENT) for p in ps))
+        if key not in memo:
+            memo[key] = _has_type(spread + tuple(key[1]), kb)
+        if not memo[key]:
+            return False
+    return True
+
+
+def _trims(
+    verdict: NotEntailed, kept: frozenset[DomainFormula], n: int, kb: KnowledgeBase
+) -> bool:
+    """Whether the countermodel still satisfies K, the kept premises and
+    their query axioms, and falsifies the violated formula, once n
+    anonymous elements that no other element points to are dropped."""
+    m = verdict.countermodel
+    pointed = {y for ext in m.abs_role_ext.values() for x, y in ext if x != y}
+    free = [
+        x for x in sorted(m.universe) if x.startswith(_ANON_PREFIX) and x not in pointed
+    ]
+    if len(free) < n:
+        return False
+    keep = m.universe.difference(free[len(free) - n :])
+    trimmed = DomainInterpretation(
+        universe=keep,
+        concept_ext={k: ext & keep for k, ext in m.concept_ext.items()},
+        abs_role_ext={
+            k: frozenset(e for e in ext if e[0] in keep and e[1] in keep)
+            for k, ext in m.abs_role_ext.items()
+        },
+        conc_role_ext={
+            k: frozenset(e for e in ext if e[0] in keep)
+            for k, ext in m.conc_role_ext.items()
+        },
+        nominal_map=m.nominal_map,
+    )
+    holding = kb.background + tuple(kept) + kb.query_axioms(kept)
+    return all(satisfies(trimmed, f) for f in holding) and not satisfies(
+        trimmed, verdict.violated
+    )
+
+
+# the one element of a detached individual's type search
+_TYPE_ELEMENT = f"{_ANON_PREFIX}0"
+
+
+def _renamed(p: DomainFormula, individual: str) -> DomainFormula:
+    """A formula about one individual (`_about_one`), about another."""
+    if isinstance(p, DataAssertion):
+        return DataAssertion(p.role, individual, p.value)
+    return ConceptAssertion(p.concept, individual)
+
+
+def _has_type(formulas: tuple[DomainFormula, ...], kb: KnowledgeBase) -> bool:
+    """Whether one element with edges to itself alone can satisfy K's
+    subsumptions, the formulas about it and their query axioms."""
+    formulas = tuple(f for f in kb.background if isinstance(f, Subsumption)) + formulas
+    _, values = _query_bounds((), constants_of_formulas(formulas) | {0}, 0)
+    g = _Grounder((_TYPE_ELEMENT,), values)
+    for f in formulas + kb.query_axioms(formulas):
+        g.assert_formula(f)
+    try:
+        return _solve(g)
+    except BudgetExceeded:
+        return False
 
 
 def entailed_atoms(

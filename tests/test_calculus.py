@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import twotier
-from twotier import calculus, lang
+from twotier import calculus, lang, reasoning
 from twotier.assertions import assertion
 from twotier.calculus import (
     Judgement,
     ProofTree,
+    VerifCtx,
     apply_rule,
     canonical_rule,
     check_proof,
@@ -27,6 +28,8 @@ from twotier.errors import MissingArgument, RuleShapeMismatch
 from twotier.lang import Assign, Call, If, RunContext, Seq, Skip, While
 from twotier.statelogic import And, Eq, Lit, TRUE, Var, neq
 from twotier.status import ObligationStatus
+
+from tests.conftest import load_corpus
 
 HFW = ConceptAssertion(Atomic("HasFourWheels"), "c")
 hv4 = DataAssertion("hasValue", "wheelsVar", 4)
@@ -610,3 +613,26 @@ def test_fuzzing_runs_a_havoc_once(corrected_ctx, monkeypatch):
     assert len(havoc) > 1
     assert len(interpreted) == len(set(interpreted)) and set(interpreted) <= havoc
     assert checked and len(checked) == len(set(checked))
+
+
+@pytest.mark.hashseed
+def test_fuzzing_asks_few_model_searches(monkeypatch):
+    """Fuzzing corrected assembly over {0, 1, 2, 4} on a fresh kb: each
+    domain query keeps only the premises about individuals that K or the
+    postcondition names, so states that differ elsewhere share a search.
+    This makes 51 model searches; asking every full query made 816."""
+    program, kb = load_corpus("assembly_corrected")
+    ctx = VerifCtx.build(program, kb)
+    p = program.procedure("assembly")
+    j = Judgement(p.contract.pre, p.body, p.contract.post)
+    searches: list = []
+    search = reasoning.find_model
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(reasoning, "find_model", counting)
+    report = validate_judgement_empirically(ctx, j, (0, 1, 2, 4))
+    assert report.tested == 768 and report.ok
+    assert 0 < len(searches) <= 816 // 10

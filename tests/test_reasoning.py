@@ -6,9 +6,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twotier import domainlogic, parsing, reasoning
+from twotier.assertions import assertion, assertion_holds
 from twotier.errors import BudgetExceeded
 from twotier.domainlogic import (
     AndC,
@@ -33,6 +34,7 @@ from twotier.domainlogic import (
     equivalence,
     satisfies,
 )
+from twotier.lifting import SpecLifting
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen_scaled  # noqa: E402
@@ -665,3 +667,126 @@ def test_three_existentials_need_three_witnesses():
     # which fresh_witnesses=3 finds
     goal = ConceptAssertion(NotC(A), "a")
     assert not reasoning.entails((), (goal,), kb).is_entailed
+
+
+# ROADMAP item 1's kb, whose countermodels need three r-successors of a
+THREE_SUCCESSORS_KB = (
+    "concept A; concept B; concept C; role r; individual a;\n"
+    "data-role hasValue;\n"
+    "A <= B & C & (some r . (B & !C)) & (some r . (C & !B))"
+    " & (some r . (!B & !C));\n"
+)
+NOT_A = ConceptAssertion(NotC(A), "a")
+
+
+def test_a_restricted_query_keeps_the_full_universe():
+    """The restricted query drops var_x's premise but not its element:
+    with var_x, four elements give A(a) its three r-successors, and two
+    anonymous elements alone do not."""
+    kb = parsing.parse_kb(THREE_SUCCESSORS_KB + "closure off;\n")
+    x5 = DataAssertion("hasValue", "var_x", 5)
+    assert isinstance(reasoning.entails((x5,), (NOT_A,), kb), reasoning.NotEntailed)
+    assert reasoning.entails((), (NOT_A,), kb).is_entailed
+    assert not reasoning.entails((), (NOT_A,), kb, fresh_witnesses=3).is_entailed
+    lifting = SpecLifting.direct(kb, ["x"])
+    assert not assertion_holds({"x": 5}, assertion((NOT_A,)), kb, lifting)
+
+
+def test_a_restricted_countermodel_must_spare_an_anonymous_element():
+    """With var_x forced into B & C, no element of the full universe but
+    the anonymous two can be one of A(a)'s successors, so !A(a) is
+    entailed.  The restricted countermodel gives a three anonymous
+    successors, none of which can make room for var_x."""
+    kb = parsing.parse_kb(
+        THREE_SUCCESSORS_KB + "some hasValue . 5 <= B & C;\nclosure off;\n"
+    )
+    x5 = DataAssertion("hasValue", "var_x", 5)
+    assert reasoning.entails((x5,), (NOT_A,), kb).is_entailed
+    assert not reasoning.entails((), (NOT_A,), kb, fresh_witnesses=3).is_entailed
+    lifting = SpecLifting.direct(kb, ["x"])
+    assert assertion_holds({"x": 5}, assertion((NOT_A,)), kb, lifting)
+
+
+def test_a_trimmed_countermodel_must_still_refute_the_conclusion():
+    """a's two successors take both anonymous elements of the full
+    universe and var_x is B & C, so no element has hasValue 2.  The
+    restricted countermodel's only element with hasValue 2 is the
+    anonymous element that nothing points to, the one dropped to make
+    room for var_x."""
+    kb = parsing.parse_kb(
+        "concept A; concept B; concept C; role r; individual a;\n"
+        "data-role hasValue;\n"
+        "A <= B & C & (some r . (B & !C)) & (some r . (C & !B));\n"
+        "A(a);\n"
+        "some hasValue . 5 <= B & C;\n"
+        "some hasValue . 2 <= !B & !C;\n"
+        "closure off;\n"
+    )
+    none_is_2 = Subsumption(ExistsData("hasValue", 2), Bottom())
+    x5 = DataAssertion("hasValue", "var_x", 5)
+    assert reasoning.entails((x5,), (none_is_2,), kb).is_entailed
+    restricted = reasoning.entails((), (none_is_2,), kb, fresh_witnesses=3)
+    assert not restricted.is_entailed
+    lifting = SpecLifting.direct(kb, ["x"])
+    assert assertion_holds({"x": 5}, assertion((none_is_2,)), kb, lifting)
+
+
+# x and y occur in no kb; N is the kb's NonZero
+STATE_ATOMS = tuple(
+    [DataAssertion("t", i, v) for i in "csxy" for v in (0, 1, 2)]
+    + [ConceptAssertion(C, i) for C in (A, Atomic("N")) for i in "xy"]
+)
+N_IS_NONZERO = equivalence(NotC(ExistsData("t", 0)), Atomic("N"))
+# axioms that constrain every element, so a detached one too
+SPREAD_AXIOMS = N_IS_NONZERO + (Subsumption(ExistsData("t", 2), Bottom()),)
+# premises over every element
+SPREAD_PREMISES = (
+    Subsumption(ExistsData("t", 1), Bottom()),
+    Subsumption(Atomic("N"), A),
+)
+
+
+@st.composite
+def spread_kbs(draw):
+    kb = draw(kbs())
+    spread = draw(st.lists(st.sampled_from(SPREAD_AXIOMS), unique=True))
+    return KnowledgeBase(
+        kb.signature, kb.axioms + tuple(spread), kb.stubs, kb.closure_enabled
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kb=spread_kbs(),
+    premises=st.lists(
+        st.sampled_from(STATE_ATOMS + ATOMS + SPREAD_PREMISES), max_size=5
+    ),
+    conclusion=st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2),
+)
+@example(
+    # x's premises have no type under N == !(some t . 0), so the full
+    # premises are inconsistent and entail anything
+    kb=tiny_kb(N_IS_NONZERO),
+    premises=[DataAssertion("t", "x", 0), ConceptAssertion(Atomic("N"), "x")],
+    conclusion=[ConceptAssertion(A, "c")],
+)
+@example(
+    # a premise subsumption bars x's own premise
+    kb=tiny_kb(),
+    premises=[DataAssertion("t", "x", 1), SPREAD_PREMISES[0]],
+    conclusion=[ConceptAssertion(A, "c")],
+)
+@example(
+    # y's premise has no type under some t . 2 <= Bot
+    kb=tiny_kb(SPREAD_AXIOMS),
+    premises=[DataAssertion("t", "x", 1), DataAssertion("t", "y", 2)],
+    conclusion=[ConceptAssertion(B, "s")],
+)
+def test_the_restricted_decision_is_the_full_one(kb, premises, conclusion):
+    """Random states over individuals inside and outside K, on acyclic and
+    cyclic kbs, with axioms or premises over every element: deciding a
+    query without the premises about individuals only the premises name
+    gives the full query's verdict."""
+    alone = KnowledgeBase(kb.signature, kb.axioms, kb.stubs, kb.closure_enabled)
+    full = reasoning.entails(premises, conclusion, alone).is_entailed
+    assert reasoning.entailed(premises, conclusion, kb) == full
