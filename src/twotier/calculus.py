@@ -166,15 +166,9 @@ class VerifCtx:
     kb: KnowledgeBase
     lifting: SpecLifting
     pool: CandidatePool
-    fresh_witnesses: int = 2
 
     @staticmethod
-    def build(
-        program: Program,
-        kb: KnowledgeBase,
-        *,
-        fresh_witnesses: int = 2,
-    ) -> "VerifCtx":
+    def build(program: Program, kb: KnowledgeBase) -> "VerifCtx":
         lifting = SpecLifting.direct(kb, program.variables)
         pool = CandidatePool.build(
             kb,
@@ -182,13 +176,7 @@ class VerifCtx:
             extra_constants=program.constants(),
             variables=program.variables,
         )
-        return VerifCtx(
-            program=program,
-            kb=kb,
-            lifting=lifting,
-            pool=pool,
-            fresh_witnesses=fresh_witnesses,
-        )
+        return VerifCtx(program=program, kb=kb, lifting=lifting, pool=pool)
 
     # -- obligation discharge ------------------------------------------------
 
@@ -199,9 +187,7 @@ class VerifCtx:
     ) -> Obligation:
         premises = tuple(premises)
         conclusion = tuple(conclusion)
-        verdict = reasoning.entails(
-            premises, conclusion, self.kb, fresh_witnesses=self.fresh_witnesses
-        )
+        verdict = reasoning.entails(premises, conclusion, self.kb)
         status = status_of_verdict(verdict)
         note = ""
         if isinstance(verdict, reasoning.NotEntailed):

@@ -50,7 +50,6 @@ FLAGS = {
     "--domain": dict(
         type=int_list, default=(), metavar="LIST", help='integer list, e.g. "0,2,4"'
     ),
-    "--fresh": dict(type=int, default=2, metavar="N"),
     "--seed": dict(type=int, default=0, metavar="N"),
     "--format": dict(choices=["text", "structured"], default="text"),
     "--proof-out": dict(metavar="FILE"),
@@ -68,7 +67,7 @@ def load_ctx(args: argparse.Namespace) -> VerifCtx:
     """The verification context of the program and kb files `args` names."""
     kb = load_kb(args.kb, args.closure)
     program = parsing.parse_program(Path(args.program).read_text(encoding="utf-8"), kb)
-    return VerifCtx.build(program, kb, fresh_witnesses=args.fresh)
+    return VerifCtx.build(program, kb)
 
 
 def default_domain(program, kb: KnowledgeBase) -> tuple[int, ...]:
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify every procedure contract")
     p.add_argument("program")
     p.add_argument("kb")
-    add_flags(p, "--closure", "--fresh", "--format", "--proof-out")
+    add_flags(p, "--closure", "--format", "--proof-out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("explain", help="deduce and abduce kernel atoms for a goal")
@@ -246,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="empirically validate closed judgements")
     p.add_argument("program")
     p.add_argument("kb")
-    add_flags(p, "--closure", "--domain", "--fresh", "--seed")
+    add_flags(p, "--closure", "--domain", "--seed")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("check", help="replay a serialized proof tree")
     p.add_argument("proof")
     p.add_argument("program")
     p.add_argument("kb")
-    add_flags(p, "--closure", "--fresh")
+    add_flags(p, "--closure")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("parse", help="parse and pretty-print a program or kb file")

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .errors import UndeclaredSymbol
+
+if TYPE_CHECKING:
+    from .reasoning import Reasoner
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +250,7 @@ def _nodes(x: DomainFormula | Concept, acc: list) -> list:
     return acc
 
 
-def _nodes_of(formulas: Iterable[DomainFormula]) -> list:
+def nodes_of(formulas: Iterable[DomainFormula]) -> list:
     acc: list = []
     for f in formulas:
         _nodes(f, acc)
@@ -260,7 +263,7 @@ def signature_of(formulas: Iterable[DomainFormula]) -> DomainSignature:
     ar: set[str] = set()
     cr: set[str] = set()
     ac: set[str] = set()
-    for n in _nodes_of(formulas):
+    for n in nodes_of(formulas):
         if isinstance(n, Atomic):
             ac.add(n.name)
         elif isinstance(n, (ExistsRole, ForallRole)):
@@ -283,7 +286,7 @@ def signature_of(formulas: Iterable[DomainFormula]) -> DomainSignature:
 def constants_of_formulas(formulas: Iterable[DomainFormula]) -> frozenset[int]:
     return frozenset(
         n.value
-        for n in _nodes_of(formulas)
+        for n in nodes_of(formulas)
         if isinstance(n, (ExistsData, ForallData, DataAssertion))
     )
 
@@ -430,36 +433,11 @@ class KnowledgeBase:
         return is_acyclic(self.axioms)
 
     @cached_property
-    def refutations(self) -> dict[tuple, Optional[DomainInterpretation]]:
-        """The reasoner's memo over this kb: (premises, conclusion, fresh
-        witnesses) -> a countermodel, or None when there is none."""
-        return {}
+    def reasoner(self) -> Reasoner:
+        """The reasoner's state over this kb (`reasoning.Reasoner`)."""
+        from .reasoning import Reasoner
 
-    @cached_property
-    def detachments(self) -> dict[tuple, bool]:
-        """The reasoner's memo of the certificates behind a restricted
-        query's countermodel (see `reasoning.entailed`): (kept premises,
-        violated formula, number of detached individuals) -> whether the
-        countermodel still holds with that many anonymous elements
-        dropped, and (premise subsumptions, a detached individual's
-        premises renamed) -> whether a one-element type satisfies them."""
-        return {}
-
-    @cached_property
-    def grounding(self) -> dict[tuple, object]:
-        """The reasoner's one slot over this kb: the context of the last
-        search -> the background axioms grounded over it and
-        unit-propagated.  The context is (universe, value pool) when the
-        background reads the pool, and (universe, None) when it does not;
-        a search in another context replaces the entry."""
-        return {}
-
-    @cached_property
-    def background_reads_values(self) -> bool:
-        """Whether a background axiom holds a ∀-data restriction
-        (`all t . n`), the only construct whose meaning depends on the
-        pool of data values."""
-        return any(isinstance(n, ForallData) for n in _nodes_of(self.background))
+        return Reasoner(self.background)
 
     @cached_property
     def background(self) -> tuple[DomainFormula, ...]:

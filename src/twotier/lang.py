@@ -175,6 +175,10 @@ def contract_post(program: Program, proc: str, arg: Expr) -> TwoTierAssertion:
 # ---------------------------------------------------------------------------
 # Interpreter
 
+# breadth-first rounds a loop may take before its run is cut off as
+# fuel-exhausted
+FUEL = 1000
+
 
 @dataclass
 class RunContext:
@@ -182,7 +186,6 @@ class RunContext:
     kb: KnowledgeBase
     lifting: SpecLifting
     var_domain: tuple[int, ...]
-    fuel: int = 1000
     _havoc_cache: dict = field(default_factory=dict)
     _states: Optional[tuple[State, ...]] = None
     _image_cache: dict = field(default_factory=dict)
@@ -280,7 +283,7 @@ def interpret(s: Statement, sigma: ProgramState, ctx: RunContext) -> InterpOutco
         steps = 0
         while frontier:
             steps += 1
-            if steps > ctx.fuel:
+            if steps > FUEL:
                 return InterpOutcome(frozenset(results), pre_v, True)
             nxt: set[State] = set()
             for st in frontier:

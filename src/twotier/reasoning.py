@@ -3,16 +3,15 @@
 Queries are decided by refutation: to show premises entail a formula d
 under K, search for a finite interpretation of K, the premises, and the
 negation of d.  Interpretations range over a universe of the occurring
-individuals plus a configurable number of anonymous elements (individuals
+individuals plus a bounded number of anonymous elements (individuals
 are kept pairwise distinct), and data values over the integers occurring
-in the query plus zero and one fresh value.  The search grounds the
-query into propositional logic and runs a small DPLL solver.  Each
-knowledge base keeps K grounded and unit-propagated over the context of
-the last search; a search in the same context grounds its own formulas
-onto that state, solves in place and restores it.  The context is the
-universe, and also the value pool when K holds a ∀-data restriction: no
-other construct reads the pool, so without one K grounds alike over
-every pool.
+in the query plus zero and one fresh value.  Every query counts
+DEFAULT_FRESH_WITNESSES anonymous elements, `entailed`'s restricted ones
+excepted (below).  The search grounds the query into propositional
+logic and runs a small DPLL solver.  Each knowledge base's `Reasoner`
+keeps K grounded and unit-propagated over the context of the last
+search, and the memos of answers; a search in the same context grounds
+its own formulas onto that state, solves in place and restores it.
 
 Absence of a countermodel at the bound certifies entailment only for
 acyclic terminologies; cyclic inputs yield Unknown verdicts, and so does a
@@ -55,6 +54,7 @@ from .domainlogic import (
     Subsumption,
     Top,
     constants_of_formulas,
+    nodes_of,
     satisfies,
     signature_of,
 )
@@ -405,6 +405,33 @@ def _solve(g: _Grounder, budget: int = DEFAULT_DECISION_BUDGET) -> bool:
 # Query interface
 
 
+class Reasoner:
+    """What the reasoner keeps about one kb, shared by every query over
+    it (`KnowledgeBase.reasoner`).
+
+    - `reads_values`: whether a background axiom holds a ∀-data
+      restriction (`all t . n`), the only construct whose grounding
+      reads the value pool.
+    - The slot (`_grounded_background`): `key`, the context of the last
+      search, and `grounder`, the background axioms grounded over it.
+    - `refutations`: (premises, conclusion formula, anonymous elements)
+      -> a countermodel, or None when there is none.
+    - `trims`: (kept premises, violated formula, number of detached
+      individuals) -> whether a restricted countermodel survives that
+      many anonymous elements dropped (`_trims`).
+    - `types`: (premise subsumptions, a detached individual's premises
+      renamed) -> whether a one-element type satisfies them
+      (`_has_type`)."""
+
+    def __init__(self, background: Iterable[DomainFormula]):
+        self.reads_values = any(isinstance(n, ForallData) for n in nodes_of(background))
+        self.key: Optional[tuple] = None
+        self.grounder: Optional[_Grounder] = None
+        self.refutations: dict[tuple, Optional[DomainInterpretation]] = {}
+        self.trims: dict[tuple, bool] = {}
+        self.types: dict[tuple, bool] = {}
+
+
 def _query_symbols(
     kb: KnowledgeBase, query: Iterable[DomainFormula]
 ) -> tuple[DomainSignature, frozenset[int]]:
@@ -438,17 +465,18 @@ def _grounded_background(
     and settled at level 0 (None if they conflict), from kb's slot; on a
     miss the slot is refilled for this context.  A background without a
     ∀-data restriction grounds to the same clauses over every pool, so
-    its context is the universe alone and its grounder's pool is that of
-    the search that filled the slot."""
-    slot = kb.grounding
-    key = (universe, values if kb.background_reads_values else None)
-    if key not in slot:
+    its context is (universe, None) and its grounder's pool is that of
+    the search that filled the slot; otherwise it is (universe, pool)."""
+    r = kb.reasoner
+    key = (universe, values if r.reads_values else None)
+    if key != r.key:
+        # K's last grounding goes first, so that two never coexist
+        r.key = r.grounder = None
         g = _Grounder(universe, values)
         for f in kb.background:
             g.assert_formula(f)
-        slot.clear()
-        slot[key] = g if g.settle() else None
-    return slot[key]
+        r.key, r.grounder = key, g if g.settle() else None
+    return r.grounder
 
 
 def find_model(
@@ -503,7 +531,7 @@ def entails(
     verdict Unknown."""
     prem = frozenset(premises)
     concl = tuple(dict.fromkeys(conclusion))
-    memo = kb.refutations
+    memo = kb.reasoner.refutations
     needed_search = False
     for d in concl:
         if d in prem:
@@ -608,18 +636,18 @@ def _detaches(
     """Whether the restricted countermodel, with len(detached) anonymous
     elements traded for detached ones, is a countermodel of the full
     query (see `entailed`)."""
-    memo = kb.detachments
+    trims, types = kb.reasoner.trims, kb.reasoner.types
     key = (kept, verdict.violated, len(detached))
-    if key not in memo:
-        memo[key] = _trims(verdict, kept, len(detached), kb)
-    if not memo[key]:
+    if key not in trims:
+        trims[key] = _trims(verdict, kept, len(detached), kb)
+    if not trims[key]:
         return False
     spread = tuple(sorted((p for p in kept if isinstance(p, Subsumption)), key=str))
     for ps in detached:
         key = (spread, frozenset(_renamed(p, _TYPE_ELEMENT) for p in ps))
-        if key not in memo:
-            memo[key] = _has_type(spread + tuple(key[1]), kb)
-        if not memo[key]:
+        if key not in types:
+            types[key] = _has_type(spread + tuple(key[1]), kb)
+        if not types[key]:
             return False
     return True
 

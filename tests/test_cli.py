@@ -317,6 +317,9 @@ def test_usage_error_exit_code(capfd):
         ["fuzz", ADD_PROG, ADD_KB, "--fuel", "5"],
         ["verify", ADD_PROG, ADD_KB, "--domain", "0,2"],
         ["check", "proofs.json", ADD_PROG, ADD_KB, "--domain", "0,2"],
+        ["verify", ADD_PROG, ADD_KB, "--fresh", "3"],
+        ["fuzz", ADD_PROG, ADD_KB, "--fresh", "3"],
+        ["check", "proofs.json", ADD_PROG, ADD_KB, "--fresh", "3"],
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_a_usage_error(capfd, argv):

@@ -149,3 +149,12 @@ def test_closure_and_functionality_axioms(corrected):
     off = kb.with_closure(False)
     assert off.background == off.axioms
     assert off.query_axioms((hv4,)) == ()
+
+
+def test_a_kb_holds_its_reasoner_state_in_one_reasoner(corrected):
+    """The reasoner's slot and memos live on `kb.reasoner`, one per kb:
+    a kb with closure switched holds its own."""
+    kb = corrected[1]
+    for name in ("refutations", "detachments", "grounding", "background_reads_values"):
+        assert not hasattr(kb, name)
+    assert kb.with_closure(False).reasoner is not kb.reasoner

@@ -1,5 +1,6 @@
 import pytest
 
+from twotier import lang
 from twotier.errors import UnknownProcedure
 from twotier.lang import (
     Assign,
@@ -86,13 +87,14 @@ def test_interpret_while_terminates(corrected):
     assert not out.fuel_exhausted
 
 
-def test_interpret_while_fuel(corrected):
+def test_interpret_while_fuel(corrected, monkeypatch):
     ctx = run_ctx(corrected)
-    ctx.fuel = 5
-    # while (1) x := x  -- never exits; state space is finite so the
-    # visited-set check stops it, but a self-loop burns fuel first
-    s = While(Lit(1), Assign("x", Var("x")))
-    out = interpret(s, State({"x": 0}), ctx)
+    # while (x) x := 0  -- from x = 1 it takes a second round to see the
+    # loop exit, which one round of fuel does not allow
+    monkeypatch.setattr(lang, "FUEL", 1)
+    s = While(Var("x"), Assign("x", Lit(0)))
+    out = interpret(s, State({"x": 1}), ctx)
+    assert out.fuel_exhausted
     assert out.states == frozenset()
 
 

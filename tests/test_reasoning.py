@@ -243,9 +243,9 @@ def test_entailed_atoms_matches_one_query_per_atom(kb, premises, atoms):
     """Atoms inside and outside the premises, over individuals and values
     inside and outside K, on acyclic and cyclic kbs: refuting atoms with
     earlier countermodels gives the per-atom verdicts."""
-    kb.refutations.clear()
+    kb.reasoner.refutations.clear()
     fast = reasoning.entailed_atoms(premises, atoms, kb)
-    kb.refutations.clear()
+    kb.reasoner.refutations.clear()
     slow = tuple(
         a for a in atoms if reasoning.entails(premises, (a,), kb).is_entailed
     )
@@ -330,7 +330,7 @@ def test_a_kb_slot_gives_the_models_of_fresh_kbs(kb, queries):
             asserted, kb, fresh_witnesses=fresh, negated=negated
         )
         assert model == expected
-        assert len(kb.grounding) == 1
+        assert kb.reasoner.key is not None
 
 
 def count_groundings(monkeypatch) -> list[tuple[tuple, tuple]]:
@@ -366,20 +366,19 @@ def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
 
     def recording(*args, **kwargs):
         model = search(*args, **kwargs)
-        (key,) = kb.grounding
-        contexts.append(key)
+        contexts.append(kb.reasoner.key)
         return model
 
     groundings = count_groundings(monkeypatch)
     monkeypatch.setattr(reasoning, "find_model", recording)
-    kb.grounding.clear()
+    kb.reasoner.key = None
     report = validate_judgement_empirically(
         ctx, tree.conclusion, (0, 1, 2, 3), seed=1
     )
     assert report.ok
     switches = [k for i, k in enumerate(contexts) if i == 0 or k != contexts[i - 1]]
     # K holds no ∀-data restriction, so the slot is keyed by the universe
-    assert not kb.background_reads_values
+    assert not kb.reasoner.reads_values
     # 16 searches over 6 runs of one context
     assert [(universe, None) for universe, _ in groundings] == switches
     assert len(switches) < len(contexts)
@@ -398,7 +397,7 @@ def test_fuzzing_addwheels_grounds_k_once(monkeypatch):
     ctx = VerifCtx.build(program, kb)
     tree = verify_procedure(ctx, program.procedure("addWheels"))
     assert tree.closed
-    assert not kb.background_reads_values
+    assert not kb.reasoner.reads_values
 
     searched = []
     bounds = reasoning._query_bounds
@@ -410,7 +409,7 @@ def test_fuzzing_addwheels_grounds_k_once(monkeypatch):
 
     monkeypatch.setattr(reasoning, "_query_bounds", recording)
     groundings = count_groundings(monkeypatch)
-    kb.grounding.clear()
+    kb.reasoner.key = None
     report = validate_judgement_empirically(ctx, tree.conclusion, (0, 1, 2, 4))
     assert report.ok
     assert len({universe for universe, _ in searched}) == 1
@@ -442,7 +441,7 @@ def test_k_is_grounded_again_only_when_it_reads_the_pool(
     over (0, 1, 2) would let c have the t-value 3.  Each search gives the
     model of an equal kb built afresh."""
     kb = tiny_kb(axioms, closure)
-    assert kb.background_reads_values == (len(pools) > 1)
+    assert kb.reasoner.reads_values == (len(pools) > 1)
     a_c = ConceptAssertion(A, "c")
     queries = [
         ((a_c,), ()),
@@ -455,7 +454,7 @@ def test_k_is_grounded_again_only_when_it_reads_the_pool(
         for asserted, negated in queries
     ]
     assert [values for _, values in groundings] == pools
-    assert (models[1] is None) == kb.background_reads_values
+    assert (models[1] is None) == kb.reasoner.reads_values
     for (asserted, negated), model in zip(queries, models):
         alone = KnowledgeBase(kb.signature, kb.axioms, kb.stubs, kb.closure_enabled)
         assert reasoning.find_model(asserted, alone, negated=negated) == model
@@ -636,15 +635,14 @@ def test_a_search_out_of_budget_leaves_the_slot_as_it_was():
     off K's grounding, so the next query gives a fresh kb's model."""
     kb = KnowledgeBase(TAUTOLOGY_SIG, ())
     assert reasoning.find_model(TAUTOLOGY_PREMISES, kb, fresh_witnesses=1) is not None
-    (g,) = kb.grounding.values()
+    g = kb.reasoner.grounder
     before = snapshot(g)
     solve = functools.partial(reasoning._solve, budget=200)
     with mock.patch.object(reasoning, "_solve", solve), pytest.raises(BudgetExceeded):
         reasoning.find_model(
             TAUTOLOGY_PREMISES, kb, fresh_witnesses=1, negated=(TAUTOLOGY,)
         )
-    (after,) = kb.grounding.values()
-    assert after is g and snapshot(g) == before
+    assert kb.reasoner.grounder is g and snapshot(g) == before
     query = TAUTOLOGY_PREMISES[:1]
     alone = KnowledgeBase(TAUTOLOGY_SIG, ())
     expected = reasoning.find_model(query, alone, fresh_witnesses=1)
