@@ -194,7 +194,7 @@ class CompatibilityReport:
 
 
 def liftable_formula_pool(
-    variables: Sequence[str], var_domain: Iterable[int], max_conjuncts: int = 2
+    variables: Sequence[str], var_domain: Iterable[int]
 ) -> list[StateFormula]:
     """All liftable atoms over the variables and values, plus their
     pairwise conjunctions; deterministic order."""
@@ -203,11 +203,7 @@ def liftable_formula_pool(
         for n in sorted(set(var_domain)):
             atoms.append(Eq(Var(v), Lit(n)))
         atoms.append(Not(Eq(Var(v), Lit(0))))
-    pool: list[StateFormula] = list(atoms)
-    if max_conjuncts >= 2:
-        for a, b in itertools.combinations(atoms, 2):
-            pool.append(And(a, b))
-    return pool
+    return atoms + [And(a, b) for a, b in itertools.combinations(atoms, 2)]
 
 
 def check_compatibility(

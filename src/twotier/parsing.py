@@ -6,7 +6,7 @@ is the identity on ASTs."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple, NoReturn
 
 from .errors import ParseError
 from . import statelogic as sl
@@ -20,107 +20,109 @@ from . import lang
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<kw_dr>data-role\b)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+    \s+ | //[^\n]*
+  | (?P<ident>data-role\b|[A-Za-z][A-Za-z0-9_]*)
   | (?P<int>\d+)
   | (?P<sym>:=|==|!=|&&|\|\||<=|[()\[\]{}|&!.,;=-])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'sym' | 'eof'
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """The error at `offset`, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            if kind == "kw_dr":
-                tokens.append(Token("ident", "data-role", line, col))
-            elif kind == "ident":
-                tokens.append(Token("ident", lexeme, line, col))
-            elif kind == "int":
-                tokens.append(Token("int", lexeme, line, col))
-            else:
-                tokens.append(Token("sym", lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {m.group()!r}")
+        if kind is not None:  # whitespace and comments name no group
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Tokens of one text.  No grammar rule asks for the empty text, so
+    the eof token is never accepted and the parser never moves past it."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.tokens[self.pos].text == text
 
     def accept(self, text: str) -> bool:
         if self.at(text):
-            self.advance()
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "eof":
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.column)
-        return self.advance()
+    def fail(self, message: str, token: Token | None = None) -> NoReturn:
+        t = self.peek() if token is None else token
+        raise _error(self.text, t.offset, message)
+
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            self.fail(f"expected {text!r}, found {self.peek().text!r}")
 
     def expect_ident(self) -> str:
-        t = self.peek()
-        if t.kind != "ident":
-            raise ParseError(f"expected identifier, found {t.text!r}", t.line, t.column)
+        if self.peek().kind != "ident":
+            self.fail(f"expected identifier, found {self.peek().text!r}")
         return self.advance().text
 
     def expect_int(self) -> int:
         neg = self.accept("-")
-        t = self.peek()
-        if t.kind != "int":
-            raise ParseError(f"expected integer, found {t.text!r}", t.line, t.column)
-        self.advance()
-        return -int(t.text) if neg else int(t.text)
-
-    def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.column)
+        if self.peek().kind != "int":
+            self.fail(f"expected integer, found {self.peek().text!r}")
+        value = int(self.advance().text)
+        return -value if neg else value
 
     def expect_eof(self) -> None:
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"trailing input starting at {t.text!r}", t.line, t.column)
+        if self.peek().kind != "eof":
+            self.fail(f"trailing input starting at {self.peek().text!r}")
+
+
+def _parse_all(text: str, rule, *args):
+    """`rule` applied to the whole of `text`."""
+    p = _Parser(text)
+    out = rule(p, *args)
+    p.expect_eof()
+    return out
+
+
+def _binary(p: _Parser, ops: tuple, unary, level: int = 0):
+    """Left-associative binary operators, `ops[level]` binding loosest;
+    past the last level, `unary`."""
+    if level == len(ops):
+        return unary(p)
+    op, combine = ops[level]
+    out = _binary(p, ops, unary, level + 1)
+    while p.accept(op):
+        out = combine(out, _binary(p, ops, unary, level + 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +137,9 @@ def _parse_term(p: _Parser) -> sl.Term:
 
 
 def _parse_state_atom(p: _Parser) -> sl.StateFormula:
-    if p.at("true"):
-        p.advance()
+    if p.accept("true"):
         return sl.TRUE
-    if p.at("false"):
-        p.advance()
+    if p.accept("false"):
         return sl.Not(sl.TRUE)
     lhs = _parse_term(p)
     if p.accept("=="):
@@ -153,41 +153,28 @@ def _parse_state_unary(p: _Parser) -> sl.StateFormula:
     if p.accept("!"):
         return sl.Not(_parse_state_unary(p))
     if p.accept("("):  # terms never start with '('
-        inner = _parse_state_formula_inner(p)
+        inner = _parse_state_formula(p)
         p.expect(")")
         return inner
     return _parse_state_atom(p)
 
 
-def _parse_state_conj(p: _Parser) -> sl.StateFormula:
-    out = _parse_state_unary(p)
-    while p.accept("&&"):
-        out = sl.And(out, _parse_state_unary(p))
-    return out
+_STATE_OPS = (("||", sl.disj), ("&&", sl.And))
 
 
-def _parse_state_formula_inner(p: _Parser) -> sl.StateFormula:
-    out = _parse_state_conj(p)
-    while p.accept("||"):
-        out = sl.disj(out, _parse_state_conj(p))
-    return out
+def _parse_state_formula(p: _Parser) -> sl.StateFormula:
+    return _binary(p, _STATE_OPS, _parse_state_unary)
 
 
 def parse_state_formula(text: str) -> sl.StateFormula:
     text = text.strip()
     if text == "-":
         return sl.TRUE
-    p = _Parser(text)
-    out = _parse_state_formula_inner(p)
-    p.expect_eof()
-    return out
+    return _parse_all(text, _parse_state_formula)
 
 
 def parse_term(text: str) -> sl.Term:
-    p = _Parser(text)
-    out = _parse_term(p)
-    p.expect_eof()
-    return out
+    return _parse_all(text, _parse_term)
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +193,15 @@ def _parse_concept_unary(p: _Parser) -> dl.Concept:
         p.expect("}")
         return dl.Nominal(name)
     if p.at("some") or p.at("all"):
-        quant = p.advance().text
+        some = p.advance().text == "some"
         role = p.expect_ident()
         p.expect(".")
         nxt = p.peek()
         if nxt.kind == "int" or nxt.text == "-":
             value = p.expect_int()
-            return (
-                dl.ExistsData(role, value)
-                if quant == "some"
-                else dl.ForallData(role, value)
-            )
+            return dl.ExistsData(role, value) if some else dl.ForallData(role, value)
         inner = _parse_concept_unary(p)
-        return (
-            dl.ExistsRole(role, inner) if quant == "some" else dl.ForallRole(role, inner)
-        )
+        return dl.ExistsRole(role, inner) if some else dl.ForallRole(role, inner)
     name = p.expect_ident()
     if name == "Top":
         return dl.Top()
@@ -229,25 +210,15 @@ def _parse_concept_unary(p: _Parser) -> dl.Concept:
     return dl.Atomic(name)
 
 
-def _parse_concept_and(p: _Parser) -> dl.Concept:
-    out = _parse_concept_unary(p)
-    while p.accept("&"):
-        out = dl.AndC(out, _parse_concept_unary(p))
-    return out
+_CONCEPT_OPS = (("|", dl.OrC), ("&", dl.AndC))
 
 
 def _parse_concept(p: _Parser) -> dl.Concept:
-    out = _parse_concept_and(p)
-    while p.accept("|"):
-        out = dl.OrC(out, _parse_concept_and(p))
-    return out
+    return _binary(p, _CONCEPT_OPS, _parse_concept_unary)
 
 
 def parse_concept(text: str) -> dl.Concept:
-    p = _Parser(text)
-    out = _parse_concept(p)
-    p.expect_eof()
-    return out
+    return _parse_all(text, _parse_concept)
 
 
 def _parse_domain_assertion(p: _Parser, sig: dl.DomainSignature) -> dl.DomainFormula:
@@ -274,17 +245,14 @@ def _parse_domain_assertion(p: _Parser, sig: dl.DomainSignature) -> dl.DomainFor
     elif name in sig.atomic_concepts:
         concept = dl.Atomic(name)
     else:
-        raise ParseError(f"undeclared symbol {name!r}", t.line, t.column)
+        p.fail(f"undeclared symbol {name!r}", t)
     individual = p.expect_ident()
     p.expect(")")
     return dl.ConceptAssertion(concept, individual)
 
 
 def parse_domain_formula(text: str, sig: dl.DomainSignature) -> dl.DomainFormula:
-    p = _Parser(text)
-    out = _parse_domain_assertion(p, sig)
-    p.expect_eof()
-    return out
+    return _parse_all(text, _parse_domain_assertion, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +273,13 @@ def _parse_tier(p: _Parser, sig: dl.DomainSignature) -> TwoTierAssertion:
         p.advance()
         state = sl.TRUE
     else:
-        state = _parse_state_formula_inner(p)
+        state = _parse_state_formula(p)
     p.expect("]")
     return assertion(domain, state)
 
 
 def parse_assertion(text: str, sig: dl.DomainSignature) -> TwoTierAssertion:
-    p = _Parser(text)
-    out = _parse_tier(p, sig)
-    p.expect_eof()
-    return out
+    return _parse_all(text, _parse_tier, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -323,34 +288,22 @@ def parse_assertion(text: str, sig: dl.DomainSignature) -> TwoTierAssertion:
 
 def parse_kb(text: str) -> dl.KnowledgeBase:
     p = _Parser(text)
-    concepts: set[str] = set()
-    abs_roles: set[str] = set()
-    conc_roles: set[str] = set()
-    individuals: set[str] = set()
+    # one set per declaration keyword, in DomainSignature's field order
+    declared: dict[str, set[str]] = {
+        "individual": set(), "role": set(), "data-role": set(), "concept": set()
+    }
     axioms: list[dl.DomainFormula] = []
     stubs: list[dl.Stub] = []
     closure = True
 
     def sig() -> dl.DomainSignature:
-        return dl.DomainSignature(
-            frozenset(individuals),
-            frozenset(abs_roles),
-            frozenset(conc_roles),
-            frozenset(concepts),
-        )
+        return dl.DomainSignature(*map(frozenset, declared.values()))
 
     while p.peek().kind != "eof":
-        if p.accept("concept"):
-            concepts.add(p.expect_ident())
-            p.expect(";")
-        elif p.accept("role"):
-            abs_roles.add(p.expect_ident())
-            p.expect(";")
-        elif p.accept("data-role"):
-            conc_roles.add(p.expect_ident())
-            p.expect(";")
-        elif p.accept("individual"):
-            individuals.add(p.expect_ident())
+        names = declared.get(p.peek().text)
+        if names is not None:
+            p.advance()
+            names.add(p.expect_ident())
             p.expect(";")
         elif p.accept("stub"):
             role = p.expect_ident()
@@ -364,9 +317,9 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
             variable = p.expect_ident()
             p.expect(";")
             for name in (subject, stub):
-                if name not in individuals:
+                if name not in declared["individual"]:
                     p.fail(f"stub references undeclared individual {name!r}")
-            if role not in abs_roles:
+            if role not in declared["role"]:
                 p.fail(f"stub references undeclared role {role!r}")
             stubs.append(dl.Stub(role, subject, stub, variable))
         elif p.accept("closure"):
@@ -381,19 +334,15 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
         else:
             lhs = _parse_concept(p)
             if p.accept("=="):
-                rhs = _parse_concept(p)
-                axioms.extend(dl.equivalence(lhs, rhs))
+                axioms.extend(dl.equivalence(lhs, _parse_concept(p)))
             else:
                 p.expect("<=")
-                rhs = _parse_concept(p)
-                axioms.append(dl.Subsumption(lhs, rhs))
+                axioms.append(dl.Subsumption(lhs, _parse_concept(p)))
             p.expect(";")
-    p.expect_eof()
-    declared = sig()
-    used = dl.signature_of(axioms)
-    for missing in used.missing_from(declared):
+    signature = sig()
+    for missing in dl.signature_of(axioms).missing_from(signature):
         raise ParseError(f"undeclared symbol {missing!r} used in axioms", 0, 0)
-    return dl.KnowledgeBase(declared, tuple(axioms), tuple(stubs), closure)
+    return dl.KnowledgeBase(signature, tuple(axioms), tuple(stubs), closure)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +437,7 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
 
 
 def parse_statement(text: str, kb: dl.KnowledgeBase) -> lang.Statement:
-    p = _Parser(text)
-    out = _parse_statements(p, kb.symbols)
-    p.expect_eof()
-    return out
+    return _parse_all(text, _parse_statements, kb.symbols)
 
 
 # ---------------------------------------------------------------------------

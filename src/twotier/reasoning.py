@@ -108,9 +108,9 @@ class _Grounder:
     state over them.  A concept at an element, or a formula, becomes one
     literal; each conjunction or disjunction of literals becomes one gate
     variable, shared by every use of the same inputs.  The state is each
-    literal's occurrence list, per-clause counts of false and of true
-    literals, the assignment (indexed by variable) and the trail of
-    assigned literals in assignment order."""
+    literal's occurrence list, per-clause counts of false literals, the
+    assignment (indexed by variable) and the trail of assigned literals
+    in assignment order."""
 
     def __init__(self, universe: Sequence[str], values: Sequence[int]):
         self.universe = tuple(universe)
@@ -121,7 +121,6 @@ class _Grounder:
         self.clauses: list[tuple[int, ...]] = [(self.true,)]
         self.occ: dict[int, list[int]] = {}
         self.nfalse: list[int] = []
-        self.nsat: list[int] = []
         self.assign: list[Optional[bool]] = [None]
         self.trail: list[int] = []
 
@@ -246,37 +245,36 @@ class _Grounder:
         be a level-0 fixpoint, and the new fixpoint does not depend on the
         order in which clauses arrive, so it equals that of propagating
         every clause at once."""
-        clauses, occ, nfalse, nsat = self.clauses, self.occ, self.nfalse, self.nsat
+        clauses, occ, nfalse = self.clauses, self.occ, self.nfalse
         assign = self.assign
         assign.extend([None] * (len(self.var_ids) + 1 - len(assign)))
         pending: list[int] = []
         for ci in range(len(nfalse), len(clauses)):
             c = clauses[ci]
-            nf = ns = 0
+            nf = 0
             free = 0
             for lit in c:
                 occ.setdefault(lit, []).append(ci)
                 val = assign[abs(lit)]
                 if val is None:
                     free = lit
-                elif val == (lit > 0):
-                    ns += 1
-                else:
+                elif val != (lit > 0):
                     nf += 1
             nfalse.append(nf)
-            nsat.append(ns)
-            if ns == 0:
-                if nf == len(c):
-                    return False
-                if nf == len(c) - 1:
-                    pending.append(free)
+            if nf == len(c):
+                return False
+            # one literal is not false: a unit when it is unassigned
+            if nf == len(c) - 1 and free:
+                pending.append(free)
         return self.propagate(pending)
 
     def propagate(self, pending: list[int]) -> bool:
         """Assign the pending literals and every literal they imply; False
         on a conflict.  Every assigned literal's counters are updated in
-        full, so that `unset_to` can undo them."""
-        clauses, occ, nfalse, nsat = self.clauses, self.occ, self.nfalse, self.nsat
+        full, so that `unset_to` can undo them.  A clause left with one
+        literal that is not false is a unit when that literal is
+        unassigned, and satisfied when it is true."""
+        clauses, occ, nfalse = self.clauses, self.occ, self.nfalse
         assign, trail = self.assign, self.trail
         while pending:
             lit = pending.pop()
@@ -288,49 +286,47 @@ class _Grounder:
                 continue
             assign[v] = lit > 0
             trail.append(lit)
-            for ci in occ.get(lit, ()):
-                nsat[ci] += 1
             conflict = False
             for ci in occ.get(-lit, ()):
                 nfalse[ci] += 1
-                if nsat[ci] == 0:
-                    c = clauses[ci]
-                    if nfalse[ci] == len(c):
-                        conflict = True
-                    elif nfalse[ci] == len(c) - 1:
-                        for l2 in c:
-                            if assign[abs(l2)] is None:
-                                pending.append(l2)
-                                break
+                c = clauses[ci]
+                left = len(c) - nfalse[ci]
+                if left == 0:
+                    conflict = True
+                elif left == 1:
+                    for l2 in c:
+                        val = assign[abs(l2)]
+                        if val is None:
+                            pending.append(l2)
+                            break
+                        if val == (l2 > 0):
+                            break
             if conflict:
                 return False
         return True
 
     def unset_to(self, mark: int) -> None:
         """Unassign the trail's literals beyond its first `mark`."""
-        occ, nfalse, nsat = self.occ, self.nfalse, self.nsat
+        occ, nfalse = self.occ, self.nfalse
         assign, trail = self.assign, self.trail
         while len(trail) > mark:
             lit = trail.pop()
             assign[abs(lit)] = None
-            for ci in occ.get(lit, ()):
-                nsat[ci] -= 1
             for ci in occ.get(-lit, ()):
                 nfalse[ci] -= 1
 
     def mark(self) -> tuple:
         """What `restore` needs to bring back this state, which must be a
         settled level-0 fixpoint: the lengths of the variable table and the
-        trail, the value pool, and a copy of the per-clause counts, which
-        have one entry per clause."""
-        counts = (self.nfalse.copy(), self.nsat.copy())
-        return (len(self.var_ids), len(self.trail), self.values) + counts
+        trail, the value pool, and a copy of the per-clause false counts,
+        which have one entry per clause."""
+        return len(self.var_ids), len(self.trail), self.values, self.nfalse.copy()
 
     def restore(self, mark: tuple) -> None:
         """Take back every variable, clause and assignment made since the
         mark.  The saved counts are put back whole: undoing them literal by
         literal through `unset_to` costs more."""
-        nvars, ntrail, values, nfalse, nsat = mark
+        nvars, ntrail, values, nfalse = mark
         nclauses = len(nfalse)
         occ, assign, trail = self.occ, self.assign, self.trail
         # the indexed clauses beyond the mark are the last entries of
@@ -344,7 +340,7 @@ class _Grounder:
         del assign[nvars + 1 :]
         for _ in range(len(self.var_ids) - nvars):
             self.var_ids.popitem()
-        self.values, self.nfalse, self.nsat = values, nfalse, nsat
+        self.values, self.nfalse = values, nfalse
 
 
 _ANON_PREFIX = "_anon"

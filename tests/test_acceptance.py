@@ -192,7 +192,7 @@ def test_criterion_5_kernel_lemma_suite(criterion_log):
             s for s in states if assertion_holds(s, a, kb, lifting)
         )
 
-    phis = liftable_formula_pool(variables, (0, 2, 4), max_conjuncts=2)
+    phis = liftable_formula_pool(variables, (0, 2, 4))
     checked = 0
     for _ in range(100):
         delta = tuple(

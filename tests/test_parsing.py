@@ -170,6 +170,78 @@ def test_function_and_predicate_symbols_are_parse_errors(text, column):
     assert (exc.value.line, exc.value.column) == (1, column)
 
 
+CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
+
+
+@pytest.mark.parametrize(
+    "entry, text, expected",
+    [
+        (
+            "kb",
+            "concept A;\n// note\n\tconcept B; #",
+            ("3:13: unexpected character '#'", 3, 13),
+        ),
+        (
+            "kb",
+            "concept A;\nrole r;\nconcept",
+            ("3:8: expected identifier, found ''", 3, 8),
+        ),
+        (
+            "kb",
+            "data-role v;\nindividual a;\nv(a, x);",
+            ("3:6: expected integer, found 'x'", 3, 6),
+        ),
+        (
+            "program",
+            "var x = 0;\nproc p(a)\n  requires [ Foo(c) | - ]\n",
+            ("3:14: undeclared symbol 'Foo'", 3, 14),
+        ),
+        (
+            "program",
+            CONTRACT + "begin\nend;",
+            ("6:1: expected at least one statement", 6, 1),
+        ),
+        (
+            "assertion",
+            "[ - | - ]\n  extra",
+            ("2:3: trailing input starting at 'extra'", 2, 3),
+        ),
+        (
+            "statement",
+            "wheels := 1;\n  wheels(;",
+            ("2:10: expected identifier, found ';'", 2, 10),
+        ),
+        (
+            "state",
+            "  (a == 1 || b != 2) && ",
+            ("1:22: expected identifier, found ''", 1, 22),
+        ),
+    ],
+    ids=[
+        "character-after-comment-and-tab",
+        "end-of-input",
+        "expected-integer",
+        "undeclared-concept-in-contract",
+        "empty-body",
+        "trailing-after-assertion",
+        "statement-line-2",
+        "state-formula-is-stripped",
+    ],
+)
+def test_parse_errors_point_at_line_and_column(addwheels, entry, text, expected):
+    kb = addwheels[1]
+    parse = {
+        "kb": parse_kb,
+        "program": lambda t: parse_program(t, kb),
+        "assertion": lambda t: parse_assertion(t, kb.symbols),
+        "statement": lambda t: parse_statement(t, kb),
+        "state": parse_state_formula,
+    }[entry]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == expected
+
+
 names = st.sampled_from(("a", "b", "wheels"))
 values = st.integers(-9, 9)
 

@@ -552,7 +552,6 @@ def snapshot(ctx):
         list(ctx.clauses),
         {lit: list(cis) for lit, cis in ctx.occ.items() if cis},
         list(ctx.nfalse),
-        list(ctx.nsat),
         list(ctx.assign),
         list(ctx.trail),
         dict(ctx.var_ids),
@@ -597,7 +596,7 @@ def test_a_propagated_base_does_not_change_the_search():
 
 
 # a query whose conclusion is a tautology, on which chronological DPLL
-# runs out of decisions under these premises (ROADMAP item 2)
+# runs out of decisions under these premises (ROADMAP item 4)
 TAUTOLOGY_SIG = DomainSignature(
     nominals=frozenset({"a", "b", "d"}),
     atomic_concepts=frozenset({"A"}),
@@ -614,7 +613,7 @@ TAUTOLOGY = Subsumption(AndC(SOME_1, ExistsData("t", 2)), NotC(NotC(SOME_1)))
 
 @pytest.mark.xfail(
     strict=True,
-    reason="chronological DPLL exhausts its budget on this query (ROADMAP item 2)",
+    reason="chronological DPLL exhausts its budget on this query (ROADMAP item 4)",
 )
 def test_a_tautology_is_entailed_under_premises():
     """The conclusion is a tautology, so it is entailed under any premises;
