@@ -62,6 +62,9 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        # the name token of each assignment and call, in text order, for
+        # the checks that need the whole program
+        self.targets: list[tuple[Token, lang.Statement]] = []
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[self.pos + ahead]
@@ -299,6 +302,7 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
     def sig() -> dl.DomainSignature:
         return dl.DomainSignature(*map(frozenset, declared.values()))
 
+    starts: list[int] = []  # the first token of each axiom
     while p.peek().kind != "eof":
         names = declared.get(p.peek().text)
         if names is not None:
@@ -328,20 +332,27 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
                 p.fail("expected 'on' or 'off' after 'closure'")
             closure = word == "on"
             p.expect(";")
-        elif p.peek().kind == "ident" and p.peek(1).text == "(":
-            axioms.append(_parse_domain_assertion(p, sig()))
-            p.expect(";")
         else:
-            lhs = _parse_concept(p)
-            if p.accept("=="):
-                axioms.extend(dl.equivalence(lhs, _parse_concept(p)))
+            start = p.pos
+            if p.peek().kind == "ident" and p.peek(1).text == "(":
+                axioms.append(_parse_domain_assertion(p, sig()))
             else:
-                p.expect("<=")
-                axioms.append(dl.Subsumption(lhs, _parse_concept(p)))
+                lhs = _parse_concept(p)
+                if p.accept("=="):
+                    axioms.extend(dl.equivalence(lhs, _parse_concept(p)))
+                else:
+                    p.expect("<=")
+                    axioms.append(dl.Subsumption(lhs, _parse_concept(p)))
             p.expect(";")
+            starts.extend([start] * (len(axioms) - len(starts)))
+    # symbols may be declared after the axioms that use them
     signature = sig()
-    for missing in dl.signature_of(axioms).missing_from(signature):
-        raise ParseError(f"undeclared symbol {missing!r} used in axioms", 0, 0)
+    if dl.signature_of(axioms).missing_from(signature):
+        for axiom, start in zip(axioms, starts):
+            missing = set(dl.signature_of((axiom,)).missing_from(signature))
+            if missing:
+                t = next(t for t in p.tokens[start:] if t.text in missing)
+                p.fail(f"undeclared symbol {t.text!r} used in axioms", t)
     return dl.KnowledgeBase(signature, tuple(axioms), tuple(stubs), closure)
 
 
@@ -383,16 +394,18 @@ def _parse_statement(p: _Parser, sig: dl.DomainSignature) -> lang.Statement:
         body = _parse_statements(p, sig)
         p.expect("od")
         return lang.While(cond, body)
+    t = p.peek()
     name = p.expect_ident()
+    st: lang.Statement
     if p.accept(":="):
-        expr = _parse_term(p)
-        p.expect(";")
-        return lang.Assign(name, expr)
-    p.expect("(")
-    arg = _parse_term(p)
-    p.expect(")")
+        st = lang.Assign(name, _parse_term(p))
+    else:
+        p.expect("(")
+        st = lang.Call(name, _parse_term(p))
+        p.expect(")")
     p.expect(";")
-    return lang.Call(name, arg)
+    p.targets.append((t, st))
+    return st
 
 
 def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
@@ -427,12 +440,12 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
     p.expect_eof()
     program = lang.Program(tuple(globals_), tuple(procedures))
     declared = set(program.variables)
-    for proc in procedures:
-        for st in lang.substatements(proc.body):
-            if isinstance(st, lang.Assign) and st.var not in declared:
-                raise ParseError(f"undeclared variable {st.var!r}", 0, 0)
-            if isinstance(st, lang.Call):
-                program.procedure(st.proc)
+    names = {proc.name for proc in procedures}
+    for t, st in p.targets:
+        if isinstance(st, lang.Assign) and st.var not in declared:
+            p.fail(f"undeclared variable {st.var!r}", t)
+        if isinstance(st, lang.Call) and st.proc not in names:
+            p.fail(f"undeclared procedure {st.proc!r}", t)
     return program
 
 

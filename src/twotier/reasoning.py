@@ -714,12 +714,23 @@ def entailed_atoms(
     """The atoms a, in order, for which `entails(premises, (a,), kb)` is
     Entailed, with fewer model searches.
 
+    An atom about one individual b (`_about_one`) that neither K nor the
+    premises name is asked about `_LONE` instead.  b occurs in no other
+    formula of the query, and the query axioms read only the premises,
+    so swapping b and `_LONE` maps the models of one query onto those of
+    the other, at any bound.  The verdict is the same, a itself is what
+    is returned and no countermodel leaves this function; atoms about
+    different such individuals (the stubs of parameters, on kernels)
+    share one universe, one grounding of K and one memo entry.
+
     A query for a is decided over the premises' universe and value pool,
     extended by a's individual and value.  A countermodel found for one
     atom is a model of kb and the premises over that query context, so
     it refutes every later atom over the same context that it falsifies
     (the backbone method of Janota, Lynce and Marques-Silva, AI Comm.
-    2015).  Only the remaining atoms are searched."""
+    2015).  Only the remaining atoms are searched.  An atom about one
+    individual keys its context by its own fields: the individual, None
+    when it is named, and the value, None when the pool holds it."""
     prem = frozenset(premises)
     if not kb.acyclic:
         # entails then answers Unknown or NotEntailed beyond inclusion
@@ -731,20 +742,42 @@ def entailed_atoms(
         if a in prem:
             out.append(a)
             continue
-        bounds = _query_bounds(
-            sig.nominals | signature_of((a,)).nominals,
-            ints | constants_of_formulas((a,)),
-            DEFAULT_FRESH_WITNESSES,
-        )
-        model = countermodels.get(bounds)
-        if model is not None and _falsifies(model, a):
+        asked, context = _asked(a, sig.nominals, ints)
+        model = countermodels.get(context)
+        if model is not None and _falsifies(model, asked):
             continue
-        verdict = entails(prem, (a,), kb)
+        verdict = entails(prem, (asked,), kb)
         if verdict.is_entailed:
             out.append(a)
         elif isinstance(verdict, NotEntailed):
-            countermodels[bounds] = verdict.countermodel
+            countermodels[context] = verdict.countermodel
     return tuple(out)
+
+
+# the individual that an atom about an individual nothing else names is
+# asked about: no parsed identifier starts with "_", and `_trims` takes
+# names with _ANON_PREFIX for anonymous elements
+_LONE = "_lone"
+
+
+def _asked(
+    a: DomainFormula, nominals: frozenset[str], ints: frozenset[int]
+) -> tuple[DomainFormula, tuple]:
+    """The atom `entailed_atoms` asks for a, and a key of that query's
+    context, given the nominals and values of K and the premises."""
+    b = _about_one(a)
+    if b is None:
+        return a, _query_bounds(
+            nominals | signature_of((a,)).nominals,
+            ints | constants_of_formulas((a,)),
+            DEFAULT_FRESH_WITNESSES,
+        )
+    if b in nominals:
+        b = None
+    else:
+        a, b = _renamed(a, _LONE), _LONE
+    value = a.value if isinstance(a, DataAssertion) else None
+    return a, (b, None if value in ints else value)
 
 
 def _falsifies(model: DomainInterpretation, d: DomainFormula) -> bool:

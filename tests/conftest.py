@@ -2,7 +2,7 @@ from importlib import resources
 
 import pytest
 
-from twotier import parsing
+from twotier import parsing, reasoning
 from twotier.calculus import VerifCtx
 
 # one line per acceptance criterion, filled in by the acceptance suite
@@ -38,6 +38,20 @@ def load_corpus(stem: str):
     kb = parsing.parse_kb(corpus_text(f"{stem}.kb"))
     program = parsing.parse_program(corpus_text(f"{stem}.prog"), kb)
     return program, kb
+
+
+def count_groundings(monkeypatch) -> list[tuple[tuple, tuple]]:
+    """The (universe, value pool) of every grounder made from now on, in
+    order."""
+    groundings = []
+    init = reasoning._Grounder.__init__
+
+    def counting_init(self, universe, values):
+        groundings.append((tuple(universe), tuple(values)))
+        init(self, universe, values)
+
+    monkeypatch.setattr(reasoning._Grounder, "__init__", counting_init)
+    return groundings
 
 
 @pytest.fixture(scope="session")

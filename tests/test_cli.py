@@ -125,6 +125,20 @@ def test_duplicate_procedure_is_a_parse_error(capfd, tmp_path):
     assert err == "error: 10:6: duplicate procedure 'addWheels'\n"
 
 
+def test_a_call_to_an_undeclared_procedure_is_a_parse_error(capfd, tmp_path):
+    prog = tmp_path / "unknown.prog"
+    prog.write_text(
+        "var wheels = 0;\n\nproc addWheels(n)\n  requires [ - | - ]\n"
+        "  ensures [ - | - ]\nbegin\n  wheels := n;\n  fitWheels(n);\nend;\n",
+        encoding="utf-8",
+    )
+    for argv in (("parse", str(prog), "--kb", ADD_KB), ("verify", str(prog), ADD_KB)):
+        code, out, err = run(capfd, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: 8:3: undeclared procedure 'fitWheels'\n"
+
+
 CYCLIC_KB = (
     "concept A;\nrole wheels;\ndata-role hasValue;\n"
     "individual c;\nindividual wheelsVar;\n"

@@ -17,6 +17,7 @@ from twotier.kernel import (
 from twotier.lifting import SpecLifting
 from twotier.status import ObligationStatus
 from twotier.strategy import verify_procedure
+from tests.conftest import count_groundings
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen_scaled  # noqa: E402
@@ -186,3 +187,21 @@ def test_cyclic_kb_kernels_need_no_search(monkeypatch):
     assert informative_kernel(delta, kb, pool) == ()
     has = ConceptAssertion(Atomic("Has"), "c")
     assert informative_kernel((has, hv("v", 2)), kb, pool) == ()
+
+
+@pytest.mark.hashseed
+def test_a_kernel_on_s5_grounds_k_once_for_all_parameter_stubs(monkeypatch):
+    """The pool atoms about the stubs var_a_i of s5's parameters, which
+    neither K nor Δ names, are asked about one individual: the kernel of
+    Has_0(c) grounds K over two universes, three times in all, where a
+    universe per stub took seven."""
+    kb_text, prog_text = gen_scaled.scaled(5, 2)
+    kb = parsing.parse_kb(kb_text)
+    program = parsing.parse_program(prog_text, kb)
+    pool = VerifCtx.build(program, kb).pool
+    assert NZ("var_a_4") in pool.atoms and hv("var_a_0", 1) in pool.atoms
+    groundings = count_groundings(monkeypatch)
+    has = ConceptAssertion(Atomic("Has_0"), "c")
+    assert informative_kernel((has,), kb, pool) == (hv("v_0", 1),)
+    assert len({universe for universe, _ in groundings}) == 2
+    assert len(groundings) <= 3

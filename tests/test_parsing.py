@@ -216,6 +216,26 @@ CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
             "  (a == 1 || b != 2) && ",
             ("1:22: expected identifier, found ''", 1, 22),
         ),
+        (
+            "kb",
+            "concept A; A <= B;",
+            ("1:17: undeclared symbol 'B' used in axioms", 1, 17),
+        ),
+        (
+            "kb",
+            "concept A;\nA <= some r . {x};\nrole r;",
+            ("2:16: undeclared symbol 'x' used in axioms", 2, 16),
+        ),
+        (
+            "program",
+            CONTRACT + "begin\n  x := 1;\n  if (x) then y := a; else skip; fi\nend;",
+            ("7:15: undeclared variable 'y'", 7, 15),
+        ),
+        (
+            "program",
+            CONTRACT + "begin\n  while (x) do\n    q(1);\n  od\nend;",
+            ("7:5: undeclared procedure 'q'", 7, 5),
+        ),
     ],
     ids=[
         "character-after-comment-and-tab",
@@ -226,6 +246,10 @@ CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
         "trailing-after-assertion",
         "statement-line-2",
         "state-formula-is-stripped",
+        "undeclared-concept-in-axiom",
+        "undeclared-individual-role-declared-after",
+        "undeclared-variable",
+        "undeclared-procedure",
     ],
 )
 def test_parse_errors_point_at_line_and_column(addwheels, entry, text, expected):

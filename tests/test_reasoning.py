@@ -35,6 +35,7 @@ from twotier.domainlogic import (
     satisfies,
 )
 from twotier.lifting import SpecLifting
+from tests.conftest import count_groundings
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen_scaled  # noqa: E402
@@ -233,6 +234,16 @@ def kbs(draw):
     return KnowledgeBase(tiny_kb().signature, tuple(axioms), stubs, draw(st.booleans()))
 
 
+def assert_entailed_atoms_are_per_atom(kb, premises, atoms):
+    kb.reasoner.refutations.clear()
+    fast = reasoning.entailed_atoms(premises, atoms, kb)
+    kb.reasoner.refutations.clear()
+    slow = tuple(
+        a for a in atoms if reasoning.entails(premises, (a,), kb).is_entailed
+    )
+    assert fast == slow
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     kb=kbs(),
@@ -243,13 +254,56 @@ def test_entailed_atoms_matches_one_query_per_atom(kb, premises, atoms):
     """Atoms inside and outside the premises, over individuals and values
     inside and outside K, on acyclic and cyclic kbs: refuting atoms with
     earlier countermodels gives the per-atom verdicts."""
-    kb.reasoner.refutations.clear()
-    fast = reasoning.entailed_atoms(premises, atoms, kb)
-    kb.reasoner.refutations.clear()
-    slow = tuple(
-        a for a in atoms if reasoning.entails(premises, (a,), kb).is_entailed
-    )
-    assert fast == slow
+    assert_entailed_atoms_are_per_atom(kb, premises, atoms)
+
+
+# c and s are K's individuals, y is named by the premises that draw it,
+# and x and z by nothing else; the values 2 and 5 are outside the pool
+# unless a premise holds them
+LONE_ATOMS = tuple(
+    [ConceptAssertion(C, i) for C in (A, B) for i in "csyxz"]
+    + [DataAssertion("t", i, v) for i in "csyxz" for v in (0, 1, 2, 5)]
+    + [
+        ConceptAssertion(NotC(A), "x"),
+        ConceptAssertion(ExistsData("t", 1), "z"),
+        RoleAssertion("r", "c", "x"),
+    ]
+)
+LONE_PREMISES = (
+    ConceptAssertion(A, "y"),
+    DataAssertion("t", "y", 1),
+    DataAssertion("t", "y", 2),
+    RoleAssertion("r", "c", "y"),
+    ConceptAssertion(A, "c"),
+    Subsumption(B, ExistsData("t", 5)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kb=kbs(),
+    premises=st.lists(st.sampled_from(LONE_PREMISES), max_size=3),
+    atoms=st.lists(st.sampled_from(LONE_ATOMS), max_size=10),
+)
+@example(
+    kb=tiny_kb([Subsumption(A, B)]),
+    premises=[ConceptAssertion(A, "y")],
+    atoms=[ConceptAssertion(B, "x"), ConceptAssertion(B, "y")],
+)
+@example(
+    kb=tiny_kb([DataAssertion("t", "s", 1), Subsumption(ExistsData("t", 1), B)]),
+    premises=[],
+    atoms=[ConceptAssertion(B, "x"), ConceptAssertion(B, "s")],
+)
+def test_atoms_about_unnamed_individuals_are_asked_up_to_renaming(
+    kb, premises, atoms
+):
+    """Atoms about one individual that neither K nor the premises name are
+    asked about one other name, and share its context: the verdicts are
+    still one query's per atom, for atoms about individuals K names, the
+    premises name or nothing names, with values inside and outside the
+    pool, and for atoms that are about more than one individual alone."""
+    assert_entailed_atoms_are_per_atom(kb, premises, atoms)
 
 
 def test_equal_kbs_hash_equal():
@@ -331,20 +385,6 @@ def test_a_kb_slot_gives_the_models_of_fresh_kbs(kb, queries):
         )
         assert model == expected
         assert kb.reasoner.key is not None
-
-
-def count_groundings(monkeypatch) -> list[tuple[tuple, tuple]]:
-    """The (universe, value pool) of every grounder made from now on, in
-    order."""
-    groundings = []
-    init = reasoning._Grounder.__init__
-
-    def counting_init(self, universe, values):
-        groundings.append((tuple(universe), tuple(values)))
-        init(self, universe, values)
-
-    monkeypatch.setattr(reasoning._Grounder, "__init__", counting_init)
-    return groundings
 
 
 @pytest.mark.hashseed
