@@ -29,7 +29,7 @@ from .statelogic import (
     same_state,
     substitute,
 )
-from .domainlogic import DomainFormula, KnowledgeBase
+from .domainlogic import DomainFormula, KnowledgeBase, signature_of
 from .lifting import SpecLifting
 from .kernel import CandidatePool
 from .status import ObligationStatus, status_of_verdict
@@ -53,6 +53,7 @@ from .lang import (
     contract_pre,
     interpret,
 )
+from .parsing import statement_to_line
 from . import reasoning
 
 
@@ -67,8 +68,6 @@ class Judgement:
     post: TwoTierAssertion
 
     def __str__(self) -> str:
-        from .parsing import statement_to_line
-
         return f"{self.pre} {statement_to_line(self.stmt)} {self.post}"
 
     def with_side(self, side: str, a: TwoTierAssertion) -> "Judgement":
@@ -128,7 +127,7 @@ class ProofTree:
     rule: str
     premises: tuple["ProofTree", ...] = ()
     obligations: tuple[Obligation, ...] = ()
-    args: tuple[tuple[str, str], ...] = ()  # rendered rule arguments
+    args: tuple[tuple[str, object], ...] = ()  # apply_rule's keyword arguments
 
     @property
     def closed(self) -> bool:
@@ -222,8 +221,6 @@ class VerifCtx:
 
     def signature_obligation(self, atoms: Iterable[DomainFormula]) -> Obligation:
         atoms = tuple(atoms)
-        from .domainlogic import signature_of
-
         missing = signature_of(atoms).missing_from(self.lifting.kernel_signature)
         return Obligation(
             kind="signature-check",
@@ -427,7 +424,7 @@ def _node(
         rule=rule,
         premises=subtrees,
         obligations=obligations,
-        args=render_args(kwargs),
+        args=tuple(kwargs.items()),
     )
 
 
@@ -453,30 +450,6 @@ def _kernel_steps(
     if alpha:
         tree = _node(ctx, f"{side}-core", outer, premises=(tree,), kernel=alpha)
     return tree
-
-
-# a rule's arguments in stored order, each marked True when it is a list
-# of domain atoms (stored as "a; b") rather than an assertion
-RULE_ARGS = (
-    ("kernel", True),
-    ("delta_prime", True),
-    ("mid", False),
-    ("inner_pre", False),
-    ("inner_post", False),
-)
-
-
-def render_args(kwargs: dict) -> tuple[tuple[str, str], ...]:
-    out = []
-    for key, atoms in RULE_ARGS:
-        value = kwargs.get(key)
-        if value is None:
-            continue
-        if atoms:
-            out.append((key, "; ".join(str(f) for f in value)))
-        else:
-            out.append((key, str(value)))
-    return tuple(out)
 
 
 def expand_lift_var(ctx: VerifCtx, target: Judgement) -> ProofTree:
@@ -534,21 +507,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _parse_args(ctx: VerifCtx, node: ProofTree) -> dict:
-    from .parsing import parse_assertion, parse_domain_formula
-
-    sig = ctx.kb.symbols
-    atom_lists = dict(RULE_ARGS)
-    out: dict = {}
-    for key, value in node.args:
-        if atom_lists.get(key):
-            parts = [p.strip() for p in value.split(";") if p.strip()]
-            out[key] = tuple(parse_domain_formula(p, sig) for p in parts)
-        elif key in atom_lists:
-            out[key] = parse_assertion(value, sig)
-    return out
-
-
 def check_proof(ctx: VerifCtx, tree: ProofTree) -> VerificationReport:
     failures: list[CheckFailure] = []
     for path, node in tree.walk():
@@ -561,9 +519,8 @@ def check_proof(ctx: VerifCtx, tree: ProofTree) -> VerificationReport:
             failures.append(CheckFailure(path, f"unknown rule {node.rule!r}"))
             continue
         try:
-            kwargs = _parse_args(ctx, node)
             premise_judgements, obligations = apply_rule(
-                ctx, rule, node.conclusion, **kwargs
+                ctx, rule, node.conclusion, **dict(node.args)
             )
         except VerifierError as exc:
             failures.append(CheckFailure(path, f"{type(exc).__name__}: {exc}"))

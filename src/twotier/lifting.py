@@ -79,8 +79,6 @@ class SpecLifting:
         for v, s in self.stub_bindings:
             if s == stub:
                 return v
-        if stub.startswith("var_"):
-            return stub[len("var_"):]
         return None
 
     # -- formula lifting ----------------------------------------------------

@@ -62,9 +62,10 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
-        # the name token of each assignment and call, in text order, for
-        # the checks that need the whole program
-        self.targets: list[tuple[Token, lang.Statement]] = []
+        # each token naming a program variable or a procedure, with
+        # which of the two it names, in text order, for the checks that
+        # need the whole program
+        self.names: list[tuple[Token, str]] = []
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[self.pos + ahead]
@@ -136,7 +137,9 @@ def _parse_term(p: _Parser) -> sl.Term:
     t = p.peek()
     if t.kind == "int" or t.text == "-":
         return sl.Lit(p.expect_int())
-    return sl.Var(p.expect_ident())
+    name = p.expect_ident()
+    p.names.append((t, "variable"))
+    return sl.Var(name)
 
 
 def _parse_state_atom(p: _Parser) -> sl.StateFormula:
@@ -289,6 +292,20 @@ def parse_assertion(text: str, sig: dl.DomainSignature) -> TwoTierAssertion:
 # Knowledge-base files
 
 
+def _symbol_kind(tokens: list[Token], i: int) -> str:
+    """The DomainSignature field of what tokens[i] names in a kb axiom
+    that parsed: an individual after '{', ',' or an assertion's '(', a
+    role after 'some' or 'all', and a concept otherwise."""
+    before = tokens[i - 1].text
+    if before in ("{", ",") or (before == "(" and tokens[i - 2].kind == "ident"):
+        return "nominals"
+    if before in ("some", "all"):
+        value = tokens[i + 2]  # past the '.'
+        data = value.kind == "int" or value.text == "-"
+        return "concrete_roles" if data else "abstract_roles"
+    return "atomic_concepts"
+
+
 def parse_kb(text: str) -> dl.KnowledgeBase:
     p = _Parser(text)
     # one set per declaration keyword, in DomainSignature's field order
@@ -349,10 +366,12 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
     signature = sig()
     if dl.signature_of(axioms).missing_from(signature):
         for axiom, start in zip(axioms, starts):
-            missing = set(dl.signature_of((axiom,)).missing_from(signature))
-            if missing:
-                t = next(t for t in p.tokens[start:] if t.text in missing)
-                p.fail(f"undeclared symbol {t.text!r} used in axioms", t)
+            used = dl.signature_of((axiom,))
+            if used.missing_from(signature):
+                for i, t in enumerate(p.tokens[start:], start):
+                    kind = _symbol_kind(p.tokens, i)
+                    if t.text in getattr(used, kind) - getattr(signature, kind):
+                        p.fail(f"undeclared symbol {t.text!r} used in axioms", t)
     return dl.KnowledgeBase(signature, tuple(axioms), tuple(stubs), closure)
 
 
@@ -398,13 +417,14 @@ def _parse_statement(p: _Parser, sig: dl.DomainSignature) -> lang.Statement:
     name = p.expect_ident()
     st: lang.Statement
     if p.accept(":="):
+        p.names.append((t, "variable"))
         st = lang.Assign(name, _parse_term(p))
     else:
         p.expect("(")
+        p.names.append((t, "procedure"))
         st = lang.Call(name, _parse_term(p))
         p.expect(")")
     p.expect(";")
-    p.targets.append((t, st))
     return st
 
 
@@ -439,13 +459,13 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
         )
     p.expect_eof()
     program = lang.Program(tuple(globals_), tuple(procedures))
-    declared = set(program.variables)
-    names = {proc.name for proc in procedures}
-    for t, st in p.targets:
-        if isinstance(st, lang.Assign) and st.var not in declared:
-            p.fail(f"undeclared variable {st.var!r}", t)
-        if isinstance(st, lang.Call) and st.proc not in names:
-            p.fail(f"undeclared procedure {st.proc!r}", t)
+    declared = {
+        "variable": set(program.variables),
+        "procedure": {proc.name for proc in procedures},
+    }
+    for t, kind in p.names:
+        if t.text not in declared[kind]:
+            p.fail(f"undeclared {kind} {t.text!r}", t)
     return program
 
 

@@ -13,19 +13,41 @@ import json
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator
 
-from .domainlogic import KnowledgeBase
+from .domainlogic import DomainFormula, DomainSignature, KnowledgeBase
 from .errors import ParseError
 from .status import ObligationStatus
-from .calculus import RULE_ARGS, Judgement, Obligation, ProofTree
+from .calculus import Judgement, Obligation, ProofTree
 from .lang import Program
+from .parsing import parse_assertion, parse_domain_formula, parse_statement, statement_to_line
 
 FORMAT = "two-tier-proof"
 VERSION = 1
 
 
-def tree_to_dict(tree: ProofTree) -> dict[str, Any]:
-    from .parsing import statement_to_line
+def _render_arg(value: Any) -> str:
+    """A rule argument's text: domain atoms as "a; b", an assertion as
+    its tier syntax."""
+    if isinstance(value, tuple):
+        return "; ".join(str(f) for f in value)
+    return str(value)
 
+
+def _parse_atoms(text: str, sig: DomainSignature) -> tuple[DomainFormula, ...]:
+    parts = (p.strip() for p in text.split(";"))
+    return tuple(parse_domain_formula(p, sig) for p in parts if p)
+
+
+# apply_rule's keyword arguments, each with the parser of its stored text
+_ARG_PARSERS = {
+    "kernel": _parse_atoms,
+    "delta_prime": _parse_atoms,
+    "mid": parse_assertion,
+    "inner_pre": parse_assertion,
+    "inner_post": parse_assertion,
+}
+
+
+def tree_to_dict(tree: ProofTree) -> dict[str, Any]:
     return {
         "rule": tree.rule,
         "conclusion": {
@@ -33,7 +55,7 @@ def tree_to_dict(tree: ProofTree) -> dict[str, Any]:
             "stmt": statement_to_line(tree.conclusion.stmt),
             "post": str(tree.conclusion.post),
         },
-        "args": {k: v for k, v in tree.args},
+        "args": {k: _render_arg(v) for k, v in tree.args},
         "obligations": [
             {
                 "kind": o.kind,
@@ -64,8 +86,6 @@ def dumps_procedures(results: Iterable[tuple[str, ProofTree]]) -> str:
 def tree_from_dict(
     data: dict[str, Any], kb: KnowledgeBase, program: Program
 ) -> ProofTree:
-    from .parsing import parse_assertion, parse_statement
-
     sig = kb.symbols
     conclusion = Judgement(
         pre=parse_assertion(data["conclusion"]["pre"], sig),
@@ -84,16 +104,17 @@ def tree_from_dict(
     premises = tuple(
         tree_from_dict(p, kb, program) for p in data.get("premises", ())
     )
-    stored = data.get("args", {})
-    order = dict(RULE_ARGS)  # the known keys, then the others sorted
-    args = tuple((k, stored[k]) for k in order if k in stored)
-    args += tuple((k, v) for k, v in sorted(stored.items()) if k not in order)
+    args = []
+    for key, text in sorted(data.get("args", {}).items()):
+        if key not in _ARG_PARSERS:
+            raise ParseError(f"unknown rule argument {key!r}")
+        args.append((key, _ARG_PARSERS[key](text, sig)))
     return ProofTree(
         conclusion=conclusion,
         rule=data["rule"],
         premises=premises,
         obligations=obligations,
-        args=args,
+        args=tuple(args),
     )
 
 

@@ -116,7 +116,9 @@ def strip_true(phi: StateFormula) -> StateFormula:
     every conjunction to the left, under negations too, as the parser
     does.  Used by rule-shape checks so that bookkeeping conjuncts
     introduced by inverting empty tiers do not block axiom rules, and so
-    that a proof tree built in memory matches its re-parsed arguments."""
+    that a tree read from a proof file replays: the checker rebuilds
+    `And(state, delift(...))` right-nested, while a stored premise is
+    parsed left-associated."""
     if isinstance(phi, Not):
         return Not(strip_true(phi.arg))
     if isinstance(phi, And):

@@ -139,6 +139,47 @@ def test_a_call_to_an_undeclared_procedure_is_a_parse_error(capfd, tmp_path):
         assert err == "error: 8:3: undeclared procedure 'fitWheels'\n"
 
 
+@pytest.mark.parametrize(
+    "requires, body, message",
+    [
+        ("-", "wheels := zz;", "7:13: undeclared variable 'zz'"),
+        ("q == 3", "wheels := 1;", "4:18: undeclared variable 'q'"),
+    ],
+    ids=["assigned-term", "contract"],
+)
+def test_an_undeclared_variable_is_a_parse_error_for_fuzz(
+    capfd, tmp_path, requires, body, message
+):
+    # each verified Closed, and fuzz then hit the unbound variable (exit 3)
+    prog = tmp_path / "undeclared.prog"
+    prog.write_text(
+        "var wheels = 0;\n\nproc addWheels(nrWheels)\n"
+        f"  requires [ - | {requires} ]\n  ensures [ - | - ]\n"
+        f"begin\n  {body}\nend;\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capfd, "fuzz", str(prog), ADD_KB)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_var_prefixed_individual_names_no_program_variable(capfd, tmp_path):
+    # var_q is named like the default stub of a variable q that the
+    # program does not declare, so its atom lifts to no state conjunct
+    prog = tmp_path / "var_q.prog"
+    prog.write_text(
+        "var wheels = 0;\n\nproc addWheels(nrWheels)\n"
+        "  requires [ hasValue(var_q, 3) | - ]\n  ensures [ - | - ]\n"
+        "begin\n  wheels := 1;\nend;\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capfd, "verify", str(prog), ADD_KB)
+    assert code == 0
+    assert out.splitlines()[0] == "procedure addWheels: Closed"
+    assert err == ""
+
+
 CYCLIC_KB = (
     "concept A;\nrole wheels;\ndata-role hasValue;\n"
     "individual c;\nindividual wheelsVar;\n"
@@ -295,6 +336,30 @@ def test_check_rejects_malformed_proof(capfd, tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ({"kernel": "Nope(c)"}, "1:1: undeclared symbol 'Nope'"),
+        (
+            {"kernel": "hasValue(wheelsVar, 4)", "kernels": "x"},
+            "unknown rule argument 'kernels'",
+        ),
+    ],
+    ids=["argument-does-not-parse", "unknown-argument"],
+)
+def test_check_rejects_rule_arguments_that_do_not_load(capfd, tmp_path, args, message):
+    proof = tmp_path / "proofs.json"
+    run(capfd, "verify", ADD_PROG, ADD_KB, "--proof-out", str(proof))
+    doc = json.loads(proof.read_text(encoding="utf-8"))
+    doc["procedures"]["addWheels"]["args"] = args
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capfd, "check", str(bad), ADD_PROG, ADD_KB)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_parse_kb_round_trip(capfd):

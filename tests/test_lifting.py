@@ -40,6 +40,8 @@ def test_stub_declarations_override_defaults(corrected):
     assert lift.stub_for("nrWheels") == "var_nrWheels"
     assert lift.variable_for("wheelsVar") == "wheels"
     assert lift.variable_for("var_nrWheels") == "nrWheels"
+    # a stub-shaped name that no program variable is bound to names none
+    assert lift.variable_for("var_q") is None
 
 
 def test_lift_atoms(corrected):

@@ -236,6 +236,37 @@ CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
             CONTRACT + "begin\n  while (x) do\n    q(1);\n  od\nend;",
             ("7:5: undeclared procedure 'q'", 7, 5),
         ),
+        (
+            "kb",
+            "concept x; x <= {x};",
+            ("1:18: undeclared symbol 'x' used in axioms", 1, 18),
+        ),
+        (
+            "program",
+            CONTRACT + "begin\n  x := zz;\nend;",
+            ("6:8: undeclared variable 'zz'", 6, 8),
+        ),
+        (
+            "program",
+            CONTRACT + "begin\n  if (zz) then skip; else skip; fi\nend;",
+            ("6:7: undeclared variable 'zz'", 6, 7),
+        ),
+        (
+            "program",
+            CONTRACT + "begin\n  while (zz) do skip; od\nend;",
+            ("6:10: undeclared variable 'zz'", 6, 10),
+        ),
+        (
+            "program",
+            CONTRACT + "begin\n  p(zz);\nend;",
+            ("6:5: undeclared variable 'zz'", 6, 5),
+        ),
+        (
+            "program",
+            "var x = 0;\nproc p(a)\n  requires [ - | q == 3 ]\n"
+            "  ensures [ - | - ]\nbegin\n  skip;\nend;",
+            ("3:18: undeclared variable 'q'", 3, 18),
+        ),
     ],
     ids=[
         "character-after-comment-and-tab",
@@ -250,6 +281,12 @@ CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
         "undeclared-individual-role-declared-after",
         "undeclared-variable",
         "undeclared-procedure",
+        "undeclared-individual-named-like-a-declared-concept",
+        "undeclared-variable-in-assigned-term",
+        "undeclared-variable-in-if-condition",
+        "undeclared-variable-in-while-condition",
+        "undeclared-variable-in-call-argument",
+        "undeclared-variable-in-contract",
     ],
 )
 def test_parse_errors_point_at_line_and_column(addwheels, entry, text, expected):
@@ -264,6 +301,17 @@ def test_parse_errors_point_at_line_and_column(addwheels, entry, text, expected)
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert (str(exc.value), exc.value.line, exc.value.column) == expected
+
+
+def test_a_term_may_name_the_parameter_of_a_later_procedure(addwheels):
+    # every parameter is a program variable, wherever it is declared
+    text = (
+        "var x = 0;\n"
+        "proc p(a) requires [ - | b == 3 ] ensures [ - | - ] begin x := b; end;\n"
+        "proc q(b) requires [ - | - ] ensures [ - | a == 1 ] begin p(b); end;\n"
+    )
+    program = parse_program(text, addwheels[1])
+    assert program.variables == ("x", "a", "b")
 
 
 names = st.sampled_from(("a", "b", "wheels"))

@@ -156,7 +156,8 @@ def test_false_judgement_stays_open_with_counter_state(corrected_ctx):
 
 def test_in_memory_tree_with_a_branch_passes_the_checker(corrected):
     # needed_pre nests the branch conjunctions under a negation
-    # differently from the checker's re-parsed `mid`
+    # differently from the left-associated `mid` that a proof file's
+    # parse gives; the tree passes both as built and after a round trip
     kb = corrected[1]
     host = corpus_text("assembly_corrected.prog")
     text = host[: host.index("\nproc assembly(")] + (
@@ -174,6 +175,42 @@ def test_in_memory_tree_with_a_branch_passes_the_checker(corrected):
     ctx = VerifCtx.build(program, kb)
     tree = verify_procedure(ctx, program.procedure("generated"))
     assert tree.closed
+    assert check_proof(ctx, tree).closed
+    back = serialize.loads(serialize.dumps(tree), kb, program)
+    assert check_proof(ctx, back).closed
+
+
+@pytest.mark.parametrize(
+    "post, body, mid",
+    [
+        (
+            "[ HasFourWheels(c) | - ]",
+            "wheels := n;\n  skip;",
+            "[ - | true && wheels == 4 ]",
+        ),
+        (
+            "[ - | wheels == 4 ]",
+            "skip;\n  if (n) then wheels := n; skip; else wheels := 4; fi",
+            "[ - | !(!(n != 0 && n == 4) && !(n == 0 && 4 == 4)) ]",
+        ),
+    ],
+    ids=["skip-mid-by-abduction", "branch-ending-in-a-sequence"],
+)
+def test_needed_pre_gives_the_mid_that_closes_a_sequence(addwheels, post, body, mid):
+    # the first case closes only because the skip's `mid` comes from
+    # abduction of HasFourWheels(c); the second recurses through the
+    # sequence inside the branch
+    kb = addwheels[1]
+    text = (
+        f"var wheels = 0;\n\nproc p(n)\n  requires [ - | n == 4 ]\n"
+        f"  ensures {post}\nbegin\n  {body}\nend;\n"
+    )
+    program = parse_program(text, kb)
+    ctx = VerifCtx.build(program, kb)
+    tree = verify_procedure(ctx, program.procedure("p"))
+    assert tree.closed
+    assert tree.spine() == ("seq",)
+    assert str(dict(tree.args)["mid"]) == mid
     assert check_proof(ctx, tree).closed
 
 
