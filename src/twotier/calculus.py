@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     MissingArgument,
@@ -70,12 +70,6 @@ class Judgement:
     def __str__(self) -> str:
         return f"{self.pre} {statement_to_line(self.stmt)} {self.post}"
 
-    def with_side(self, side: str, a: TwoTierAssertion) -> "Judgement":
-        """This judgement with its `side` ("pre" or "post") assertion replaced."""
-        if side == "pre":
-            return Judgement(a, self.stmt, self.post)
-        return Judgement(self.pre, self.stmt, a)
-
 
 @dataclass(frozen=True)
 class Obligation:
@@ -88,21 +82,8 @@ class Obligation:
 # core, inversion and lift are each one rule, applied to either side
 SIDES = ("pre", "post")
 SIDED_KINDS = ("lift", "core", "inv")
-RULE_NAMES = {
-    "pre-lift",
-    "post-lift",
-    "pre-core",
-    "post-core",
-    "pre-inv",
-    "post-inv",
-    "cons",
-    "var",
-    "skip",
-    "branch",
-    "contract",
-    "seq",
-    "lift-var",
-    "total",
+RULE_NAMES = {f"{side}-{kind}" for side in SIDES for kind in SIDED_KINDS} | {
+    "cons", "var", "skip", "branch", "contract", "seq", "lift-var", "total"
 }
 
 OPEN_RULE = "open"
@@ -352,7 +333,7 @@ def apply_rule(
             recovered = lifting.delift(delta_prime)
             enriched = assertion(a.domain, And(a.state, recovered))
             obligations = (ctx.signature_obligation(delta_prime),)
-        return (target.with_side(side, enriched),), obligations
+        return (replace(target, **{side: enriched}),), obligations
 
     if rule == "lift-var":
         _require(isinstance(stmt, Assign), "lift-var rule requires an assignment")
@@ -402,62 +383,58 @@ def apply_rule(
 
 
 # ---------------------------------------------------------------------------
-# Derived-rule expansions (used by the soundness property tests)
+# Building trees top-down: the rules alone make premises
 
 
-def _node(
-    ctx: VerifCtx,
-    rule: str,
-    target: Judgement,
-    premises: Sequence[ProofTree] = (),
-    **kwargs,
+def step(
+    ctx: VerifCtx, rule: str, target: Judgement, derive_premise=None, **args
 ) -> ProofTree:
-    """Build one tree node by applying the rule and attaching subtrees."""
-    premise_judgements, obligations = apply_rule(ctx, rule, target, **kwargs)
-    subtrees = tuple(premises)
-    assert len(subtrees) == len(premise_judgements)
-    for sub, expected in zip(subtrees, premise_judgements):
-        assert same_assertion(sub.conclusion.pre, expected.pre)
-        assert same_assertion(sub.conclusion.post, expected.post)
+    """The node of `rule` concluding `target`: `apply_rule` is applied
+    once, and each premise judgement it returns gets the subtree that
+    `derive_premise` makes of it."""
+    premises, obligations = apply_rule(ctx, rule, target, **args)
     return ProofTree(
         conclusion=target,
         rule=rule,
-        premises=subtrees,
+        premises=tuple(derive_premise(j) for j in premises),
         obligations=obligations,
-        args=tuple(kwargs.items()),
+        args=tuple(args.items()),
     )
 
 
-def _cons(ctx: VerifCtx, target: Judgement, sub: ProofTree) -> ProofTree:
-    """A cons step concluding `target` over `sub`, whose conclusion gives
-    the inner pre- and postcondition."""
-    inner = sub.conclusion
-    return _node(
-        ctx, "cons", target, premises=(sub,), inner_pre=inner.pre, inner_post=inner.post
-    )
+Step = tuple[str, dict]  # a single-premise rule and its arguments
 
 
-def _kernel_steps(
-    ctx: VerifCtx, tree: ProofTree, outer: Judgement, side: str, alpha, recovered, full
-) -> ProofTree:
-    """Wrap `tree`, which proves `outer` with its `side` domain tier
-    enlarged to `full`, in the `{side}-inv` step recovering the state
-    conjuncts of `recovered` and the `{side}-core` step adding the
-    kernel atoms `alpha`, each left out when it has no atoms."""
-    if recovered:
-        enriched = outer.with_side(side, assertion(full, getattr(outer, side).state))
-        tree = _node(ctx, f"{side}-inv", enriched, premises=(tree,), delta_prime=recovered)
+def chain(ctx: VerifCtx, target: Judgement, steps: Sequence[Step], leaf) -> ProofTree:
+    """The single-premise `steps` applied from `target` down, over the
+    subtree that `leaf` makes of the judgement the last step hands down."""
+    if not steps:
+        return leaf(target)
+    (rule, args), *rest = steps
+    return step(ctx, rule, target, lambda j: chain(ctx, j, rest, leaf), **args)
+
+
+def kernel_steps(side: str, alpha, recovered) -> list[Step]:
+    """The `{side}-core` step adding the kernel atoms `alpha`, then the
+    `{side}-inv` step recovering the state conjuncts of `recovered`,
+    each left out when it has no atoms."""
+    steps: list[Step] = []
     if alpha:
-        tree = _node(ctx, f"{side}-core", outer, premises=(tree,), kernel=alpha)
-    return tree
+        steps.append((f"{side}-core", {"kernel": alpha}))
+    if recovered:
+        steps.append((f"{side}-inv", {"delta_prime": recovered}))
+    return steps
+
+
+def cons_step(inner_pre: TwoTierAssertion, inner_post: TwoTierAssertion) -> Step:
+    return ("cons", {"inner_pre": inner_pre, "inner_post": inner_post})
 
 
 def expand_lift_var(ctx: VerifCtx, target: Judgement) -> ProofTree:
     """The primitive derivation behind rule lift-var: cons over var."""
-    stmt = target.stmt
-    assert isinstance(stmt, Assign)
-    inner_pre = assertion((), target.pre.state)
-    return _cons(ctx, target, _node(ctx, "var", Judgement(inner_pre, stmt, target.post)))
+    assert isinstance(target.stmt, Assign)
+    steps = [cons_step(assertion((), target.pre.state), target.post)]
+    return chain(ctx, target, steps, lambda j: step(ctx, "var", j))
 
 
 def expand_total(
@@ -467,20 +444,15 @@ def expand_total(
     kernel: cons, post-core, post-inv, cons, var."""
     stmt = target.stmt
     assert isinstance(stmt, Assign)
-    delta = target.post.domain
-    phi = target.post.state
-    hat = And(phi, ctx.lifting.delift(kernel))
-    needed = substitute(hat, stmt.var, stmt.expr)
-    bare_pre = assertion((), needed)
-    enlarged = assertion(tuple(delta) + tuple(kernel), hat)
-    var_leaf = _node(ctx, "var", Judgement(bare_pre, stmt, enlarged))
-    inner_cons = _cons(
-        ctx, Judgement(bare_pre, stmt, assertion(enlarged.domain, hat)), var_leaf
-    )
-    outer = Judgement(bare_pre, stmt, assertion(delta, phi))
     kernel = tuple(kernel)
-    tree = _kernel_steps(ctx, inner_cons, outer, "post", kernel, kernel, enlarged.domain)
-    return _cons(ctx, target, tree)
+    hat = And(target.post.state, ctx.lifting.delift(kernel))
+    bare_pre = assertion((), substitute(hat, stmt.var, stmt.expr))
+    steps = [
+        cons_step(bare_pre, target.post),
+        *kernel_steps("post", kernel, kernel),
+        cons_step(bare_pre, assertion(target.post.domain + kernel, hat)),
+    ]
+    return chain(ctx, target, steps, lambda j: step(ctx, "var", j))
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +477,14 @@ class VerificationReport:
         for f in self.failures:
             lines.append(f"  at {f.path}: {f.reason}")
         return "\n".join(lines)
+
+
+def _same_judgement(a: Judgement, b: Judgement) -> bool:
+    return (
+        same_assertion(a.pre, b.pre)
+        and same_assertion(a.post, b.post)
+        and a.stmt == b.stmt
+    )
 
 
 def check_proof(ctx: VerifCtx, tree: ProofTree) -> VerificationReport:
@@ -536,11 +516,7 @@ def check_proof(ctx: VerifCtx, tree: ProofTree) -> VerificationReport:
             continue
         for i, (expected, sub) in enumerate(zip(premise_judgements, node.premises)):
             actual = sub.conclusion
-            if (
-                not same_assertion(expected.pre, actual.pre)
-                or not same_assertion(expected.post, actual.post)
-                or expected.stmt != actual.stmt
-            ):
+            if not _same_judgement(expected, actual):
                 failures.append(
                     CheckFailure(
                         f"{path}.{i}",
@@ -570,6 +546,30 @@ def check_proof(ctx: VerifCtx, tree: ProofTree) -> VerificationReport:
                     CheckFailure(path, f"extraneous obligation {key[0]}: {key[1]}")
                 )
     return VerificationReport(closed=not failures, failures=tuple(failures))
+
+
+def check_program(
+    ctx: VerifCtx, trees: Mapping[str, ProofTree]
+) -> dict[str, VerificationReport]:
+    """Each procedure's report, in name order: its tree replayed by
+    `check_proof`, failing at root unless the tree concludes the
+    procedure's contract over its body, and Open when it has no tree."""
+    reports = {}
+    for proc in sorted(ctx.program.procedures, key=lambda p: p.name):
+        tree = trees.get(proc.name)
+        expected = Judgement(proc.contract.pre, proc.body, proc.contract.post)
+        if tree is None:
+            failures = (CheckFailure("root", "no proof tree for this procedure"),)
+        else:
+            failures = check_proof(ctx, tree).failures
+            if not _same_judgement(expected, tree.conclusion):
+                reason = (
+                    f"root mismatch: procedure {proc.name} requires {expected} "
+                    f"but the tree stores {tree.conclusion}"
+                )
+                failures = (CheckFailure("root", reason),) + failures
+        reports[proc.name] = VerificationReport(not failures, failures)
+    return reports
 
 
 # ---------------------------------------------------------------------------

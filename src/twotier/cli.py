@@ -21,6 +21,7 @@ from .status import ObligationStatus
 from .calculus import (
     ProofTree,
     VerifCtx,
+    check_program,
     check_proof,
     validate_judgement_empirically,
 )
@@ -183,14 +184,15 @@ def cmd_check(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     ctx = load_ctx(args)
     text = Path(args.proof).read_text(encoding="utf-8")
-    named = serialize.loads_procedures(text, ctx.kb, ctx.program)
-    exit_code = EXIT_OK
-    for name, tree in named:
-        report = check_proof(ctx, tree)
+    trees = serialize.loads(text, ctx.kb, ctx.program)
+    if isinstance(trees, ProofTree):
+        # a lone tree certifies the judgement it concludes
+        reports = {str(trees.conclusion): check_proof(ctx, trees)}
+    else:
+        reports = check_program(ctx, trees)
+    for name, report in reports.items():
         print(f"{name}: {report.describe()}", file=out)
-        if not report.closed:
-            exit_code = EXIT_FAILED
-    return exit_code
+    return EXIT_OK if all(r.closed for r in reports.values()) else EXIT_FAILED
 
 
 def cmd_parse(args: argparse.Namespace, out=None) -> int:

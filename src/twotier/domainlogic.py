@@ -9,6 +9,7 @@ stub individual.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
@@ -57,7 +58,7 @@ class AndC:
     rhs: "Concept"
 
     def __str__(self) -> str:
-        return f"{_wrap_and(self.lhs)} & {_wrap_and(self.rhs)}"
+        return f"{_wrap(self.lhs, AndC)} & {_wrap(self.rhs, AndC)}"
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class OrC:
     rhs: "Concept"
 
     def __str__(self) -> str:
-        return f"{_wrap_or(self.lhs)} | {_wrap_or(self.rhs)}"
+        return f"{_wrap(self.lhs, OrC)} | {_wrap(self.rhs, OrC)}"
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class ExistsRole:
     arg: "Concept"
 
     def __str__(self) -> str:
-        return f"some {self.role} . {_wrap_quant(self.arg)}"
+        return f"some {self.role} . {_wrap(self.arg, *_QUANTIFIERS)}"
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class ForallRole:
     arg: "Concept"
 
     def __str__(self) -> str:
-        return f"all {self.role} . {_wrap_quant(self.arg)}"
+        return f"all {self.role} . {_wrap(self.arg, *_QUANTIFIERS)}"
 
 
 @dataclass(frozen=True)
@@ -128,27 +129,14 @@ Concept = (
 )
 
 
-def _wrap(c: Concept) -> str:
-    if isinstance(c, (Top, Bottom, Atomic, Nominal, NotC)):
-        return str(c)
-    return f"({c})"
+# a quantifier body is itself unary, so nested quantifiers stay bare
+_QUANTIFIERS = (ExistsRole, ForallRole, ExistsData, ForallData)
 
 
-def _wrap_quant(c: Concept) -> str:
-    # a quantifier body is itself unary, so nested quantifiers stay bare
-    if isinstance(c, (AndC, OrC)):
-        return f"({c})"
-    return str(c)
-
-
-def _wrap_and(c: Concept) -> str:
-    if isinstance(c, (Top, Bottom, Atomic, Nominal, NotC, AndC)):
-        return str(c)
-    return f"({c})"
-
-
-def _wrap_or(c: Concept) -> str:
-    if isinstance(c, (Top, Bottom, Atomic, Nominal, NotC, OrC)):
+def _wrap(c: Concept, *bare_types: type) -> str:
+    """`c` as an operand: parenthesized unless it is atomic, a negation
+    or one of `bare_types`."""
+    if isinstance(c, (Top, Bottom, Atomic, Nominal, NotC, *bare_types)):
         return str(c)
     return f"({c})"
 
@@ -550,20 +538,8 @@ def definition_graph(
 
 
 def is_acyclic(axioms: Iterable[DomainFormula]) -> bool:
-    graph = definition_graph(axioms)
-    state: dict[str, int] = {}
-
-    def visit(n: str) -> bool:
-        mark = state.get(n, 0)
-        if mark == 1:
-            return False
-        if mark == 2:
-            return True
-        state[n] = 1
-        for m in graph.get(n, ()):
-            if not visit(m):
-                return False
-        state[n] = 2
-        return True
-
-    return all(visit(n) for n in graph)
+    try:
+        graphlib.TopologicalSorter(definition_graph(axioms)).prepare()
+    except graphlib.CycleError:
+        return False
+    return True

@@ -13,6 +13,7 @@ from . import statelogic as sl
 from . import domainlogic as dl
 from .assertions import TwoTierAssertion, assertion
 from . import lang
+from .lifting import SpecLifting
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +63,9 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
-        # each token naming a program variable or a procedure, with
-        # which of the two it names, in text order, for the checks that
-        # need the whole program
+        # each token naming a program variable, a procedure or an
+        # individual, with which of the three it names, in text order,
+        # for the checks that need the whole program
         self.names: list[tuple[Token, str]] = []
 
     def peek(self, ahead: int = 0) -> Token:
@@ -227,19 +228,24 @@ def parse_concept(text: str) -> dl.Concept:
     return _parse_all(text, _parse_concept)
 
 
+def _parse_individual(p: _Parser) -> str:
+    p.names.append((p.peek(), "individual"))
+    return p.expect_ident()
+
+
 def _parse_domain_assertion(p: _Parser, sig: dl.DomainSignature) -> dl.DomainFormula:
     """name(args) with the name classified through the signature."""
     t = p.peek()
     name = p.expect_ident()
     p.expect("(")
     if name in sig.abstract_roles:
-        subject = p.expect_ident()
+        subject = _parse_individual(p)
         p.expect(",")
-        obj = p.expect_ident()
+        obj = _parse_individual(p)
         p.expect(")")
         return dl.RoleAssertion(name, subject, obj)
     if name in sig.concrete_roles:
-        subject = p.expect_ident()
+        subject = _parse_individual(p)
         p.expect(",")
         value = p.expect_int()
         p.expect(")")
@@ -252,7 +258,7 @@ def _parse_domain_assertion(p: _Parser, sig: dl.DomainSignature) -> dl.DomainFor
         concept = dl.Atomic(name)
     else:
         p.fail(f"undeclared symbol {name!r}", t)
-    individual = p.expect_ident()
+    individual = _parse_individual(p)
     p.expect(")")
     return dl.ConceptAssertion(concept, individual)
 
@@ -459,9 +465,12 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
         )
     p.expect_eof()
     program = lang.Program(tuple(globals_), tuple(procedures))
+    # a contract names the kb's individuals and the lifting's stubs
+    lifting = SpecLifting.direct(kb, program.variables)
     declared = {
         "variable": set(program.variables),
         "procedure": {proc.name for proc in procedures},
+        "individual": lifting.kernel_signature.nominals,
     }
     for t, kind in p.names:
         if t.text not in declared[kind]:

@@ -83,14 +83,23 @@ def dumps_procedures(results: Iterable[tuple[str, ProofTree]]) -> str:
     return _document(procedures={name: tree_to_dict(t) for name, t in results})
 
 
+def _load(path: str, field: str, parse, text: str, context) -> Any:
+    """`parse(text, context)`; a ParseError names the node and field."""
+    try:
+        return parse(text, context)
+    except ParseError as exc:
+        raise ParseError(f"{path} {field}: {exc}") from exc
+
+
 def tree_from_dict(
-    data: dict[str, Any], kb: KnowledgeBase, program: Program
+    data: dict[str, Any], kb: KnowledgeBase, program: Program, path: str = "root"
 ) -> ProofTree:
     sig = kb.symbols
+    stored = data["conclusion"]
     conclusion = Judgement(
-        pre=parse_assertion(data["conclusion"]["pre"], sig),
-        stmt=parse_statement(data["conclusion"]["stmt"], kb),
-        post=parse_assertion(data["conclusion"]["post"], sig),
+        pre=_load(path, "pre", parse_assertion, stored["pre"], sig),
+        stmt=_load(path, "stmt", parse_statement, stored["stmt"], kb),
+        post=_load(path, "post", parse_assertion, stored["post"], sig),
     )
     obligations = tuple(
         Obligation(
@@ -102,13 +111,14 @@ def tree_from_dict(
         for o in data.get("obligations", ())
     )
     premises = tuple(
-        tree_from_dict(p, kb, program) for p in data.get("premises", ())
+        tree_from_dict(p, kb, program, f"{path}.{i}")
+        for i, p in enumerate(data.get("premises", ()))
     )
     args = []
     for key, text in sorted(data.get("args", {}).items()):
         if key not in _ARG_PARSERS:
-            raise ParseError(f"unknown rule argument {key!r}")
-        args.append((key, _ARG_PARSERS[key](text, sig)))
+            raise ParseError(f"{path} args: unknown rule argument {key!r}")
+        args.append((key, _load(path, key, _ARG_PARSERS[key], text, sig)))
     return ProofTree(
         conclusion=conclusion,
         rule=data["rule"],
@@ -138,22 +148,20 @@ def _malformed() -> Iterator[None]:
         raise ParseError(f"malformed proof: {type(exc).__name__}: {exc}") from exc
 
 
-def loads(text: str, kb: KnowledgeBase, program: Program) -> ProofTree:
-    """The tree of a document that `dumps` wrote."""
-    doc = _read(text)
-    with _malformed():
-        return tree_from_dict(doc["tree"], kb, program)
-
-
-def loads_procedures(
+def loads(
     text: str, kb: KnowledgeBase, program: Program
-) -> list[tuple[str, ProofTree]]:
-    """A document's trees by name: its procedures in name order, or its
-    one tree named "proof"."""
+) -> ProofTree | dict[str, ProofTree]:
+    """The one tree of a document that `dumps` wrote, or the trees by
+    name of one that `dumps_procedures` wrote, each under the name of a
+    procedure of `program`."""
     doc = _read(text)
     with _malformed():
         if "tree" in doc:
-            named = [("proof", doc["tree"])]
-        else:
-            named = sorted(doc.get("procedures", {}).items())
-        return [(name, tree_from_dict(t, kb, program)) for name, t in named]
+            return tree_from_dict(doc["tree"], kb, program)
+        declared = {proc.name for proc in program.procedures}
+        trees = {}
+        for name, data in sorted(doc.get("procedures", {}).items()):
+            if name not in declared:
+                raise ParseError(f"proof of undeclared procedure {name!r}")
+            trees[name] = tree_from_dict(data, kb, program)
+        return trees

@@ -13,7 +13,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .errors import BudgetExceeded, NoExplanation, RuleShapeMismatch, UnboundVariable
-from .statelogic import And, Eq, Lit, Not, StateFormula, disj, holds, same_state, substitute
+from .statelogic import And, Eq, Lit, Not, StateFormula, disj, holds, substitute
 from .statelogic import state_implies_counterexample
 from .domainlogic import (
     ConceptAssertion,
@@ -46,10 +46,10 @@ from .calculus import (
     OPEN_RULE,
     ProofTree,
     VerifCtx,
-    _cons,
-    _kernel_steps,
-    _node,
-    apply_rule,
+    chain,
+    cons_step,
+    kernel_steps,
+    step,
 )
 
 
@@ -158,39 +158,47 @@ def derive(ctx: VerifCtx, j: Judgement) -> ProofTree:
 
 
 def _enrich(ctx: VerifCtx, a: TwoTierAssertion):
-    """Kernel enrichment of an assertion: informative deduced atoms
-    plus the recovered state conjuncts.  Returns (alpha, recovered,
-    enriched_domain, enriched_state)."""
+    """Kernel enrichment of an assertion: its informative deduced atoms
+    `alpha`, and the atoms of its enlarged domain tier that recover a
+    state conjunct.  Returns (alpha, recovered)."""
     alpha = informative_kernel(a.domain, ctx.kb, ctx.pool) if a.domain else ()
-    full = tuple(a.domain) + tuple(x for x in alpha if x not in a.domain)
-    recovered = _invertible(ctx.lifting, full)
-    return alpha, recovered, full, _conj_delift(ctx.lifting, a.state, recovered)
+    return alpha, _invertible(ctx.lifting, a.domain + alpha)
+
+
+def _cons_to(ctx: VerifCtx, j: Judgement, inner_pre, inner_post, leaf) -> ProofTree:
+    """`leaf` of the judgement with tiers `inner_pre` and `inner_post`,
+    under a cons step concluding `j` unless `j` has those tiers already
+    (up to `same_assertion`: the leaf then still concludes the inner
+    tiers as written, as proof files always have)."""
+    if same_assertion(j.pre, inner_pre) and same_assertion(j.post, inner_post):
+        return leaf(Judgement(inner_pre, j.stmt, inner_post))
+    return chain(ctx, j, [cons_step(inner_pre, inner_post)], leaf)
 
 
 def _derive_assign(ctx: VerifCtx, j: Judgement) -> ProofTree:
+    """Both tiers enriched, post first, then var from the substituted
+    enriched postcondition state, reached by cons."""
     stmt = j.stmt
     assert isinstance(stmt, Assign)
-    alpha2, dp2, d2full, phi2hat = _enrich(ctx, j.post)
-    phineed = substitute(phi2hat, stmt.var, stmt.expr)
-    alpha1, dp1, d1full, phi1hat = _enrich(ctx, j.pre)
+    alpha2, dp2 = _enrich(ctx, j.post)
+    alpha1, dp1 = _enrich(ctx, j.pre)
 
-    inner_pre = assertion((), phineed)
-    inner_post = assertion(d2full, phi2hat)
-    tree = _node(ctx, "var", Judgement(inner_pre, stmt, inner_post))
-
-    if d1full or not same_state(phi1hat, phineed):
-        tree = _cons(ctx, Judgement(assertion(d1full, phi1hat), stmt, inner_post), tree)
+    def leaf(enriched: Judgement) -> ProofTree:
+        post = enriched.post
+        needed = assertion((), substitute(post.state, stmt.var, stmt.expr))
+        tree = _cons_to(ctx, enriched, needed, post, lambda vj: step(ctx, "var", vj))
         ob1 = tree.obligations[0]
-        if dp2 and ob1.status == ObligationStatus.FAILED:
+        if dp2 and tree.rule == "cons" and ob1.status == ObligationStatus.FAILED:
             # the counter-state, if any, that refuted the state tier
-            cex = state_implies_counterexample(phi1hat, phineed)
+            cex = state_implies_counterexample(enriched.pre.state, needed.state)
             note = "" if cex is None else _provenance_note(ctx, cex, dp2, stmt.var, stmt.expr)
             if note:
                 ob1 = replace(ob1, note=ob1.note + "; " + note)
                 tree = replace(tree, obligations=(ob1,) + tree.obligations[1:])
-    outer = Judgement(j.pre, stmt, inner_post)
-    tree = _kernel_steps(ctx, tree, outer, "pre", alpha1, dp1, d1full)
-    return _kernel_steps(ctx, tree, j, "post", alpha2, dp2, d2full)
+        return tree
+
+    steps = kernel_steps("post", alpha2, dp2) + kernel_steps("pre", alpha1, dp1)
+    return chain(ctx, j, steps, leaf)
 
 
 def _derive_call(ctx: VerifCtx, j: Judgement) -> ProofTree:
@@ -198,23 +206,21 @@ def _derive_call(ctx: VerifCtx, j: Judgement) -> ProofTree:
     assert isinstance(stmt, Call)
     cpre = contract_pre(ctx.program, stmt.proc, stmt.arg)
     cpost = contract_post(ctx.program, stmt.proc, stmt.arg)
-    leaf = _node(ctx, "contract", Judgement(cpre, stmt, cpost))
-    if same_assertion(j.pre, cpre) and same_assertion(j.post, cpost):
-        return leaf
-    return _cons(ctx, j, leaf)
+    return _cons_to(ctx, j, cpre, cpost, lambda cj: step(ctx, "contract", cj))
 
 
 def _derive_skip(ctx: VerifCtx, j: Judgement) -> ProofTree:
     if same_assertion(j.pre, j.post):
-        return _node(ctx, "skip", j)
-    return _cons(ctx, j, _node(ctx, "skip", Judgement(j.post, j.stmt, j.post)))
+        return step(ctx, "skip", j)
+    return chain(ctx, j, [cons_step(j.post, j.post)], lambda sj: step(ctx, "skip", sj))
 
 
 def needed_pre(ctx: VerifCtx, stmt: Statement, post: TwoTierAssertion) -> TwoTierAssertion:
     """A heuristic empty-domain precondition from which `stmt` is likely
     derivable with postcondition `post`."""
     if isinstance(stmt, Assign):
-        _alpha, _dp, _full, phihat = _enrich(ctx, post)
+        _alpha, recovered = _enrich(ctx, post)
+        phihat = _conj_delift(ctx.lifting, post.state, recovered)
         return assertion((), substitute(phihat, stmt.var, stmt.expr))
     if isinstance(stmt, Call):
         return contract_pre(ctx.program, stmt.proc, stmt.arg)
@@ -256,28 +262,22 @@ def _derive_seq(ctx: VerifCtx, j: Judgement) -> ProofTree:
         mid = contract_post(ctx.program, trailing.proc, trailing.arg)
     else:
         mid = needed_pre(ctx, stmt.second, j.post)
-    left = derive(ctx, Judgement(j.pre, stmt.first, mid))
-    right = derive(ctx, Judgement(mid, stmt.second, j.post))
-    return _node(ctx, "seq", j, premises=(left, right), mid=mid)
-
-
-def _clear_pre_domain(ctx: VerifCtx, j: Judgement, inner):
-    """Wrap pre-core / pre-inv / cons steps around `inner(cleared)` so
-    that a rule requiring an empty-domain precondition applies."""
-    alpha1, dp1, d1full, phi1hat = _enrich(ctx, j.pre)
-    cleared = Judgement(assertion((), phi1hat), j.stmt, j.post)
-    tree = _cons(ctx, Judgement(assertion(d1full, phi1hat), j.stmt, j.post), inner(cleared))
-    return _kernel_steps(ctx, tree, j, "pre", alpha1, dp1, d1full)
+    return step(ctx, "seq", j, lambda pj: derive(ctx, pj), mid=mid)
 
 
 def _derive_if(ctx: VerifCtx, j: Judgement) -> ProofTree:
-    stmt = j.stmt
-    assert isinstance(stmt, If)
-    if j.pre.domain:
-        return _clear_pre_domain(ctx, j, lambda cleared: _derive_if(ctx, cleared))
-    premise_js, _obs = apply_rule(ctx, "branch", j)
-    subtrees = tuple(derive(ctx, pj) for pj in premise_js)
-    return _node(ctx, "branch", j, premises=subtrees)
+    """branch, under the pre-side kernel steps and a cons that clear
+    the precondition's domain tier when it has one."""
+    assert isinstance(j.stmt, If)
+
+    def branch(bj: Judgement) -> ProofTree:
+        return step(ctx, "branch", bj, lambda pj: derive(ctx, pj))
+
+    def leaf(enriched: Judgement) -> ProofTree:
+        cleared = assertion((), enriched.pre.state)
+        return _cons_to(ctx, enriched, cleared, enriched.post, branch)
+
+    return chain(ctx, j, kernel_steps("pre", *_enrich(ctx, j.pre)), leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from twotier.calculus import (
     Judgement,
     VerifCtx,
     apply_rule,
+    check_program,
     check_proof,
     expand_lift_var,
     expand_total,
@@ -399,4 +400,19 @@ def test_criterion_8_tooling(criterion_log):
         report = check_proof(ctx, tree)
         assert not report.closed, path.name
         assert report.failures[0].path == doc["expected_failure_path"], path.name
-    _report(criterion_log, 8, "corpus pretty-print fixpoint; checker accepts emitted trees, rejects all 10 mutations node-precisely", started)
+
+    # a certificate of the program: every tree must conclude its
+    # procedure's contract over its body, and no procedure may lack one
+    ctx = ctxs["assembly_corrected"][0]
+    trees = verify_program(ctx)
+    assert all(r.closed for r in check_program(ctx, trees).values())
+    mutations = {
+        "root swapped for another judgement": {**trees, "assembly": trees["addWheels"]},
+        "procedure dropped": {"addWheels": trees["addWheels"]},
+    }
+    for name, mutated in mutations.items():
+        reports = check_program(ctx, mutated)
+        assert reports["addWheels"].closed, name
+        assert not reports["assembly"].closed, name
+        assert reports["assembly"].failures[0].path == "root", name
+    _report(criterion_log, 8, "corpus pretty-print fixpoint; checker accepts emitted trees, rejects all 12 mutations node-precisely", started)

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from twotier import serialize
 from twotier.cli import main
+from twotier.strategy import verify_program
 
 
 def corpus_path(name: str) -> str:
@@ -166,7 +168,8 @@ def test_an_undeclared_variable_is_a_parse_error_for_fuzz(
 
 def test_a_var_prefixed_individual_names_no_program_variable(capfd, tmp_path):
     # var_q is named like the default stub of a variable q that the
-    # program does not declare, so its atom lifts to no state conjunct
+    # program does not declare, so neither the kb nor the lifting
+    # declares it; the contract would hold in no state
     prog = tmp_path / "var_q.prog"
     prog.write_text(
         "var wheels = 0;\n\nproc addWheels(nrWheels)\n"
@@ -175,9 +178,9 @@ def test_a_var_prefixed_individual_names_no_program_variable(capfd, tmp_path):
         encoding="utf-8",
     )
     code, out, err = run(capfd, "verify", str(prog), ADD_KB)
-    assert code == 0
-    assert out.splitlines()[0] == "procedure addWheels: Closed"
-    assert err == ""
+    assert code == 2
+    assert out == ""
+    assert err == "error: 4:23: undeclared individual 'var_q'\n"
 
 
 CYCLIC_KB = (
@@ -341,10 +344,10 @@ def test_check_rejects_malformed_proof(capfd, tmp_path, text):
 @pytest.mark.parametrize(
     "args, message",
     [
-        ({"kernel": "Nope(c)"}, "1:1: undeclared symbol 'Nope'"),
+        ({"kernel": "Nope(c)"}, "root kernel: 1:1: undeclared symbol 'Nope'"),
         (
             {"kernel": "hasValue(wheelsVar, 4)", "kernels": "x"},
-            "unknown rule argument 'kernels'",
+            "root args: unknown rule argument 'kernels'",
         ),
     ],
     ids=["argument-does-not-parse", "unknown-argument"],
@@ -360,6 +363,63 @@ def test_check_rejects_rule_arguments_that_do_not_load(capfd, tmp_path, args, me
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_check_names_the_node_and_field_that_do_not_load(capfd, tmp_path):
+    proof = tmp_path / "proofs.json"
+    run(capfd, "verify", ADD_PROG, ADD_KB, "--proof-out", str(proof))
+    doc = json.loads(proof.read_text(encoding="utf-8"))
+    doc["procedures"]["addWheels"]["premises"][0]["conclusion"]["post"] = "[ - | x = ]"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capfd, "check", str(bad), ADD_PROG, ADD_KB)
+    assert (code, out) == (2, "")
+    assert err == "error: root.0 post: 1:9: expected '==' or '!=' after term\n"
+
+
+def one_node_skip_proof(name: str) -> str:
+    """A proof file holding, under `name`, a one-node proof of
+    [ - | - ] skip; [ - | - ]."""
+    tree = {
+        "rule": "skip",
+        "conclusion": {"pre": "[ - | - ]", "stmt": "skip;", "post": "[ - | - ]"},
+    }
+    doc = {"format": "two-tier-proof", "version": 1, "procedures": {name: tree}}
+    return json.dumps(doc)
+
+
+def test_check_rejects_a_proof_of_another_judgement(capfd, tmp_path):
+    # the tree itself replays, but proves neither procedure of the program
+    fake = tmp_path / "fake.json"
+    fake.write_text(one_node_skip_proof("assembly"), encoding="utf-8")
+    code, out, err = run(capfd, "check", str(fake), VER_PROG, VER_KB)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "addWheels: Open",
+        "  at root: no proof tree for this procedure",
+        "assembly: Open",
+    ]
+    assert lines[3].startswith("  at root: root mismatch: procedure assembly requires ")
+    assert lines[3].endswith(" but the tree stores [ - | - ] skip; [ - | - ]")
+    assert len(lines) == 4
+
+
+def test_check_rejects_a_tree_of_an_undeclared_procedure(capfd, tmp_path):
+    fake = tmp_path / "fake.json"
+    fake.write_text(one_node_skip_proof("nobody"), encoding="utf-8")
+    code, out, err = run(capfd, "check", str(fake), ADD_PROG, ADD_KB)
+    assert (code, out) == (2, "")
+    assert err == "error: proof of undeclared procedure 'nobody'\n"
+
+
+def test_check_of_a_lone_tree_names_its_judgement(capfd, tmp_path, addwheels_ctx):
+    tree = verify_program(addwheels_ctx)["addWheels"]
+    lone = tmp_path / "lone.json"
+    lone.write_text(serialize.dumps(tree), encoding="utf-8")
+    code, out, _ = run(capfd, "check", str(lone), ADD_PROG, ADD_KB)
+    assert code == 0
+    assert out == f"{tree.conclusion}: Closed\n"
 
 
 def test_parse_kb_round_trip(capfd):

@@ -267,6 +267,18 @@ CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
             "  ensures [ - | - ]\nbegin\n  skip;\nend;",
             ("3:18: undeclared variable 'q'", 3, 18),
         ),
+        (
+            "program",
+            "var x = 0;\nproc p(a)\n  requires [ hasValue(var_q, 3) | - ]\n"
+            "  ensures [ - | - ]\nbegin\n  skip;\nend;",
+            ("3:23: undeclared individual 'var_q'", 3, 23),
+        ),
+        (
+            "program",
+            "var x = 0;\nproc p(a)\n  requires [ - | - ]\n"
+            "  ensures [ wheels(c, d) | - ]\nbegin\n  skip;\nend;",
+            ("4:23: undeclared individual 'd'", 4, 23),
+        ),
     ],
     ids=[
         "character-after-comment-and-tab",
@@ -287,6 +299,8 @@ CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
         "undeclared-variable-in-while-condition",
         "undeclared-variable-in-call-argument",
         "undeclared-variable-in-contract",
+        "stub-of-no-program-variable",
+        "undeclared-individual-in-contract",
     ],
 )
 def test_parse_errors_point_at_line_and_column(addwheels, entry, text, expected):
@@ -312,6 +326,24 @@ def test_a_term_may_name_the_parameter_of_a_later_procedure(addwheels):
     )
     program = parse_program(text, addwheels[1])
     assert program.variables == ("x", "a", "b")
+
+
+def test_a_contract_may_name_the_stub_of_any_program_variable(addwheels):
+    # the lifting declares var_v for each program variable v that no kb
+    # stub binds; wheelsVar is the kb's stub of wheels
+    text = (
+        "var x = 0;\nvar wheels = 0;\n"
+        "proc p(a) requires [ hasValue(var_b, 3), hasValue(var_x, 1) | - ]"
+        " ensures [ hasValue(wheelsVar, 4) | - ] begin skip; end;\n"
+        "proc q(b) requires [ - | - ] ensures [ - | - ] begin skip; end;\n"
+    )
+    kb = addwheels[1]
+    assert parse_program(text, kb).procedure("p").contract.pre.domain == (
+        parse_domain_formula("hasValue(var_b, 3)", kb.symbols),
+        parse_domain_formula("hasValue(var_x, 1)", kb.symbols),
+    )
+    with pytest.raises(ParseError, match="undeclared individual 'var_wheels'"):
+        parse_program(text.replace("wheelsVar", "var_wheels"), kb)
 
 
 names = st.sampled_from(("a", "b", "wheels"))

@@ -4,16 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from twotier import serialize
+from twotier import calculus, serialize
 from twotier.assertions import assertion
-from twotier.calculus import Judgement, VerifCtx, check_proof
+from twotier.calculus import OPEN_RULE, Judgement, VerifCtx, check_proof
 from twotier.domainlogic import Atomic, ConceptAssertion, Subsumption
 from twotier.lang import Assign, If, Seq, Skip, While
 from twotier.parsing import parse_kb, parse_program, parse_statement
 from twotier.statelogic import And, Eq, Lit, TRUE, Var, neq
 from twotier.strategy import derive, verify_procedure, verify_program
 
-from tests.conftest import corpus_text
+from tests.conftest import corpus_text, load_corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen_programs  # noqa: E402
@@ -223,6 +223,32 @@ def test_derive_matches_verify_procedure(corrected_ctx):
     via = verify_procedure(corrected_ctx, proc)
     assert direct.rule == via.rule
     assert direct.closed == via.closed
+
+
+def test_the_strategy_applies_each_rule_once_per_node(monkeypatch):
+    # premises come from the calculus alone: every node that is not an
+    # open leaf is made by exactly one apply_rule, and none is re-applied
+    calls = []
+    apply_rule = calculus.apply_rule
+
+    def counting(ctx, rule, target, **args):
+        calls.append(rule)
+        return apply_rule(ctx, rule, target, **args)
+
+    # wherever a module binds it, as a `from ... import` does
+    for module in list(sys.modules.values()):
+        if getattr(module, "apply_rule", None) is apply_rule:
+            monkeypatch.setattr(module, "apply_rule", counting)
+    stems = ("addwheels", "assembly_corrected", "assembly_verbatim")
+    inputs = [load_corpus(stem) for stem in stems]
+    kb = parse_kb(corpus_text(f"{gen_programs.HOST_STEM}.kb"))
+    inputs += [(parse_program(t, kb), kb) for t in gen_programs.programs(42, 60)]
+    nodes = []
+    for program, kb in inputs:
+        for tree in verify_program(VerifCtx.build(program, kb)).values():
+            nodes += [n.rule for _, n in tree.walk() if n.rule != OPEN_RULE]
+    assert "branch" in nodes and "cons" in nodes
+    assert sorted(calls) == sorted(nodes)
 
 
 @pytest.mark.hashseed
