@@ -9,13 +9,14 @@ the domain tier under the knowledge base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .statelogic import (
     ProgramState,
     State,
     StateFormula,
     TRUE,
+    compile_formula,
     holds,
     same_state,
     state_implies_counterexample,
@@ -65,6 +66,19 @@ def assertion_holds(
     lifted_phi, _residue = lifting.lift_partial(a.state)
     premises = lifting.lift_state(sigma) | lifted_phi
     return reasoning.entailed(premises, a.domain, kb)
+
+
+def compile_assertion(
+    a: TwoTierAssertion, names: Sequence[str], kb: KnowledgeBase, lifting: SpecLifting
+) -> Callable[[tuple], bool]:
+    """assertion_holds over tuples of values in `names` order, its state
+    tier compiled: only a state that meets it asks the domain tier."""
+    state = compile_formula(a.state, names)
+    if not a.domain:
+        return state
+    return lambda values: state(values) and assertion_holds(
+        dict(zip(names, values)), a, kb, lifting
+    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -25,7 +26,6 @@ from .statelogic import (
     Eq,
     Lit,
     Not,
-    State,
     same_state,
     substitute,
 )
@@ -36,8 +36,8 @@ from .status import ObligationStatus, status_of_verdict
 from .assertions import (
     TwoTierAssertion,
     assertion,
-    assertion_holds,
     assertion_implies,
+    compile_assertion,
     same_assertion,
 )
 from .lang import (
@@ -616,34 +616,39 @@ def validate_judgement_empirically(
     counterexample with no outcome state, listed before that state's
     postcondition violations.  When there are more than `samples`
     states, a seeded sample of them is drawn without building the
-    others.  One run shares a RunContext, so a call's havoc and what
-    follows it are interpreted once (see `interpret`), and the
-    postcondition is checked once per distinct outcome state: whether a
-    state meets it depends on the state alone, so the report is the one
-    a fresh check per outcome would give."""
+    others.  The statement and contracts run compiled, over tuples of
+    values (see `interpret`).  One run shares a RunContext, so a call's
+    havoc and what follows it are interpreted once, and the post is
+    checked once per distinct outcome state: whether a state meets it
+    depends on the state alone, so the report is the one a fresh check
+    per outcome would give."""
     run = RunContext(
         program=ctx.program,
         kb=ctx.kb,
         lifting=ctx.lifting,
         var_domain=tuple(sorted(set(var_domain))),
     )
-    names = ctx.program.variables
+    order, names = ctx.program.variables, run.names
     values = run.var_domain
-    total = len(values) ** len(names)
+    total = len(values) ** len(order)
     if total > samples:
         # the states rng.sample would pick from the full product, decoded
         # from their positions in itertools.product order
         picks = random.Random(seed).sample(range(total), samples)
-        combos = (_nth_combo(values, len(names), i) for i in picks)
+        combos = (_nth_combo(values, len(order), i) for i in picks)
     else:
-        combos = itertools.product(values, repeat=len(names))
+        combos = itertools.product(values, repeat=len(order))
+    # a combo lists values in declaration order, a state in sorted order
+    arrange = itemgetter(*map(order.index, names)) if len(names) > 1 else tuple
+    pre = compile_assertion(j.pre, names, ctx.kb, ctx.lifting)
+    post = compile_assertion(j.post, names, ctx.kb, ctx.lifting)
     counterexamples: list[FuzzCounterexample] = []
     fuel_issues = 0
     tested = 0
-    post_holds: dict[State, bool] = {}
+    post_holds: dict[tuple[int, ...], bool] = {}
     for combo in combos:
-        sigma = State(zip(names, combo))
-        if not assertion_holds(sigma, j.pre, ctx.kb, ctx.lifting):
+        sigma = arrange(combo)
+        if not pre(sigma):
             continue
         tested += 1
         outcome = interpret(j.stmt, sigma, run)
@@ -652,25 +657,24 @@ def validate_judgement_empirically(
         if outcome.pre_violated:
             counterexamples.append(
                 FuzzCounterexample(
-                    tuple(sorted(sigma.items())), None, "callee precondition violated"
+                    tuple(zip(names, sigma)), None, "callee precondition violated"
                 )
             )
         found = len(counterexamples)
         for sigma2 in outcome.states:
             ok = post_holds.get(sigma2)
             if ok is None:
-                ok = assertion_holds(sigma2, j.post, ctx.kb, ctx.lifting)
-                post_holds[sigma2] = ok
+                ok = post_holds[sigma2] = post(sigma2)
             if not ok:
                 counterexamples.append(
                     FuzzCounterexample(
-                        sigma=tuple(sorted(sigma.items())),
-                        sigma_prime=tuple(sorted(sigma2.items())),
+                        sigma=tuple(zip(names, sigma)),
+                        sigma_prime=tuple(zip(names, sigma2)),
                         detail="postcondition violated",
                     )
                 )
         if len(counterexamples) - found > 1:
-            # outcome.states is a set, whose order follows the hash seed
+            # a state's violations are listed in the order of their states
             counterexamples[found:] = sorted(
                 counterexamples[found:], key=lambda cx: cx.sigma_prime
             )

@@ -6,28 +6,29 @@ The interpreter is relational.  Calls are interpreted purely through the
 callee's contract: from a state satisfying the precondition the call may
 reach any state over the bounded variable domain satisfying the
 postcondition; from a state violating the precondition the relation is
-empty (flagged for diagnostics).
+empty (flagged for diagnostics).  `interpret` runs a statement compiled
+once per run into closures over tuples of values, not walked per state.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import UnknownProcedure
+from .errors import UnboundVariable, UnknownProcedure
 from .statelogic import (
     Lit,
     ProgramState,
     State,
     Term,
+    compile_term,
     constants_of,
-    eval_term,
     substitute,
 )
 from .domainlogic import KnowledgeBase
 from .lifting import SpecLifting
-from .assertions import TwoTierAssertion, assertion, assertion_holds
+from .assertions import TwoTierAssertion, assertion, compile_assertion
 
 Expr = Term  # expr ::= n | v  (literals and variables; no operators)
 
@@ -176,8 +177,12 @@ def contract_post(program: Program, proc: str, arg: Expr) -> TwoTierAssertion:
 # Interpreter
 
 # breadth-first rounds a loop may take before its run is cut off as
-# fuel-exhausted
+# fuel-exhausted; read each time a loop runs
 FUEL = 1000
+
+Values = tuple[int, ...]  # a state's values in a fixed variable order
+# what a compiled statement maps a state to: (states, pre violated, fuel exhausted)
+Outcome = tuple[frozenset[Values], bool, bool]
 
 
 @dataclass
@@ -186,124 +191,136 @@ class RunContext:
     kb: KnowledgeBase
     lifting: SpecLifting
     var_domain: tuple[int, ...]
+    names: tuple[str, ...] = field(init=False)  # the variables, sorted
     _havoc_cache: dict = field(default_factory=dict)
-    _states: Optional[tuple[State, ...]] = None
-    _image_cache: dict = field(default_factory=dict)
+    _states: Optional[tuple[Values, ...]] = None
+    _compiled: dict = field(default_factory=dict)
 
-    def all_states(self) -> tuple[State, ...]:
+    def __post_init__(self) -> None:
+        self.names = tuple(sorted(self.program.variables))
+
+    def all_states(self) -> tuple[Values, ...]:
         """Every state over the program's variables and the run's domain,
         built on first use."""
         if self._states is None:
-            names = self.program.variables
-            self._states = tuple(
-                State(zip(names, combo))
-                for combo in itertools.product(
-                    sorted(self.var_domain), repeat=len(names)
-                )
-            )
+            values = sorted(self.var_domain)
+            self._states = tuple(itertools.product(values, repeat=len(self.names)))
         return self._states
 
-    def post_states(self, proc: str, arg_value: int) -> frozenset[State]:
+    def post_states(self, proc: str, arg_value: int) -> frozenset[Values]:
         key = (proc, arg_value)
         cached = self._havoc_cache.get(key)
         if cached is None:
             post = contract_post(self.program, proc, Lit(arg_value))
-            cached = frozenset(
-                s
-                for s in self.all_states()
-                if assertion_holds(s, post, self.kb, self.lifting)
-            )
-            self._havoc_cache[key] = cached
-        return cached
-
-    def image(self, s: Statement, states: frozenset[State]) -> InterpOutcome:
-        """The outcomes of s from every state of a set of more than one,
-        computed once per (s, states): such a set is a call's havoc, or
-        an image of one, and recurs for every state the call is run from."""
-        key = (s, states)
-        cached = self._image_cache.get(key)
-        if cached is None:
-            out: set[State] = set()
-            pre_v = fuel_x = False
-            for sigma in states:
-                o = interpret(s, sigma, self)
-                out |= o.states
-                pre_v = pre_v or o.pre_violated
-                fuel_x = fuel_x or o.fuel_exhausted
-            cached = InterpOutcome(frozenset(out), pre_v, fuel_x)
-            self._image_cache[key] = cached
+            holds = compile_assertion(post, self.names, self.kb, self.lifting)
+            cached = self._havoc_cache[key] = frozenset(filter(holds, self.all_states()))
         return cached
 
 
-@dataclass(frozen=True)
-class InterpOutcome:
-    states: frozenset[State]
+class InterpOutcome(NamedTuple):
+    states: frozenset
     pre_violated: bool = False
     fuel_exhausted: bool = False
 
 
-def interpret(s: Statement, sigma: ProgramState, ctx: RunContext) -> InterpOutcome:
-    """The outcomes of s from sigma.  Only a call gives one state more
-    than one outcome, and from every state that meets its pre it gives
-    the same set (`RunContext.post_states`).  So a sequence runs its rest
-    once per distinct intermediate set of more than one state
-    (`RunContext.image`) and reuses that image whenever the set recurs.
-    The outcomes depend on nothing but the statement, the state and the
-    run context, so the reuse is exact.  A sequence whose first part
-    has one outcome is not memoized."""
-    sigma = sigma if isinstance(sigma, State) else State(sigma)
+def interpret(s: Statement, sigma: ProgramState | Values, ctx: RunContext) -> InterpOutcome:
+    """The outcomes of s from sigma: a tuple of values in `ctx.names` order,
+    as the fuzzer passes it, or a mapping whose variables s reads and
+    assigns, giving states of the same kind (a call ends in states over
+    the program's variables).  Per run, s is compiled once for tuples,
+    keyed by identity, as a frozen statement hashes its whole tree."""
+    if type(sigma) is tuple:
+        entry = ctx._compiled.get(id(s))
+        if entry is None:
+            entry = ctx._compiled[id(s)] = (s, _compile(s, ctx.names, ctx))
+        return InterpOutcome._make(entry[1](sigma))
+    names = tuple(sorted(sigma))
+    states, pre_v, fuel_x = _compile(s, names, ctx)(tuple(sigma[v] for v in names))
+    return InterpOutcome(frozenset(State(zip(names, st)) for st in states), pre_v, fuel_x)
+
+
+def _end(st: Values) -> Outcome:
+    return frozenset((st,)), False, False
+
+
+def _compile(s: Statement, names: tuple[str, ...], ctx: RunContext, then=_end):
+    """s and then `then`, the compiled rest of the run, as one closure over
+    states in `names` order (Feeley & Lapalme, Computer Languages 1987)."""
     if isinstance(s, Skip):
-        return InterpOutcome(frozenset({sigma}))
+        return then
     if isinstance(s, Assign):
-        return InterpOutcome(frozenset({sigma.set(s.var, eval_term(s.expr, sigma))}))
-    if isinstance(s, Seq):
-        first = interpret(s.first, sigma, ctx)
-        if not first.states:
-            return first
-        if len(first.states) == 1:
-            (mid,) = first.states
-            rest = interpret(s.second, mid, ctx)
-        else:
-            rest = ctx.image(s.second, first.states)
-        if not (first.pre_violated or first.fuel_exhausted):
-            return rest
-        return InterpOutcome(
-            rest.states,
-            first.pre_violated or rest.pre_violated,
-            first.fuel_exhausted or rest.fuel_exhausted,
-        )
+        if s.var not in names:
+            raise UnboundVariable(s.var)
+        i, value = names.index(s.var), compile_term(s.expr, names)
+        return lambda st: then(st[:i] + (value(st),) + st[i + 1 :])
     if isinstance(s, If):
-        branch = s.then if eval_term(s.cond, sigma) != 0 else s.orelse
-        return interpret(branch, sigma, ctx)
+        cond = compile_term(s.cond, names)
+        yes, no = _compile(s.then, names, ctx, then), _compile(s.orelse, names, ctx, then)
+        return lambda st: yes(st) if cond(st) != 0 else no(st)
+    if isinstance(s, Seq):
+        return _compile(s.first, names, ctx, _compile(s.second, names, ctx, then))
+    rest = _from_each(then)
     if isinstance(s, While):
-        results: set[State] = set()
-        visited: set[State] = {sigma}
-        frontier: set[State] = {sigma}
-        pre_v = False
-        steps = 0
-        while frontier:
-            steps += 1
-            if steps > FUEL:
-                return InterpOutcome(frozenset(results), pre_v, True)
-            nxt: set[State] = set()
-            for st in frontier:
-                if eval_term(s.cond, st) == 0:
-                    results.add(st)
-                    continue
-                out = interpret(s.body, st, ctx)
-                pre_v = pre_v or out.pre_violated
-                if out.fuel_exhausted:
-                    return InterpOutcome(frozenset(results), pre_v, True)
-                for st2 in out.states:
-                    if st2 not in visited:
-                        visited.add(st2)
-                        nxt.add(st2)
-            frontier = nxt
-        return InterpOutcome(frozenset(results), pre_v, False)
+        cond, body = compile_term(s.cond, names), _compile(s.body, names, ctx)
+
+        # breadth-first rounds from st: a state seen before ends its path,
+        # and a run still going after FUEL rounds is cut off
+        def loop(st: Values) -> Outcome:
+            exits, visited, frontier = set(), {st}, {st}
+            pre_v = fuel_x = False
+            for _ in range(FUEL):
+                nxt: set[Values] = set()
+                for st in frontier:
+                    if cond(st) == 0:
+                        exits.add(st)
+                        continue
+                    out, p, fuel_x = body(st)
+                    pre_v = pre_v or p
+                    if fuel_x:
+                        break
+                    nxt |= out - visited
+                visited |= nxt
+                frontier = nxt
+                if fuel_x or not frontier:
+                    break
+            else:
+                fuel_x = True
+            ends, p, f = rest(frozenset(exits))
+            return ends, pre_v or p, fuel_x or f
+
+        return loop
     if isinstance(s, Call):
-        n = eval_term(s.arg, sigma)
-        pre = contract_pre(ctx.program, s.proc, Lit(n))
-        if not assertion_holds(sigma, pre, ctx.kb, ctx.lifting):
-            return InterpOutcome(frozenset(), pre_violated=True)
-        return InterpOutcome(ctx.post_states(s.proc, n))
+        if names != ctx.names:
+            raise UnboundVariable(min(set(ctx.names) ^ set(names)))
+        arg, pres = compile_term(s.arg, names), {}
+
+        # the rest of the run from each state of the callee's post
+        def call(st: Values) -> Outcome:
+            n = arg(st)
+            if n not in pres:
+                pre = contract_pre(ctx.program, s.proc, Lit(n))
+                pres[n] = compile_assertion(pre, names, ctx.kb, ctx.lifting)
+            if not pres[n](st):
+                return frozenset(), True, False
+            return rest(ctx.post_states(s.proc, n))
+
+        return call
     raise TypeError(f"not a statement: {s!r}")
+
+
+def _from_each(then):
+    """`then` from each state of a set: a call ends in the same set from
+    every state that meets its pre, so a set's outcomes are kept per set."""
+    images: dict[frozenset[Values], Outcome] = {}
+
+    def run(states: frozenset[Values]) -> Outcome:
+        if len(states) == 1:
+            (st,) = states
+            return then(st)
+        if states not in images:
+            # the empty set's outcome leads, so an empty set has one too
+            ends, pre_v, fuel_x = zip((frozenset(), False, False), *map(then, states))
+            images[states] = frozenset().union(*ends), any(pre_v), any(fuel_x)
+        return images[states]
+
+    return run

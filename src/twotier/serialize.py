@@ -163,5 +163,5 @@ def loads(
         for name, data in sorted(doc.get("procedures", {}).items()):
             if name not in declared:
                 raise ParseError(f"proof of undeclared procedure {name!r}")
-            trees[name] = tree_from_dict(data, kb, program)
+            trees[name] = tree_from_dict(data, kb, program, f"{name} root")
         return trees

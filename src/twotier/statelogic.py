@@ -16,7 +16,8 @@ that neither formula mentions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EmptyState, UnboundVariable
 
@@ -220,6 +221,30 @@ def holds(phi: StateFormula, sigma: ProgramState) -> bool:
         return not holds(phi.arg, sigma)
     if isinstance(phi, And):
         return holds(phi.lhs, sigma) and holds(phi.rhs, sigma)
+    raise TypeError(f"not a state formula: {phi!r}")
+
+
+def compile_term(t: Term, names: Sequence[str]) -> Callable[[tuple], int]:
+    """eval_term over tuples of values in `names` order, as a closure."""
+    if isinstance(t, Lit):
+        return lambda values, value=t.value: value
+    if t.name not in names:
+        raise UnboundVariable(t.name)
+    return itemgetter(names.index(t.name))
+
+
+def compile_formula(phi: StateFormula, names: Sequence[str]) -> Callable[[tuple], bool]:
+    """holds(phi, ·) over tuples of values in `names` order, phi walked once
+    into closures (Feeley & Lapalme, Computer Languages 1987)."""
+    if isinstance(phi, Eq):
+        lhs, rhs = compile_term(phi.lhs, names), compile_term(phi.rhs, names)
+        return lambda values: lhs(values) == rhs(values)
+    if isinstance(phi, Not):
+        arg = compile_formula(phi.arg, names)
+        return lambda values: not arg(values)
+    if isinstance(phi, And):
+        lhs, rhs = compile_formula(phi.lhs, names), compile_formula(phi.rhs, names)
+        return lambda values: lhs(values) and rhs(values)
     raise TypeError(f"not a state formula: {phi!r}")
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -8,10 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import twotier
-from twotier import calculus, lang, reasoning
-from twotier.assertions import assertion
+from twotier import assertions, calculus, lang, reasoning
+from twotier.assertions import assertion, assertion_holds
 from twotier.calculus import (
     Judgement,
     ProofTree,
@@ -25,8 +27,8 @@ from twotier.calculus import (
 )
 from twotier.domainlogic import Atomic, ConceptAssertion, DataAssertion
 from twotier.errors import MissingArgument, RuleShapeMismatch
-from twotier.lang import Assign, Call, If, RunContext, Seq, Skip, While
-from twotier.statelogic import And, Eq, Lit, TRUE, Var, neq
+from twotier.lang import Assign, Call, If, RunContext, Seq, Skip, While, sequence
+from twotier.statelogic import And, Eq, Lit, TRUE, Var, conj, neq, substitute
 from twotier.status import ObligationStatus
 
 from tests.conftest import load_corpus
@@ -582,8 +584,8 @@ def test_fuzz_reports_of_the_corpus_are_pinned(
 @pytest.mark.hashseed
 def test_fuzzing_runs_a_havoc_once(corrected_ctx, monkeypatch):
     """Every tested state of assembly reaches addWheels(4)'s one havoc set:
-    the fuzzer interprets `doors := nrDoors` once per state of that set
-    and checks the post once per outcome state, not once per tested state."""
+    the fuzzer runs the compiled `doors := nrDoors` once per state of that
+    set and checks the post once per outcome state, not once per tested state."""
     domain = (0, 1, 2, 4)
     run = RunContext(
         corrected_ctx.program, corrected_ctx.kb, corrected_ctx.lifting, domain
@@ -594,25 +596,179 @@ def test_fuzzing_runs_a_havoc_once(corrected_ctx, monkeypatch):
     j = Judgement(p.contract.pre, p.body, p.contract.post)
     interpreted: list = []
     checked: list = []
-    interpret, holds = lang.interpret, calculus.assertion_holds
+    compile_statement, holds = lang._compile, assertions.assertion_holds
 
-    def counting_interpret(s, sigma, ctx):
-        if s == last:
-            interpreted.append(sigma)
-        return interpret(s, sigma, ctx)
+    def counting_compile(s, names, ctx, then=lang._end):
+        compiled = compile_statement(s, names, ctx, then)
+        if s != last:
+            return compiled
+
+        def counting(values):
+            interpreted.append(values)
+            return compiled(values)
+
+        return counting
 
     def counting_holds(sigma, a, kb, lifting):
         if a == j.post:
-            checked.append(sigma)
+            checked.append(tuple(sorted(sigma.items())))
         return holds(sigma, a, kb, lifting)
 
-    monkeypatch.setattr(lang, "interpret", counting_interpret)
-    monkeypatch.setattr(calculus, "assertion_holds", counting_holds)
+    monkeypatch.setattr(lang, "_compile", counting_compile)
+    monkeypatch.setattr(assertions, "assertion_holds", counting_holds)
     report = validate_judgement_empirically(corrected_ctx, j, domain)
     assert report.tested == 768 and report.ok
     assert len(havoc) > 1
     assert len(interpreted) == len(set(interpreted)) and set(interpreted) <= havoc
+    assert set(interpreted) == havoc
     assert checked and len(checked) == len(set(checked))
+
+
+def big_step(s, sigmas: list[dict], call) -> tuple[list[dict], bool]:
+    """The final states of s from each state of sigmas, once each, and
+    whether a callee's pre broke: the big-step rules over dicts, lifted
+    to lists of states.  A loop of the generated grammar,
+    `while (v) do v := 0; od`, ends after at most one round."""
+    if isinstance(s, Seq):
+        mids, broke = big_step(s.first, sigmas, call)
+        finals, broke_later = big_step(s.second, mids, call)
+        return finals, broke or broke_later
+    finals, broke = [], False
+    for sigma in sigmas:
+        if isinstance(s, Skip) or isinstance(s, While) and sigma[s.cond.name] == 0:
+            finals.append(sigma)
+        elif isinstance(s, Assign):
+            e = s.expr
+            finals.append({**sigma, s.var: e.value if isinstance(e, Lit) else sigma[e.name]})
+        else:
+            if isinstance(s, If):
+                branch = s.then if sigma[s.cond.name] != 0 else s.orelse
+                more, more_broke = big_step(branch, [sigma], call)
+            elif isinstance(s, While):
+                more, more_broke = big_step(Seq(s.body, s), [sigma], call)
+            else:
+                more, more_broke = call(s, sigma)
+            finals += more
+            broke = broke or more_broke
+    # every state lists its variables in the program's order
+    return list({tuple(t.items()): t for t in finals}.values()), broke
+
+
+def big_step_report(ctx, j, domain) -> calculus.FuzzReport:
+    """The fuzz report of j by `big_step`, from each state afresh."""
+    program, kb, lifting = ctx.program, ctx.kb, ctx.lifting
+    names = program.variables
+    every = [dict(zip(names, c)) for c in itertools.product(domain, repeat=len(names))]
+    holds = functools.cache(
+        lambda items, a: assertion_holds(dict(items), a, kb, lifting)
+    )
+
+    @functools.cache
+    def contract(proc, n):
+        p = program.procedure(proc)
+        pre, post = (
+            assertion(tier.domain, substitute(tier.state, p.parameter, Lit(n)))
+            for tier in (p.contract.pre, p.contract.post)
+        )
+        return pre, [t for t in every if holds(tuple(t.items()), post)]
+
+    def call(s, sigma):
+        pre, post_states = contract(s.proc, s.arg.value)
+        if not holds(tuple(sigma.items()), pre):
+            return [], True
+        return post_states, False
+
+    tested, found = 0, []
+    for sigma in every:
+        if not holds(tuple(sigma.items()), j.pre):
+            continue
+        tested += 1
+        finals, broke = big_step(j.stmt, [sigma], call)
+        items = tuple(sorted(sigma.items()))
+        if broke:
+            found.append(calculus.FuzzCounterexample(items, None, "callee precondition violated"))
+        bad = [tuple(sorted(t.items())) for t in finals if not holds(tuple(t.items()), j.post)]
+        found += [calculus.FuzzCounterexample(items, b, "postcondition violated") for b in sorted(bad)]
+    return calculus.FuzzReport(tested, tuple(found), 0)
+
+
+GENERATED_VARS = ("wheels", "doors", "bodyId", "nrDoors")
+generated_values = st.sampled_from((0, 2, 4)).map(Lit)
+simple_statements = st.builds(
+    Assign,
+    st.sampled_from(GENERATED_VARS),
+    st.one_of(generated_values, st.sampled_from(("nrDoors", "id")).map(Var)),
+)
+generated_statements = st.one_of(
+    simple_statements,
+    st.builds(If, st.sampled_from(GENERATED_VARS).map(Var), simple_statements, simple_statements),
+    st.sampled_from(GENERATED_VARS).map(lambda v: While(Var(v), Assign(v, Lit(0)))),
+    st.just(Call("addWheels", Lit(4))),
+)
+
+
+def liftable(variables):
+    atom = st.one_of(
+        st.builds(Eq, st.sampled_from(variables).map(Var), generated_values),
+        st.sampled_from(variables).map(lambda v: neq(Var(v), Lit(0))),
+    )
+    return st.lists(atom, max_size=2).map(conj)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    pre=liftable(("nrDoors", "id", "bodyId")).map(lambda phi: assertion((), phi)),
+    stmts=st.lists(generated_statements, min_size=1, max_size=6),
+    post=st.one_of(
+        liftable(("wheels", "doors", "bodyId")).map(lambda phi: assertion((), phi)),
+        liftable(("doors",)).map(
+            lambda phi: assertion((HFW,), And(phi, Eq(Var("wheels"), Lit(4))))
+        ),
+    ),
+)
+@example(
+    pre=assertion((), Eq(Var("nrDoors"), Lit(2))),
+    stmts=[
+        If(Var("doors"), Assign("bodyId", Var("id")), Assign("bodyId", Lit(2))),
+        Call("addWheels", Lit(4)),
+        While(Var("doors"), Assign("doors", Lit(0))),
+        Assign("wheels", Var("nrDoors")),
+    ],
+    post=assertion((HFW,), Eq(Var("wheels"), Lit(4))),
+)
+def test_fuzz_reports_match_a_big_step_evaluator(corrected_ctx, pre, stmts, post):
+    """The compiled statements of the benchmark's generated grammar give
+    the fuzz report of an evaluator that shares no code with them."""
+    j = Judgement(pre, sequence(stmts), post)
+    expected = big_step_report(corrected_ctx, j, (0, 2, 4))
+    assert validate_judgement_empirically(corrected_ctx, j, (0, 2, 4)) == expected
+
+
+@pytest.mark.hashseed
+def test_the_fuzzer_asks_the_reasoner_in_one_order_under_every_hash_seed(
+    corrected_ctx, monkeypatch
+):
+    """A state is a tuple of ints, which hashes alike under every hash
+    seed, so sets of states iterate in one order and the fuzzer asks its
+    domain queries in one order too."""
+    asked: list = []
+    entailed = reasoning.entailed
+
+    def recording(premises, conclusion, kb):
+        premises = frozenset(premises)
+        asked.append([sorted(map(str, premises)), [str(c) for c in conclusion]])
+        return entailed(premises, conclusion, kb)
+
+    monkeypatch.setattr(reasoning, "entailed", recording)
+    p = corrected_ctx.program.procedure("assembly")
+    j = Judgement(p.contract.pre, p.body, p.contract.post)
+    report = validate_judgement_empirically(corrected_ctx, j, (0, 1, 2, 4))
+    assert report.tested == 768 and report.ok
+    digest = hashlib.sha256(json.dumps(asked).encode()).hexdigest()
+    assert (len(asked), digest) == (
+        816,
+        "2958ec88783e9ec668d5aab5ee9ba8d523aedff8b71732f0ffbf35cffe9351a3",
+    )
 
 
 @pytest.mark.hashseed

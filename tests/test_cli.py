@@ -344,10 +344,10 @@ def test_check_rejects_malformed_proof(capfd, tmp_path, text):
 @pytest.mark.parametrize(
     "args, message",
     [
-        ({"kernel": "Nope(c)"}, "root kernel: 1:1: undeclared symbol 'Nope'"),
+        ({"kernel": "Nope(c)"}, "addWheels root kernel: 1:1: undeclared symbol 'Nope'"),
         (
             {"kernel": "hasValue(wheelsVar, 4)", "kernels": "x"},
-            "root args: unknown rule argument 'kernels'",
+            "addWheels root args: unknown rule argument 'kernels'",
         ),
     ],
     ids=["argument-does-not-parse", "unknown-argument"],
@@ -374,7 +374,21 @@ def test_check_names_the_node_and_field_that_do_not_load(capfd, tmp_path):
     bad.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capfd, "check", str(bad), ADD_PROG, ADD_KB)
     assert (code, out) == (2, "")
-    assert err == "error: root.0 post: 1:9: expected '==' or '!=' after term\n"
+    assert err == "error: addWheels root.0 post: 1:9: expected '==' or '!=' after term\n"
+
+
+@pytest.mark.parametrize("proc", ["addWheels", "assembly"])
+def test_a_load_error_names_the_procedure_whose_tree_it_is_in(capfd, tmp_path, proc):
+    proof = tmp_path / "proofs.json"
+    run(capfd, "verify", COR_PROG, COR_KB, "--proof-out", str(proof))
+    doc = json.loads(proof.read_text(encoding="utf-8"))
+    assert sorted(doc["procedures"]) == ["addWheels", "assembly"]
+    doc["procedures"][proc]["premises"][0]["conclusion"]["post"] = "[ Nope(c) | - ]"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capfd, "check", str(bad), COR_PROG, COR_KB)
+    assert (code, out) == (2, "")
+    assert err == f"error: {proc} root.0 post: 1:3: undeclared symbol 'Nope'\n"
 
 
 def one_node_skip_proof(name: str) -> str:

@@ -15,6 +15,8 @@ from twotier.statelogic import (
     Var,
     characteristic_formula,
     check_domain,
+    compile_formula,
+    compile_term,
     conj,
     conjuncts,
     constants_of,
@@ -86,6 +88,20 @@ def test_substitution_lemma(phi, sigma, v, e):
     # holds(phi[v\e], sigma) == holds(phi, sigma[v -> eval(e, sigma)])
     updated = sigma.set(v, eval_term(e, sigma))
     assert holds(substitute(phi, v, e), sigma) == holds(phi, updated)
+
+
+@given(formulas(), terms, states(), st.permutations(VARS))
+@settings(max_examples=300)
+def test_compiled_formulas_agree_with_holds(phi, t, sigma, order):
+    names = tuple(order)
+    values = tuple(sigma[v] for v in names)
+    assert compile_formula(phi, names)(values) == holds(phi, sigma)
+    assert compile_term(t, names)(values) == eval_term(t, sigma)
+
+
+def test_a_compiled_formula_over_an_unbound_variable_is_refused():
+    with pytest.raises(UnboundVariable):
+        compile_formula(Eq(Var("zz"), Lit(0)), VARS)
 
 
 @given(states())
