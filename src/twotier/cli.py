@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, NoExplanation, ParseError, VerifierError
-from .domainlogic import KnowledgeBase, constants_of_formulas
+from .domainlogic import KnowledgeBase
 from .lifting import SpecLifting
 from .kernel import CandidatePool, alpha_abduce, informative_kernel
 from .status import ObligationStatus
@@ -72,7 +72,7 @@ def load_ctx(args: argparse.Namespace) -> VerifCtx:
 
 
 def default_domain(program, kb: KnowledgeBase) -> tuple[int, ...]:
-    values = set(program.constants()) | set(constants_of_formulas(kb.axioms)) | {0}
+    values = set(program.constants()) | kb.constants | {0}
     return tuple(sorted(values))
 
 

@@ -441,6 +441,11 @@ class KnowledgeBase:
         )
 
     @cached_property
+    def constants(self) -> frozenset[int]:
+        """The axioms' integer constants."""
+        return constants_of_formulas(self.axioms)
+
+    @cached_property
     def background_symbols(self) -> tuple[DomainSignature, frozenset[int]]:
         """The declared signature plus the background axioms' symbols, and
         the axioms' integer constants."""

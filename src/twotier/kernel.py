@@ -16,7 +16,6 @@ from .domainlogic import (
     DataAssertion,
     DomainFormula,
     KnowledgeBase,
-    constants_of_formulas,
 )
 from .lifting import NONZERO_CONCEPT, VALUE_ROLE, SpecLifting
 from .status import ObligationStatus, status_of_verdict as _status
@@ -48,9 +47,7 @@ class CandidatePool:
             {s.stub for s in kb.stubs}
             | {lifting.stub_for(v) for v in variables}
         )
-        values = sorted(
-            set(constants_of_formulas(kb.axioms)) | set(extra_constants) | {0}
-        )
+        values = sorted(kb.constants | set(extra_constants) | {0})
         atoms: list[DomainFormula] = []
         for stub in stubs:
             atoms.append(ConceptAssertion(Atomic(NONZERO_CONCEPT), stub))

@@ -9,9 +9,11 @@ in the query plus zero and one fresh value.  Every query counts
 DEFAULT_FRESH_WITNESSES anonymous elements, `entailed`'s restricted ones
 excepted (below).  The search grounds the query into propositional
 logic and runs a small DPLL solver.  Each knowledge base's `Reasoner`
-keeps K grounded and unit-propagated over the context of the last
-search, and the memos of answers; a search in the same context grounds
-its own formulas onto that state, solves in place and restores it.
+keeps the memos of answers and one grounding of K, which serves every
+query over a subset of its universe: the query switches the other
+elements off by unit clauses at level 0 (Eén & Sörensson, *An
+Extensible SAT-solver*, SAT 2003), grounds its own formulas onto that
+unit-propagated state, solves in place and restores it.
 
 Absence of a countermodel at the bound certifies entailment only for
 acyclic terminologies; cyclic inputs yield Unknown verdicts, and so does a
@@ -116,8 +118,12 @@ class _Grounder:
         self.universe = tuple(universe)
         self.values = tuple(values)
         self.var_ids: dict[tuple, int] = {}
+        self.off: frozenset[str] = frozenset()
         # the literal of Top, which holds in every model
         self.true = self.var(("true",))
+        # E(x): whether the element x exists, which `switch` decides
+        for x in self.universe:
+            self.var(("E", x))
         self.clauses: list[tuple[int, ...]] = [(self.true,)]
         self.occ: dict[int, list[int]] = {}
         self.nfalse: list[int] = []
@@ -129,6 +135,9 @@ class _Grounder:
         if vid is None:
             vid = len(self.var_ids) + 1
             self.var_ids[key] = vid
+            # C, R and T atoms hold their elements at key[2:4]
+            if self.off and not self.off.isdisjoint(key[2:4]):
+                self.clauses.append((-vid,))
         return vid
 
     def gate(self, tag: str, literals: Iterable[int]) -> int:
@@ -186,9 +195,8 @@ class _Grounder:
 
     def formula(self, delta: DomainFormula) -> int:
         if isinstance(delta, Subsumption):
-            # C <= D holds when !C | D holds at every element
-            c = OrC(NotC(delta.lhs), delta.rhs)
-            return self.gate("and", [self.concept(c, x) for x in self.universe])
+            conjuncts = [self.gate("or", c) for c in self._conjuncts(delta)]
+            return self.gate("and", conjuncts)
         if isinstance(delta, ConceptAssertion):
             return self.concept(delta.concept, delta.individual)
         if isinstance(delta, RoleAssertion):
@@ -197,42 +205,69 @@ class _Grounder:
             return self.var(("T", delta.role, delta.subject, delta.value))
         raise TypeError(f"not a domain formula: {delta!r}")
 
+    def _conjuncts(self, delta: Subsumption):
+        """C <= D holds when !C | D holds at every element that exists:
+        (!E(x), (!C | D)(x)) for every element x."""
+        c = OrC(NotC(delta.lhs), delta.rhs)
+        for x in self.universe:
+            yield -self.var(("E", x)), self.concept(c, x)
+
     def assert_formula(self, delta: DomainFormula, holds: bool = True) -> None:
-        """Adds the clause that delta holds, or with holds=False that it
-        does not."""
+        """Adds the clauses that delta holds, or with holds=False that it
+        does not.  A subsumption that holds adds its conjuncts as clauses,
+        without the gates that `formula` makes of them."""
+        if holds and isinstance(delta, Subsumption):
+            for conjunct in self._conjuncts(delta):
+                self.clauses.append(conjunct)
+            return
         lit = self.formula(delta)
         self.clauses.append((lit if holds else -lit,))
 
+    def switch(self, on: Iterable[str]) -> None:
+        """Adds the unit clauses that the elements in `on` exist and the
+        others do not, and that no atom names an element switched off, also
+        an atom grounded later.  Such an element satisfies every
+        subsumption and touches no edge of the others, so the models are
+        those of a grounding over the elements on alone."""
+        self.off = frozenset(self.universe).difference(on)
+        for x in self.universe:
+            e = self.var(("E", x))
+            self.clauses.append((-e if x in self.off else e,))
+        for key, vid in self.var_ids.items() if self.off else ():
+            if not self.off.isdisjoint(key[2:4]):
+                self.clauses.append((-vid,))
+
     def decode(self, sig: DomainSignature) -> DomainInterpretation:
         assign, var_ids = self.assign, self.var_ids
+        universe = [x for x in self.universe if x not in self.off]
         concept_ext: dict[str, frozenset[str]] = {}
         abs_ext: dict[str, frozenset[tuple[str, str]]] = {}
         conc_ext: dict[str, frozenset[tuple[str, int]]] = {}
         for name in sig.atomic_concepts:
             concept_ext[name] = frozenset(
                 x
-                for x in self.universe
+                for x in universe
                 if assign[var_ids.get(("C", name, x), 0)]
             )
         for role in sig.abstract_roles:
             abs_ext[role] = frozenset(
                 (x, y)
-                for x in self.universe
-                for y in self.universe
+                for x in universe
+                for y in universe
                 if assign[var_ids.get(("R", role, x, y), 0)]
             )
         for role in sig.concrete_roles:
             conc_ext[role] = frozenset(
                 (x, v)
-                for x in self.universe
+                for x in universe
                 for v in self.values
                 if assign[var_ids.get(("T", role, x, v), 0)]
             )
         nominal_map = {
-            n: n for n in self.universe if not n.startswith(_ANON_PREFIX)
+            n: n for n in universe if not n.startswith(_ANON_PREFIX)
         }
         return DomainInterpretation(
-            universe=frozenset(self.universe),
+            universe=frozenset(universe),
             concept_ext=concept_ext,
             abs_role_ext=abs_ext,
             conc_role_ext=conc_ext,
@@ -324,8 +359,8 @@ class _Grounder:
 
     def restore(self, mark: tuple) -> None:
         """Take back every variable, clause and assignment made since the
-        mark.  The saved counts are put back whole: undoing them literal by
-        literal through `unset_to` costs more."""
+        mark, which stays valid.  The saved counts are copied back whole:
+        undoing them literal by literal through `unset_to` costs more."""
         nvars, ntrail, values, nfalse = mark
         nclauses = len(nfalse)
         occ, assign, trail = self.occ, self.assign, self.trail
@@ -340,7 +375,7 @@ class _Grounder:
         del assign[nvars + 1 :]
         for _ in range(len(self.var_ids) - nvars):
             self.var_ids.popitem()
-        self.values, self.nfalse = values, nfalse
+        self.values, self.nfalse = values, nfalse.copy()
 
 
 _ANON_PREFIX = "_anon"
@@ -408,8 +443,11 @@ class Reasoner:
     - `reads_values`: whether a background axiom holds a ∀-data
       restriction (`all t . n`), the only construct whose grounding
       reads the value pool.
-    - The slot (`_grounded_background`): `key`, the context of the last
-      search, and `grounder`, the background axioms grounded over it.
+    - The slot (`_grounded_background`): `key`, the universe and pool of
+      K's one grounding; `grounder`, the background axioms grounded over
+      them (None if they conflict); `base`, its mark with K settled and
+      no element switched; `switched`, the universe switched on and the
+      mark of that state settled (None if it conflicts).
     - `refutations`: (premises, conclusion formula, anonymous elements)
       -> a countermodel, or None when there is none.
     - `trims`: (kept premises, violated formula, number of detached
@@ -423,6 +461,8 @@ class Reasoner:
         self.reads_values = any(isinstance(n, ForallData) for n in nodes_of(background))
         self.key: Optional[tuple] = None
         self.grounder: Optional[_Grounder] = None
+        self.base: Optional[tuple] = None
+        self.switched: Optional[tuple] = None
         self.refutations: dict[tuple, Optional[DomainInterpretation]] = {}
         self.trims: dict[tuple, bool] = {}
         self.types: dict[tuple, bool] = {}
@@ -443,36 +483,61 @@ def _query_symbols(
 
 
 def _query_bounds(
-    nominals: Iterable[str], ints: frozenset[int], fresh_witnesses: int
+    kb: KnowledgeBase, nominals: frozenset[str], ints: frozenset[int], anonymous: int
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The universe (the named individuals, then the anonymous ones) and
-    the value pool (the query's values plus one fresh value)."""
-    universe = tuple(sorted(nominals)) + tuple(
-        f"{_ANON_PREFIX}{i}" for i in range(fresh_witnesses)
-    )
+    """The universe (K's individuals, the other named individuals, each
+    sorted, then the anonymous ones) and the value pool (the query's
+    values plus one fresh value)."""
+    own = kb.background_symbols[0].nominals
+    anon = tuple(f"{_ANON_PREFIX}{i}" for i in range(anonymous))
+    universe = tuple(sorted(own & nominals)) + tuple(sorted(nominals - own)) + anon
     fresh = max(abs(v) for v in ints) + 1
     return universe, tuple(sorted(ints | {fresh}))
 
 
 def _grounded_background(
     kb: KnowledgeBase, universe: tuple[str, ...], values: tuple[int, ...]
-) -> Optional[_Grounder]:
-    """kb's background axioms grounded over the universe and value pool
-    and settled at level 0 (None if they conflict), from kb's slot; on a
-    miss the slot is refilled for this context.  A background without a
+) -> Optional[tuple[_Grounder, tuple]]:
+    """kb's background axioms grounded, with the universe's elements
+    switched on and settled at level 0, and the mark of that state, from
+    kb's slot; None if they conflict.
+
+    The slot's grounding serves a universe that is a subset of its own
+    and begins with the same element; on a miss K is grounded again over
+    the universe.  Universes list K's individuals first, so the walk over
+    the slot's elements numbers the atoms about those switched on in the
+    order a grounding over the universe alone would: an atom below a
+    quantifier does not depend on the element it is reached from, and
+    the first element, which is on, reaches it first.  The search decides
+    the lowest variable first and never an atom about an element switched
+    off, so it finds that grounding's model.  A background without a
     ∀-data restriction grounds to the same clauses over every pool, so
-    its context is (universe, None) and its grounder's pool is that of
-    the search that filled the slot; otherwise it is (universe, pool)."""
+    the slot's pool is then None."""
     r = kb.reasoner
-    key = (universe, values if r.reads_values else None)
-    if key != r.key:
+    pool = values if r.reads_values else None
+    if (
+        r.key is None
+        or r.key[1] != pool
+        or r.key[0][:1] != universe[:1]
+        or not set(universe).issubset(r.key[0])
+    ):
         # K's last grounding goes first, so that two never coexist
-        r.key = r.grounder = None
+        r.key = r.grounder = r.base = r.switched = None
         g = _Grounder(universe, values)
         for f in kb.background:
             g.assert_formula(f)
-        r.key, r.grounder = key, g if g.settle() else None
-    return r.grounder
+        r.key = (universe, pool)
+        if g.settle():
+            r.grounder, r.base = g, g.mark()
+    g = r.grounder
+    if g is None:
+        return None
+    if r.switched is None or r.switched[0] != universe:
+        g.restore(r.base)
+        g.switch(universe)
+        r.switched = (universe, g.mark() if g.settle() else None)
+    mark = r.switched[1]
+    return None if mark is None else (g, mark)
 
 
 def find_model(
@@ -486,21 +551,22 @@ def find_model(
     given formulas and the formulas, with every formula in `negated`
     false; None if none exists.
 
-    The background axioms come grounded and settled in kb's slot.  Only
-    the query's part is grounded here, onto the slot's grounder over the
-    query's own value pool and numbered after them as a grounding of the
-    whole would number it; restoring the mark afterwards leaves the slot
-    as it was, also on a budget hit.  The formulas are grounded in the
-    order of their printed forms, so the variable order, and with it the
-    model, does not depend on the order they come in."""
+    The background axioms come grounded and settled in kb's slot, with
+    the query's elements switched on.  Only the query's part is grounded
+    here, onto the slot's grounder over the query's own value pool and
+    numbered after them as a grounding of the whole would number it;
+    restoring the slot's mark afterwards leaves the slot as it was, also
+    on a budget hit.  The formulas are grounded in the order of their
+    printed forms, so the model does not depend on the order they come
+    in."""
     asserted = tuple(sorted(formulas, key=str))
     negated = tuple(negated)
     sig, ints = _query_symbols(kb, asserted + negated)
-    universe, values = _query_bounds(sig.nominals, ints, fresh_witnesses)
-    g = _grounded_background(kb, universe, values)
-    if g is None:
+    universe, values = _query_bounds(kb, sig.nominals, ints, fresh_witnesses)
+    slot = _grounded_background(kb, universe, values)
+    if slot is None:
         return None
-    mark = g.mark()
+    g, mark = slot
     try:
         g.values = values
         for f in kb.query_axioms(asserted):
@@ -696,10 +762,11 @@ def _has_type(formulas: tuple[DomainFormula, ...], kb: KnowledgeBase) -> bool:
     """Whether one element with edges to itself alone can satisfy K's
     subsumptions, the formulas about it and their query axioms."""
     formulas = tuple(f for f in kb.background if isinstance(f, Subsumption)) + formulas
-    _, values = _query_bounds((), constants_of_formulas(formulas) | {0}, 0)
+    _, values = _query_bounds(kb, frozenset(), constants_of_formulas(formulas) | {0}, 0)
     g = _Grounder((_TYPE_ELEMENT,), values)
     for f in formulas + kb.query_axioms(formulas):
         g.assert_formula(f)
+    g.switch(g.universe)
     try:
         return _solve(g)
     except BudgetExceeded:
@@ -742,7 +809,7 @@ def entailed_atoms(
         if a in prem:
             out.append(a)
             continue
-        asked, context = _asked(a, sig.nominals, ints)
+        asked, context = _asked(a, kb, sig.nominals, ints)
         model = countermodels.get(context)
         if model is not None and _falsifies(model, asked):
             continue
@@ -761,13 +828,14 @@ _LONE = "_lone"
 
 
 def _asked(
-    a: DomainFormula, nominals: frozenset[str], ints: frozenset[int]
+    a: DomainFormula, kb: KnowledgeBase, nominals: frozenset[str], ints: frozenset[int]
 ) -> tuple[DomainFormula, tuple]:
     """The atom `entailed_atoms` asks for a, and a key of that query's
     context, given the nominals and values of K and the premises."""
     b = _about_one(a)
     if b is None:
         return a, _query_bounds(
+            kb,
             nominals | signature_of((a,)).nominals,
             ints | constants_of_formulas((a,)),
             DEFAULT_FRESH_WITNESSES,

@@ -54,6 +54,22 @@ def count_groundings(monkeypatch) -> list[tuple[tuple, tuple]]:
     return groundings
 
 
+def record_bounds(monkeypatch) -> list[tuple[tuple, tuple]]:
+    """The (universe, value pool) that `reasoning._query_bounds` gives,
+    once per search and per context key of `entailed_atoms`, from now on
+    in order."""
+    bounds = []
+    query_bounds = reasoning._query_bounds
+
+    def recording(*args):
+        out = query_bounds(*args)
+        bounds.append(out)
+        return out
+
+    monkeypatch.setattr(reasoning, "_query_bounds", recording)
+    return bounds
+
+
 @pytest.fixture(scope="session")
 def addwheels():
     return load_corpus("addwheels")

@@ -16,8 +16,8 @@ from twotier.kernel import (
 )
 from twotier.lifting import SpecLifting
 from twotier.status import ObligationStatus
-from twotier.strategy import verify_procedure
-from tests.conftest import count_groundings
+from twotier.strategy import verify_procedure, verify_program
+from tests.conftest import count_groundings, record_bounds
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen_scaled  # noqa: E402
@@ -193,15 +193,32 @@ def test_cyclic_kb_kernels_need_no_search(monkeypatch):
 def test_a_kernel_on_s5_grounds_k_once_for_all_parameter_stubs(monkeypatch):
     """The pool atoms about the stubs var_a_i of s5's parameters, which
     neither K nor Δ names, are asked about one individual: the kernel of
-    Has_0(c) grounds K over two universes, three times in all, where a
-    universe per stub took seven."""
+    Has_0(c) asks over two universes, and K's one grounding serves both,
+    where a universe per stub took seven groundings."""
     kb_text, prog_text = gen_scaled.scaled(5, 2)
     kb = parsing.parse_kb(kb_text)
     program = parsing.parse_program(prog_text, kb)
     pool = VerifCtx.build(program, kb).pool
     assert NZ("var_a_4") in pool.atoms and hv("var_a_0", 1) in pool.atoms
+    searched = record_bounds(monkeypatch)
     groundings = count_groundings(monkeypatch)
     has = ConceptAssertion(Atomic("Has_0"), "c")
     assert informative_kernel((has,), kb, pool) == (hv("v_0", 1),)
-    assert len({universe for universe, _ in groundings}) == 2
-    assert len(groundings) <= 3
+    assert len({universe for universe, _ in searched}) == 2
+    assert len(groundings) <= 2
+
+
+@pytest.mark.hashseed
+def test_verifying_s5_grounds_k_at_most_twice(monkeypatch):
+    """Every query of s5's verification is over K's individuals, the
+    premises' individuals and the individual of lone atoms, plus the
+    anonymous elements: one grounding of K over the largest of these
+    universes serves the others with elements switched off."""
+    kb_text, prog_text = gen_scaled.scaled(5, 2)
+    kb = parsing.parse_kb(kb_text)
+    program = parsing.parse_program(prog_text, kb)
+    ctx = VerifCtx.build(program, kb)
+    groundings = count_groundings(monkeypatch)
+    trees = verify_program(ctx)
+    assert all(tree.closed for tree in trees.values())
+    assert len(groundings) <= 2

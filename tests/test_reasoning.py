@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -35,7 +36,7 @@ from twotier.domainlogic import (
     satisfies,
 )
 from twotier.lifting import SpecLifting
-from tests.conftest import count_groundings
+from tests.conftest import count_groundings, record_bounds
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen_scaled  # noqa: E402
@@ -208,11 +209,12 @@ def test_value_functionality_from_premises(corrected):
     assert isinstance(reasoning.entails((hv0,), (NZ,), kb), reasoning.NotEntailed)
 
 
-# K's individuals are c and s; x occurs in no kb.  K's only constant is 1.
+# K's individuals are c and s, unless its signature declares none; x and
+# y occur in no kb.  K's only constant is 1.
 ATOMS = tuple(
-    [ConceptAssertion(C, i) for C in (A, B, Atomic("N")) for i in "csx"]
-    + [DataAssertion("t", i, v) for i in "csx" for v in (0, 1, 2, 5)]
-    + [RoleAssertion("r", "c", i) for i in "sx"]
+    [ConceptAssertion(C, i) for C in (A, B, Atomic("N")) for i in "csxy"]
+    + [DataAssertion("t", i, v) for i in "csxy" for v in (0, 1, 2, 5)]
+    + [RoleAssertion("r", "c", i) for i in "sxy"]
 )
 KB_AXIOMS = (
     Subsumption(A, B),
@@ -227,11 +229,19 @@ KB_AXIOMS = (
 
 @st.composite
 def kbs(draw):
-    axioms = draw(st.lists(st.sampled_from(KB_AXIOMS), max_size=5, unique=True))
+    """Kbs over tiny_kb's signature, and one in four over that signature
+    without individuals, whose background then names none."""
+    signature = tiny_kb().signature
+    pool = KB_AXIOMS
+    if draw(st.integers(0, 3)) == 0:
+        signature = dataclasses.replace(signature, nominals=frozenset())
+        pool = tuple(f for f in KB_AXIOMS if isinstance(f, Subsumption))
+    axioms = draw(st.lists(st.sampled_from(pool), max_size=5, unique=True))
     if draw(st.integers(0, 3)) == 0:
         axioms += equivalence(A, ExistsRole("r", A))
-    stubs = (Stub("r", "c", "s", "v"),) if draw(st.booleans()) else ()
-    return KnowledgeBase(tiny_kb().signature, tuple(axioms), stubs, draw(st.booleans()))
+    stubbed = signature.nominals and draw(st.booleans())
+    stubs = (Stub("r", "c", "s", "v"),) if stubbed else ()
+    return KnowledgeBase(signature, tuple(axioms), stubs, draw(st.booleans()))
 
 
 def assert_entailed_atoms_are_per_atom(kb, premises, atoms):
@@ -351,10 +361,13 @@ def test_premise_order_does_not_change_the_model():
 
 @st.composite
 def queries_in_turn(draw):
-    """Queries over several universes and value pools.  A query may be
-    followed by one over the same universe that adds a data atom of K's
-    individuals with a value the first does not hold: the slot then has K
-    grounded over the first query's pool."""
+    """Queries over several universes and value pools: with or without
+    the individuals x and y that K does not declare, and with zero to two
+    anonymous elements, so that on a kb without individuals a universe
+    may begin with any of its elements.  A query may be followed by one
+    over the same universe that adds a data atom of c or s with a value
+    the first does not hold: the slot then has K grounded over the first
+    query's pool."""
     queries = []
     for _ in range(draw(st.integers(2, 6))):
         asserted = draw(st.lists(st.sampled_from(ATOMS), max_size=3))
@@ -369,11 +382,28 @@ def queries_in_turn(draw):
     return queries
 
 
+@pytest.mark.hashseed
 @settings(max_examples=60, deadline=None)
 @given(kb=kbs(), queries=queries_in_turn())
+# K grounded over x, y and two anonymous elements does not serve the
+# universe of y and two anonymous elements: x's walk reaches y's atoms
+# in another order than y's own walk
+@example(
+    kb=KnowledgeBase(
+        dataclasses.replace(tiny_kb().signature, nominals=frozenset()),
+        (Subsumption(ExistsRole("r", A), B),) + equivalence(A, ExistsRole("r", A)),
+        (),
+        False,
+    ),
+    queries=[
+        ([ConceptAssertion(A, "x"), ConceptAssertion(A, "y")], [], 2),
+        ([ConceptAssertion(A, "y")], [], 2),
+    ],
+)
 def test_a_kb_slot_gives_the_models_of_fresh_kbs(kb, queries):
     """Queries over several universes and value pools, answered in turn
-    on one kb whose slot is refilled as the context changes, give the
+    on one kb whose one grounding of K serves them with elements switched
+    off, or is made again over a universe it does not serve, give the
     model each gives alone on an equal kb built afresh."""
     for asserted, negated, fresh in queries:
         alone = KnowledgeBase(kb.signature, kb.axioms, kb.stubs, kb.closure_enabled)
@@ -384,13 +414,18 @@ def test_a_kb_slot_gives_the_models_of_fresh_kbs(kb, queries):
             asserted, kb, fresh_witnesses=fresh, negated=negated
         )
         assert model == expected
-        assert kb.reasoner.key is not None
+        r = kb.reasoner
+        if r.switched is not None:  # None when K's grounding conflicts
+            universe, _ = r.switched
+            assert set(universe) <= set(r.key[0]) and universe[:1] == r.key[0][:1]
 
 
 @pytest.mark.hashseed
 def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
     """The fuzzer's queries on one set_i of s2 ground the kb's background
-    axioms once each time the context changes, not once per search."""
+    axioms once each time the slot's context changes, not once per
+    search, and every search's universe is one that the grounding
+    serves."""
     from twotier.calculus import VerifCtx, validate_judgement_empirically
     from twotier.strategy import verify_procedure
 
@@ -406,7 +441,7 @@ def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
 
     def recording(*args, **kwargs):
         model = search(*args, **kwargs)
-        contexts.append(kb.reasoner.key)
+        contexts.append((kb.reasoner.key, kb.reasoner.switched[0]))
         return model
 
     groundings = count_groundings(monkeypatch)
@@ -416,12 +451,15 @@ def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
         ctx, tree.conclusion, (0, 1, 2, 3), seed=1
     )
     assert report.ok
-    switches = [k for i, k in enumerate(contexts) if i == 0 or k != contexts[i - 1]]
+    keys = [key for key, _ in contexts]
+    switches = [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
     # K holds no ∀-data restriction, so the slot is keyed by the universe
     assert not kb.reasoner.reads_values
-    # 16 searches over 6 runs of one context
+    # 4 searches in one context
     assert [(universe, None) for universe, _ in groundings] == switches
     assert len(switches) < len(contexts)
+    for (universe, _), on in contexts:
+        assert set(on) <= set(universe) and on[:1] == universe[:1]
 
 
 @pytest.mark.hashseed
@@ -439,15 +477,7 @@ def test_fuzzing_addwheels_grounds_k_once(monkeypatch):
     assert tree.closed
     assert not kb.reasoner.reads_values
 
-    searched = []
-    bounds = reasoning._query_bounds
-
-    def recording(*args):
-        out = bounds(*args)
-        searched.append(out)
-        return out
-
-    monkeypatch.setattr(reasoning, "_query_bounds", recording)
+    searched = record_bounds(monkeypatch)
     groundings = count_groundings(monkeypatch)
     kb.reasoner.key = None
     report = validate_judgement_empirically(ctx, tree.conclusion, (0, 1, 2, 4))
@@ -603,6 +633,7 @@ def test_tautologies_do_not_change_the_model():
     g = reasoning._Grounder(("c", "s"), (0, 1, 2))
     for f in AXIOM_POOL + POOL[:4]:
         g.assert_formula(f)
+    g.switch(g.universe)
     nvars = len(g.var_ids)
     model = search(context(g, g.clauses))
     assert model is not None
@@ -620,6 +651,7 @@ def test_a_propagated_base_does_not_change_the_search():
         g = reasoning._Grounder(("c", "s", "_anon0"), (0, 1, 2))
         for f in AXIOM_POOL + POOL[:4] + extra:
             g.assert_formula(f)
+        g.switch(g.universe)
         whole = search(context(g, g.clauses))
         assert (whole is None) == bool(extra)
         for at in range(len(g.clauses) + 1):
@@ -633,6 +665,67 @@ def test_a_propagated_base_does_not_change_the_search():
             assert search(base) == whole
             base.restore(mark)
             assert snapshot(base) == before
+
+
+def test_a_mark_restores_twice():
+    """A mark restored after one query brings back the same state after
+    another: K's base mark is restored on every switch of elements."""
+    g = reasoning._Grounder(("c", "s", "_anon0"), (0, 1, 2))
+    for f in AXIOM_POOL:
+        g.assert_formula(f)
+    g.switch(g.universe)
+    assert g.settle()
+    before = snapshot(g)
+    mark = g.mark()
+    for query in (POOL[:3], POOL[3:]):
+        for f in query:
+            g.assert_formula(f)
+        reasoning._solve(g)
+        g.restore(mark)
+        assert snapshot(g) == before
+
+
+def switched_model(axioms, negated, universe, on):
+    """The model of the axioms, with the negated formulas false, over
+    `universe` with the elements of `on` switched on; None if none."""
+    g = reasoning._Grounder(universe, (0, 1, 2))
+    for f in axioms:
+        g.assert_formula(f)
+    g.switch(on)
+    assert g.settle()
+    for f in negated:
+        g.assert_formula(f, holds=False)
+    return g.decode(tiny_kb().signature) if reasoning._solve(g) else None
+
+
+def test_switched_off_elements_leave_the_model_of_the_elements_on():
+    """K grounded over c, s, x and two anonymous elements, with x and the
+    second anonymous one switched off, gives the model of K grounded
+    over c, s and one anonymous element alone."""
+    axioms = (Subsumption(A, B), Subsumption(Top(), OrC(A, ExistsRole("r", B))))
+    # some element is B and not A, and c is not A
+    negated = (Subsumption(B, A), ConceptAssertion(A, "c"))
+    on = ("c", "s", "_anon0")
+    expected = switched_model(axioms, negated, on, on)
+    assert expected.abs_role_ext["r"] == {(x, "_anon0") for x in on}
+    held = ("c", "s", "x", "_anon0", "_anon1")
+    assert switched_model(axioms, negated, held, on) == expected
+
+
+def test_an_atom_grounded_after_the_switch_is_off_too():
+    """K uses neither r nor N, so the query grounds the edges from c and
+    N at every element: those about x, which is off, are false, and c has
+    no r-successor in N."""
+    N = Atomic("N")
+    # c has an r-successor in N, and c and s are not N
+    negated = (
+        ConceptAssertion(ForallRole("r", NotC(N)), "c"),
+        ConceptAssertion(N, "c"),
+        ConceptAssertion(N, "s"),
+    )
+    axioms = (Subsumption(A, B),)
+    assert switched_model(axioms, negated, ("c", "s"), ("c", "s")) is None
+    assert switched_model(axioms, negated, ("c", "s", "x"), ("c", "s")) is None
 
 
 # a query whose conclusion is a tautology, on which chronological DPLL
