@@ -131,11 +131,17 @@ def informative_kernel(
     """Deduced pool atoms that are consequences of delta beyond what kb
     alone already forces.  Any subset of the deduced atoms keeps the
     forward obligation valid, so dropping background-forced atoms is a
-    sound way to keep derivations small."""
+    sound way to keep derivations small.  The answer depends on delta as
+    a set, and is kept on kb's reasoner per (delta, pool atoms), so that
+    every context over kb and the pool shares it."""
     delta = tuple(dict.fromkeys(delta))
-    deltaset = set(delta)
-    deduced = reasoning.entailed_atoms(
-        delta, (a for a in pool.atoms if a not in deltaset), kb
-    )
-    forced = set(reasoning.entailed_atoms((), deduced, kb))
-    return tuple(a for a in deduced if a not in forced)
+    deltaset = frozenset(delta)
+    kernels = kb.reasoner.kernels
+    key = (deltaset, pool.atoms)
+    if key not in kernels:
+        deduced = reasoning.entailed_atoms(
+            delta, (a for a in pool.atoms if a not in deltaset), kb
+        )
+        forced = set(reasoning.entailed_atoms((), deduced, kb))
+        kernels[key] = tuple(a for a in deduced if a not in forced)
+    return kernels[key]

@@ -10,10 +10,14 @@ DEFAULT_FRESH_WITNESSES anonymous elements, `entailed`'s restricted ones
 excepted (below).  The search grounds the query into propositional
 logic and runs a small DPLL solver.  Each knowledge base's `Reasoner`
 keeps the memos of answers and one grounding of K, which serves every
-query over a subset of its universe: the query switches the other
-elements off by unit clauses at level 0 (Eén & Sörensson, *An
-Extensible SAT-solver*, SAT 2003), grounds its own formulas onto that
-unit-propagated state, solves in place and restores it.
+query whose universe is no longer than its own.  Universes list K's
+individuals first, and K names no other element, so the query's
+elements stand for the grounding's by position: the query switches
+the elements beyond its own off by unit clauses at level 0 (Eén &
+Sörensson, *An Extensible SAT-solver*, SAT 2003), grounds its own
+formulas onto that unit-propagated state through the renaming, solves
+in place, reads the model back under its own names and restores the
+state.
 
 Absence of a countermodel at the bound certifies entailment only for
 acyclic terminologies; cyclic inputs yield Unknown verdicts, and so does a
@@ -119,6 +123,8 @@ class _Grounder:
         self.values = tuple(values)
         self.var_ids: dict[tuple, int] = {}
         self.off: frozenset[str] = frozenset()
+        # a query's individual -> the element that stands for it here
+        self.names: dict[str, str] = {}
         # the literal of Top, which holds in every model
         self.true = self.var(("true",))
         # E(x): whether the element x exists, which `switch` decides
@@ -157,6 +163,10 @@ class _Grounder:
                 self.clauses.append((-out,) + ins)
         return out
 
+    def element(self, individual: str) -> str:
+        """The element that stands for a query's individual."""
+        return self.names.get(individual, individual)
+
     def concept(self, c: Concept, x: str) -> int:
         if isinstance(c, Atomic):
             return self.var(("C", c.name, x))
@@ -165,8 +175,8 @@ class _Grounder:
         if isinstance(c, Bottom):
             return -self.true
         if isinstance(c, Nominal):
-            # individuals denote themselves and are pairwise distinct
-            return self.true if c.name == x else -self.true
+            # individuals denote their elements and are pairwise distinct
+            return self.true if self.element(c.name) == x else -self.true
         if isinstance(c, NotC):
             return -self.concept(c.arg, x)
         if isinstance(c, AndC):
@@ -198,11 +208,12 @@ class _Grounder:
             conjuncts = [self.gate("or", c) for c in self._conjuncts(delta)]
             return self.gate("and", conjuncts)
         if isinstance(delta, ConceptAssertion):
-            return self.concept(delta.concept, delta.individual)
+            return self.concept(delta.concept, self.element(delta.individual))
         if isinstance(delta, RoleAssertion):
-            return self.var(("R", delta.role, delta.subject, delta.obj))
+            subject, obj = self.element(delta.subject), self.element(delta.obj)
+            return self.var(("R", delta.role, subject, obj))
         if isinstance(delta, DataAssertion):
-            return self.var(("T", delta.role, delta.subject, delta.value))
+            return self.var(("T", delta.role, self.element(delta.subject), delta.value))
         raise TypeError(f"not a domain formula: {delta!r}")
 
     def _conjuncts(self, delta: Subsumption):
@@ -238,40 +249,38 @@ class _Grounder:
                 self.clauses.append((-vid,))
 
     def decode(self, sig: DomainSignature) -> DomainInterpretation:
+        """The model over the elements on, each under the query's name for
+        it."""
         assign, var_ids = self.assign, self.var_ids
-        universe = [x for x in self.universe if x not in self.off]
+        back = {x: q for q, x in self.names.items()}
+        on = [(x, back.get(x, x)) for x in self.universe if x not in self.off]
         concept_ext: dict[str, frozenset[str]] = {}
         abs_ext: dict[str, frozenset[tuple[str, str]]] = {}
         conc_ext: dict[str, frozenset[tuple[str, int]]] = {}
         for name in sig.atomic_concepts:
             concept_ext[name] = frozenset(
-                x
-                for x in universe
-                if assign[var_ids.get(("C", name, x), 0)]
+                q for x, q in on if assign[var_ids.get(("C", name, x), 0)]
             )
         for role in sig.abstract_roles:
             abs_ext[role] = frozenset(
-                (x, y)
-                for x in universe
-                for y in universe
+                (p, q)
+                for x, p in on
+                for y, q in on
                 if assign[var_ids.get(("R", role, x, y), 0)]
             )
         for role in sig.concrete_roles:
             conc_ext[role] = frozenset(
-                (x, v)
-                for x in universe
+                (q, v)
+                for x, q in on
                 for v in self.values
                 if assign[var_ids.get(("T", role, x, v), 0)]
             )
-        nominal_map = {
-            n: n for n in universe if not n.startswith(_ANON_PREFIX)
-        }
         return DomainInterpretation(
-            universe=frozenset(universe),
+            universe=frozenset(q for _, q in on),
             concept_ext=concept_ext,
             abs_role_ext=abs_ext,
             conc_role_ext=conc_ext,
-            nominal_map=nominal_map,
+            nominal_map={q: q for _, q in on if not q.startswith(_ANON_PREFIX)},
         )
 
     def settle(self) -> bool:
@@ -444,12 +453,17 @@ class Reasoner:
       restriction (`all t . n`), the only construct whose grounding
       reads the value pool.
     - The slot (`_grounded_background`): `key`, the universe and pool of
-      K's one grounding; `grounder`, the background axioms grounded over
-      them (None if they conflict); `base`, its mark with K settled and
-      no element switched; `switched`, the universe switched on and the
-      mark of that state settled (None if it conflicts).
+      K's one grounding, which serves every universe no longer than that
+      one; `grounder`, the background axioms grounded over them (None if
+      they conflict), with the last query's renaming of its elements to
+      the grounding's (`_Grounder.names`); `base`, its mark with K
+      settled and no element switched; `switched`, the number of
+      elements switched on, a prefix of the universe, and the mark of
+      that state settled (None if it conflicts).
     - `refutations`: (premises, conclusion formula, anonymous elements)
       -> a countermodel, or None when there is none.
+    - `kernels`: (delta, pool atoms) -> `kernel.informative_kernel`'s
+      answer.
     - `trims`: (kept premises, violated formula, number of detached
       individuals) -> whether a restricted countermodel survives that
       many anonymous elements dropped (`_trims`).
@@ -464,6 +478,7 @@ class Reasoner:
         self.base: Optional[tuple] = None
         self.switched: Optional[tuple] = None
         self.refutations: dict[tuple, Optional[DomainInterpretation]] = {}
+        self.kernels: dict[tuple, tuple[DomainFormula, ...]] = {}
         self.trims: dict[tuple, bool] = {}
         self.types: dict[tuple, bool] = {}
 
@@ -498,29 +513,28 @@ def _query_bounds(
 def _grounded_background(
     kb: KnowledgeBase, universe: tuple[str, ...], values: tuple[int, ...]
 ) -> Optional[tuple[_Grounder, tuple]]:
-    """kb's background axioms grounded, with the universe's elements
-    switched on and settled at level 0, and the mark of that state, from
-    kb's slot; None if they conflict.
+    """kb's background axioms grounded, with as many elements switched on
+    as the universe has and settled at level 0, and the mark of that
+    state, from kb's slot; None if they conflict.
 
-    The slot's grounding serves a universe that is a subset of its own
-    and begins with the same element; on a miss K is grounded again over
-    the universe.  Universes list K's individuals first, so the walk over
-    the slot's elements numbers the atoms about those switched on in the
-    order a grounding over the universe alone would: an atom below a
-    quantifier does not depend on the element it is reached from, and
-    the first element, which is on, reaches it first.  The search decides
-    the lowest variable first and never an atom about an element switched
-    off, so it finds that grounding's model.  A background without a
+    The slot's grounding serves every universe no longer than its own:
+    the query's elements stand for the slot's elements at their
+    positions, and the elements beyond them are off.  Universes list K's
+    individuals first, so these stand for themselves, and K names none
+    of the others: the background grounds to the same clauses, up to
+    that renaming, over the slot's first elements as over the universe
+    alone.  The walk over the slot's elements numbers the atoms about
+    those on in the order a grounding over them alone would: an atom
+    below a quantifier does not depend on the element it is reached
+    from, and the first element, which is on, reaches it first.  The
+    search decides the lowest variable first and never an atom about an
+    element switched off, so it finds that grounding's model.  On a miss
+    K is grounded again over the universe.  A background without a
     ∀-data restriction grounds to the same clauses over every pool, so
     the slot's pool is then None."""
     r = kb.reasoner
     pool = values if r.reads_values else None
-    if (
-        r.key is None
-        or r.key[1] != pool
-        or r.key[0][:1] != universe[:1]
-        or not set(universe).issubset(r.key[0])
-    ):
+    if r.key is None or r.key[1] != pool or len(universe) > len(r.key[0]):
         # K's last grounding goes first, so that two never coexist
         r.key = r.grounder = r.base = r.switched = None
         g = _Grounder(universe, values)
@@ -532,10 +546,10 @@ def _grounded_background(
     g = r.grounder
     if g is None:
         return None
-    if r.switched is None or r.switched[0] != universe:
+    if r.switched is None or r.switched[0] != len(universe):
         g.restore(r.base)
-        g.switch(universe)
-        r.switched = (universe, g.mark() if g.settle() else None)
+        g.switch(g.universe[: len(universe)])
+        r.switched = (len(universe), g.mark() if g.settle() else None)
     mark = r.switched[1]
     return None if mark is None else (g, mark)
 
@@ -552,13 +566,15 @@ def find_model(
     false; None if none exists.
 
     The background axioms come grounded and settled in kb's slot, with
-    the query's elements switched on.  Only the query's part is grounded
-    here, onto the slot's grounder over the query's own value pool and
-    numbered after them as a grounding of the whole would number it;
-    restoring the slot's mark afterwards leaves the slot as it was, also
-    on a budget hit.  The formulas are grounded in the order of their
-    printed forms, so the model does not depend on the order they come
-    in."""
+    as many elements switched on as the query's universe has.  Only the
+    query's part is grounded here, onto the slot's grounder over the
+    query's own value pool, with each element of the universe renamed to
+    the slot's element at its position (`_Grounder.names`), and numbered
+    after them as a grounding of the whole would number it; the model is
+    decoded under the query's names.  Restoring the slot's mark
+    afterwards leaves the slot as it was, also on a budget hit.  The
+    formulas are grounded in the order of their printed forms, so the
+    model does not depend on the order they come in."""
     asserted = tuple(sorted(formulas, key=str))
     negated = tuple(negated)
     sig, ints = _query_symbols(kb, asserted + negated)
@@ -569,6 +585,7 @@ def find_model(
     g, mark = slot
     try:
         g.values = values
+        g.names = dict(zip(universe, g.universe))
         for f in kb.query_axioms(asserted):
             g.assert_formula(f)
         for f in asserted:
@@ -788,7 +805,8 @@ def entailed_atoms(
     the other, at any bound.  The verdict is the same, a itself is what
     is returned and no countermodel leaves this function; atoms about
     different such individuals (the stubs of parameters, on kernels)
-    share one universe, one grounding of K and one memo entry.
+    share one memo entry.  K's grounding needs no such renaming: it
+    serves every universe of one length (`_grounded_background`).
 
     A query for a is decided over the premises' universe and value pool,
     extended by a's individual and value.  A countermodel found for one

@@ -83,23 +83,39 @@ def dumps_procedures(results: Iterable[tuple[str, ProofTree]]) -> str:
     return _document(procedures={name: tree_to_dict(t) for name, t in results})
 
 
-def _load(path: str, field: str, parse, text: str, context) -> Any:
-    """`parse(text, context)`; a ParseError names the node and field."""
-    try:
-        return parse(text, context)
-    except ParseError as exc:
-        raise ParseError(f"{path} {field}: {exc}") from exc
+def _load(
+    path: str, field: str, parse, text: str, context, parsed: dict[tuple, Any]
+) -> Any:
+    """`parse(text, context)`, parsed once per load: `parsed` keeps the
+    result by (parser, text).  A ParseError names the node and field
+    where the text first occurs, since it ends the load."""
+    key = (parse, text)
+    if key not in parsed:
+        try:
+            parsed[key] = parse(text, context)
+        except ParseError as exc:
+            raise ParseError(f"{path} {field}: {exc}") from exc
+    return parsed[key]
 
 
 def tree_from_dict(
-    data: dict[str, Any], kb: KnowledgeBase, program: Program, path: str = "root"
+    data: dict[str, Any],
+    kb: KnowledgeBase,
+    program: Program,
+    path: str = "root",
+    parsed: dict[tuple, Any] | None = None,
 ) -> ProofTree:
+    """The tree that `tree_to_dict` made `data` from.  `parsed` holds the
+    texts parsed so far in this load, shared with the premises; a text
+    parses to immutable values under one kb, so each is parsed once."""
+    if parsed is None:
+        parsed = {}
     sig = kb.symbols
     stored = data["conclusion"]
     conclusion = Judgement(
-        pre=_load(path, "pre", parse_assertion, stored["pre"], sig),
-        stmt=_load(path, "stmt", parse_statement, stored["stmt"], kb),
-        post=_load(path, "post", parse_assertion, stored["post"], sig),
+        pre=_load(path, "pre", parse_assertion, stored["pre"], sig, parsed),
+        stmt=_load(path, "stmt", parse_statement, stored["stmt"], kb, parsed),
+        post=_load(path, "post", parse_assertion, stored["post"], sig, parsed),
     )
     obligations = tuple(
         Obligation(
@@ -111,14 +127,14 @@ def tree_from_dict(
         for o in data.get("obligations", ())
     )
     premises = tuple(
-        tree_from_dict(p, kb, program, f"{path}.{i}")
+        tree_from_dict(p, kb, program, f"{path}.{i}", parsed)
         for i, p in enumerate(data.get("premises", ()))
     )
     args = []
     for key, text in sorted(data.get("args", {}).items()):
         if key not in _ARG_PARSERS:
             raise ParseError(f"{path} args: unknown rule argument {key!r}")
-        args.append((key, _load(path, key, _ARG_PARSERS[key], text, sig)))
+        args.append((key, _load(path, key, _ARG_PARSERS[key], text, sig, parsed)))
     return ProofTree(
         conclusion=conclusion,
         rule=data["rule"],
@@ -160,8 +176,9 @@ def loads(
             return tree_from_dict(doc["tree"], kb, program)
         declared = {proc.name for proc in program.procedures}
         trees = {}
+        parsed: dict[tuple, Any] = {}
         for name, data in sorted(doc.get("procedures", {}).items()):
             if name not in declared:
                 raise ParseError(f"proof of undeclared procedure {name!r}")
-            trees[name] = tree_from_dict(data, kb, program, f"{name} root")
+            trees[name] = tree_from_dict(data, kb, program, f"{name} root", parsed)
         return trees

@@ -17,7 +17,7 @@ from twotier.kernel import (
 from twotier.lifting import SpecLifting
 from twotier.status import ObligationStatus
 from twotier.strategy import verify_procedure, verify_program
-from tests.conftest import count_groundings, record_bounds
+from tests.conftest import count_groundings, load_corpus, record_bounds
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen_scaled  # noqa: E402
@@ -212,8 +212,9 @@ def test_a_kernel_on_s5_grounds_k_once_for_all_parameter_stubs(monkeypatch):
 def test_verifying_s5_grounds_k_at_most_twice(monkeypatch):
     """Every query of s5's verification is over K's individuals, the
     premises' individuals and the individual of lone atoms, plus the
-    anonymous elements: one grounding of K over the largest of these
-    universes serves the others with elements switched off."""
+    anonymous elements: one grounding of K over the longest of these
+    universes serves the others, whose elements stand for its own by
+    position, with the rest switched off."""
     kb_text, prog_text = gen_scaled.scaled(5, 2)
     kb = parsing.parse_kb(kb_text)
     program = parsing.parse_program(prog_text, kb)
@@ -222,3 +223,36 @@ def test_verifying_s5_grounds_k_at_most_twice(monkeypatch):
     trees = verify_program(ctx)
     assert all(tree.closed for tree in trees.values())
     assert len(groundings) <= 2
+
+
+@pytest.mark.hashseed
+def test_verifying_the_corpus_grounds_k_at_most_five_times(monkeypatch):
+    """The assembly kernels ask over K's individuals and `_lone`, the
+    other queries over K's individuals and `var_nrDoors`: the two
+    universes have one length, so one grounding of K serves both, with
+    `var_nrDoors` standing for `_lone`."""
+    groundings = count_groundings(monkeypatch)
+    for stem in ("addwheels", "assembly_corrected", "assembly_verbatim"):
+        program, kb = load_corpus(stem)
+        verify_program(VerifCtx.build(program, kb))
+    assert len(groundings) <= 5
+
+
+def test_a_second_context_shares_the_kernel(monkeypatch):
+    """Two contexts over one kb build equal pools; the second asks no
+    atom again for a kernel the first computed."""
+    program, kb = load_corpus("assembly_corrected")
+    first = VerifCtx.build(program, kb)
+    delta = (ConceptAssertion(Atomic("SmallCar"), "c"), hv("doorsVar", 2))
+    kernel = informative_kernel(delta, kb, first.pool)
+    assert kernel
+    second = VerifCtx.build(program, kb)
+    assert second.pool == first.pool and second.pool is not first.pool
+
+    def no_atoms(*args, **kwargs):
+        raise AssertionError("the kernel is asked again")
+
+    monkeypatch.setattr(reasoning, "entailed_atoms", no_atoms)
+    assert informative_kernel(delta, kb, second.pool) == kernel
+    # the kernel reads delta as a set
+    assert informative_kernel(delta[::-1] + delta, kb, second.pool) == kernel

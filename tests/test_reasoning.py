@@ -359,6 +359,19 @@ def test_premise_order_does_not_change_the_model():
     assert reasoning.find_model((other, either), kb) == first
 
 
+# formulas that name the individuals x and y, which K does not declare,
+# where the slot renames them: as the object of a role assertion, the
+# subject of one and of a data triple, and in nominals
+RENAMED = (
+    RoleAssertion("r", "x", "y"),
+    RoleAssertion("r", "y", "c"),
+    DataAssertion("t", "y", 2),
+    ConceptAssertion(ExistsRole("r", Nominal("y")), "c"),
+    ConceptAssertion(ForallRole("r", NotC(Nominal("y"))), "x"),
+    Subsumption(Nominal("y"), A),
+)
+
+
 @st.composite
 def queries_in_turn(draw):
     """Queries over several universes and value pools: with or without
@@ -368,10 +381,11 @@ def queries_in_turn(draw):
     over the same universe that adds a data atom of c or s with a value
     the first does not hold: the slot then has K grounded over the first
     query's pool."""
+    formulas = st.sampled_from(ATOMS + RENAMED)
     queries = []
     for _ in range(draw(st.integers(2, 6))):
-        asserted = draw(st.lists(st.sampled_from(ATOMS), max_size=3))
-        negated = draw(st.lists(st.sampled_from(ATOMS), max_size=1))
+        asserted = draw(st.lists(formulas, max_size=3))
+        negated = draw(st.lists(formulas, max_size=1))
         fresh = draw(st.integers(0, 2))
         queries.append((asserted, negated, fresh))
         if draw(st.booleans()):
@@ -382,12 +396,26 @@ def queries_in_turn(draw):
     return queries
 
 
+def assert_positional(kb):
+    """The last search's elements stand for a prefix of the slot's
+    universe, position by position, K's individuals for themselves, and
+    as many elements are switched on as the search's universe has."""
+    r = kb.reasoner
+    names = r.grounder.names
+    own = tuple(sorted(kb.background_symbols[0].nominals))
+    assert tuple(names)[: len(own)] == own
+    assert all(names[x] == x for x in own)
+    assert tuple(names.values()) == r.key[0][: len(names)]
+    assert r.switched[0] == len(names)
+
+
 @pytest.mark.hashseed
 @settings(max_examples=60, deadline=None)
 @given(kb=kbs(), queries=queries_in_turn())
-# K grounded over x, y and two anonymous elements does not serve the
-# universe of y and two anonymous elements: x's walk reaches y's atoms
-# in another order than y's own walk
+# K grounded over x, y and two anonymous elements serves the universe of
+# y and two anonymous elements with y standing for x: switching x off
+# instead would let x's walk reach y's atoms in another order than y's
+# own walk
 @example(
     kb=KnowledgeBase(
         dataclasses.replace(tiny_kb().signature, nominals=frozenset()),
@@ -400,11 +428,29 @@ def queries_in_turn(draw):
         ([ConceptAssertion(A, "y")], [], 2),
     ],
 )
+# the kernel's universe of c, s and `_lone`, then one of c, s and another
+# name, which stands for `_lone`
+@example(
+    kb=tiny_kb(KB_AXIOMS[:5], closure=True),
+    queries=[
+        ([ConceptAssertion(A, reasoning._LONE)], [ConceptAssertion(B, reasoning._LONE)], 2),
+        (
+            [
+                RoleAssertion("r", "c", "y"),
+                DataAssertion("t", "y", 1),
+                ConceptAssertion(ExistsRole("r", Nominal("y")), "s"),
+            ],
+            [ConceptAssertion(B, "y")],
+            2,
+        ),
+    ],
+)
 def test_a_kb_slot_gives_the_models_of_fresh_kbs(kb, queries):
     """Queries over several universes and value pools, answered in turn
-    on one kb whose one grounding of K serves them with elements switched
-    off, or is made again over a universe it does not serve, give the
-    model each gives alone on an equal kb built afresh."""
+    on one kb whose one grounding of K serves them with their elements
+    renamed to the slot's and the others switched off, or is made again
+    over a universe it does not serve, give the model each gives alone
+    on an equal kb built afresh."""
     for asserted, negated, fresh in queries:
         alone = KnowledgeBase(kb.signature, kb.axioms, kb.stubs, kb.closure_enabled)
         expected = reasoning.find_model(
@@ -415,17 +461,19 @@ def test_a_kb_slot_gives_the_models_of_fresh_kbs(kb, queries):
         )
         assert model == expected
         r = kb.reasoner
-        if r.switched is not None:  # None when K's grounding conflicts
-            universe, _ = r.switched
-            assert set(universe) <= set(r.key[0]) and universe[:1] == r.key[0][:1]
+        # None when K's grounding, or the switched state, conflicts
+        if r.switched is not None and r.switched[1] is not None:
+            assert_positional(kb)
+            if model is not None:
+                assert model.universe == set(r.grounder.names)
 
 
 @pytest.mark.hashseed
 def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
     """The fuzzer's queries on one set_i of s2 ground the kb's background
     axioms once each time the slot's context changes, not once per
-    search, and every search's universe is one that the grounding
-    serves."""
+    search, and every search's elements stand for the grounding's by
+    position."""
     from twotier.calculus import VerifCtx, validate_judgement_empirically
     from twotier.strategy import verify_procedure
 
@@ -436,12 +484,13 @@ def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
     tree = verify_procedure(ctx, program.procedure("set_1"))
     assert tree.closed
 
-    contexts = []
+    keys = []
     search = reasoning.find_model
 
     def recording(*args, **kwargs):
         model = search(*args, **kwargs)
-        contexts.append((kb.reasoner.key, kb.reasoner.switched[0]))
+        keys.append(kb.reasoner.key)
+        assert_positional(kb)
         return model
 
     groundings = count_groundings(monkeypatch)
@@ -451,15 +500,12 @@ def test_fuzzing_grounds_k_once_per_context_switch(monkeypatch):
         ctx, tree.conclusion, (0, 1, 2, 3), seed=1
     )
     assert report.ok
-    keys = [key for key, _ in contexts]
     switches = [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
     # K holds no ∀-data restriction, so the slot is keyed by the universe
     assert not kb.reasoner.reads_values
     # 4 searches in one context
     assert [(universe, None) for universe, _ in groundings] == switches
-    assert len(switches) < len(contexts)
-    for (universe, _), on in contexts:
-        assert set(on) <= set(universe) and on[:1] == universe[:1]
+    assert len(switches) < len(keys)
 
 
 @pytest.mark.hashseed

@@ -72,3 +72,62 @@ def test_dict_form_tolerates_missing_optionals(corrected, corrected_ctx):
     back = tree_from_dict(data, kb, program)
     assert back.rule == tree.rule
     assert back.conclusion == tree.conclusion
+
+
+def texts(data):
+    """Each stored text of a tree's nodes, with the kind of its parser."""
+    kinds = {"pre": "assertion", "post": "assertion", "stmt": "statement"}
+    kinds.update(mid="assertion", inner_pre="assertion", inner_post="assertion")
+    kinds.update(kernel="atoms", delta_prime="atoms")
+    found = [(kinds[k], t) for k, t in data["conclusion"].items()]
+    found += [(kinds[k], t) for k, t in data.get("args", {}).items()]
+    for p in data["premises"]:
+        found += texts(p)
+    return found
+
+
+def test_a_load_parses_each_text_once(corrected, corrected_ctx, monkeypatch):
+    """A tree's nodes repeat their assertions and statements; loading it
+    parses each distinct text once, and gives the tree back."""
+    from twotier import serialize
+
+    program, kb = corrected
+    tree = verify_program(corrected_ctx)["assembly"]
+    data = tree_to_dict(tree)
+    calls = []
+
+    def counting(kind, parse):
+        def counted(text, context):
+            calls.append((kind, text))
+            return parse(text, context)
+
+        return counted
+
+    assertion = counting("assertion", serialize.parse_assertion)
+    monkeypatch.setattr(serialize, "parse_assertion", assertion)
+    monkeypatch.setattr(
+        serialize, "parse_statement", counting("statement", serialize.parse_statement)
+    )
+    atoms = counting("atoms", serialize._parse_atoms)
+    parsers = {"kernel": atoms, "delta_prime": atoms}
+    parsers.update(mid=assertion, inner_pre=assertion, inner_post=assertion)
+    monkeypatch.setattr(serialize, "_ARG_PARSERS", parsers)
+    back = tree_from_dict(data, kb, program)
+    assert shape(back) == shape(tree)
+    stored = texts(data)
+    assert sorted(calls) == sorted(set(stored))
+    assert len(calls) < len(stored)
+
+
+def test_a_repeated_bad_text_is_reported_at_its_first_node(corrected, corrected_ctx):
+    program, kb = corrected
+    data = tree_to_dict(verify_program(corrected_ctx)["assembly"])
+    assert len(data["premises"]) >= 2
+    bad = "[ Nonsense( | - ]"
+    data["premises"][1]["conclusion"]["pre"] = bad
+    data["premises"][0]["conclusion"]["post"] = bad
+    with pytest.raises(ParseError, match=r"^root\.0 post: "):
+        tree_from_dict(data, kb, program)
+    doc = json.dumps({"format": FORMAT, "version": 1, "procedures": {"assembly": data}})
+    with pytest.raises(ParseError, match=r"^assembly root\.0 post: "):
+        loads(doc, kb, program)
