@@ -21,8 +21,13 @@ from .statelogic import (
     same_state,
     state_implies_counterexample,
 )
-from .domainlogic import DomainFormula, DomainInterpretation, KnowledgeBase
-from .lifting import SpecLifting
+from .domainlogic import (
+    DataAssertion,
+    DomainFormula,
+    DomainInterpretation,
+    KnowledgeBase,
+)
+from .lifting import VALUE_ROLE, SpecLifting
 from .status import ObligationStatus, status_of_verdict
 from . import reasoning
 
@@ -59,20 +64,103 @@ def assertion_holds(
     kb: KnowledgeBase,
     lifting: SpecLifting,
 ) -> bool:
+    """Whether sigma meets a's state tier and the lifted state, with the
+    lifted liftable part of the state tier, entails a's domain tier:
+    `reasoning.entailed` of those premises.  Its split of the premises
+    is made once per (a, lifting, sigma's variables) and kept, with the
+    answers, on kb's reasoner (`_Split`)."""
     if not holds(a.state, sigma):
         return False
     if not a.domain:
         return True
-    lifted_phi, _residue = lifting.lift_partial(a.state)
-    premises = lifting.lift_state(sigma) | lifted_phi
-    return reasoning.entailed(premises, a.domain, kb)
+    key = (a, lifting, tuple(sigma))
+    split = kb.reasoner.splits.get(key)
+    if split is None:
+        split = kb.reasoner.splits[key] = _Split(a, key[2], kb, lifting)
+    return split.entailed(sigma)
+
+
+class _Split:
+    """`reasoning.entailed` of an assertion's premises, over every state
+    of one set of variables, with the premises split once.
+
+    The premises are one triple hasValue(stub(v), σ(v)) per variable v
+    and the lifted liftable part φ of the state tier, each about one
+    stub.  Which stubs detach depends only on which of them K or the
+    domain tier names, so `reasoning.split` of one state's premises
+    splits every state's alike.  The relevant variables are those whose
+    stubs stay.  A state's restricted query is then that of its values
+    of the relevant variables, asked once per such projection
+    (`reasoning.restricted`).  When it is entailed, so is every state
+    with that projection.  When its countermodel trims, a state fails
+    unless a detached stub's premises have no type, and whether they do
+    is kept per (stub, its variables' values).  Otherwise the state asks
+    its full query, as `entailed` does."""
+
+    def __init__(
+        self,
+        a: TwoTierAssertion,
+        variables: tuple[str, ...],
+        kb: KnowledgeBase,
+        lifting: SpecLifting,
+    ):
+        self.conclusion, self.kb, self.lifting = a.domain, kb, lifting
+        self.phi = lifting.lift_partial(a.state)[0]
+        # the split reads individuals alone, so any values will do
+        sample = lifting.lift_state(dict.fromkeys(variables, 0)) | self.phi
+        kept, detached = reasoning.split(sample, a.domain, kb)
+        # φ's premises about stubs that stay; a state adds its relevant triples
+        self.kept = kept & self.phi
+        stub = lifting.stub_for
+        self.relevant = tuple((v, stub(v)) for v in variables if stub(v) not in detached)
+        # each detached stub, its variables and its premises from φ
+        self.detached = tuple(
+            (d, tuple(v for v in variables if stub(v) == d), self.phi.intersection(ps))
+            for d, ps in sorted(detached.items())
+        )
+        # relevant values -> `reasoning.restricted`'s answer
+        self.answers: dict[tuple[int, ...], Optional[bool]] = {}
+        # (detached stub, its variables' values) -> whether they have a type
+        self.types: dict[tuple, bool] = {}
+
+    def entailed(self, sigma: ProgramState) -> bool:
+        values = tuple(sigma[v] for v, _ in self.relevant)
+        try:
+            answer = self.answers[values]
+        except KeyError:
+            kept = self.kept.union(
+                DataAssertion(VALUE_ROLE, s, n) for (_, s), n in zip(self.relevant, values)
+            )
+            answer = self.answers[values] = reasoning.restricted(
+                kept, self.conclusion, len(self.detached), self.kb
+            )
+        if answer is False and not all(self._has_type(d, sigma) for d in self.detached):
+            answer = None
+        if answer is None:
+            premises = self.lifting.lift_state(sigma) | self.phi
+            return reasoning.entails(premises, self.conclusion, self.kb).is_entailed
+        return answer
+
+    def _has_type(self, detached: tuple, sigma: ProgramState) -> bool:
+        d, variables, own = detached
+        key = (d, tuple(sigma[v] for v in variables))
+        typed = self.types.get(key)
+        if typed is None:
+            triples = (DataAssertion(VALUE_ROLE, d, sigma[v]) for v in variables)
+            typed = self.types[key] = reasoning.has_type(
+                self.kept, own.union(triples), self.kb
+            )
+        return typed
 
 
 def compile_assertion(
     a: TwoTierAssertion, names: Sequence[str], kb: KnowledgeBase, lifting: SpecLifting
 ) -> Callable[[tuple], bool]:
-    """assertion_holds over tuples of values in `names` order, its state
-    tier compiled: only a state that meets it asks the domain tier."""
+    """`assertion_holds` over tuples of values in `names` order, its state
+    tier compiled: only a state that meets it goes on to
+    `assertion_holds`, whose split of the premises over states of these
+    variables is made once, so each such state costs a lookup by its
+    values of the relevant variables."""
     state = compile_formula(a.state, names)
     if not a.domain:
         return state

@@ -23,13 +23,16 @@ Absence of a countermodel at the bound certifies entailment only for
 acyclic terminologies; cyclic inputs yield Unknown verdicts, and so does a
 search that runs out of its decision budget.
 
-`entailed` gives the verdict alone, for `assertion_holds`.  It asks the
-query first without the premises about individuals that neither K nor
-the conclusion names, over one more anonymous element for each, so that
-states differing only in such individuals share a search.  Its answer
-is that of the full query: an `Entailed` always, a `NotEntailed` when
-the countermodel extends to one over the full query's universe, and
-otherwise it asks the full query.
+`entailed` gives the verdict alone.  It asks the query first without
+the premises about individuals that neither K nor the conclusion names,
+over one more anonymous element for each (`split`, `restricted`).  Its
+answer is that of the full query: an `Entailed` always, a `NotEntailed`
+when the countermodel extends to one over the full query's universe
+(`has_type`), and otherwise it asks the full query.  The split depends
+on the individuals the premises name, not on their values, so
+`assertion_holds` splits an assertion's premises once for all states
+over its variables and asks the restricted query once per projection
+of a state onto the variables whose stubs stay.
 """
 
 from __future__ import annotations
@@ -464,12 +467,12 @@ class Reasoner:
       -> a countermodel, or None when there is none.
     - `kernels`: (delta, pool atoms) -> `kernel.informative_kernel`'s
       answer.
-    - `trims`: (kept premises, violated formula, number of detached
-      individuals) -> whether a restricted countermodel survives that
-      many anonymous elements dropped (`_trims`).
     - `types`: (premise subsumptions, a detached individual's premises
       renamed) -> whether a one-element type satisfies them
-      (`_has_type`)."""
+      (`has_type`).
+    - `splits`: (assertion, lifting, variables) -> the split of that
+      assertion's premises over states of those variables, with its
+      answers (`assertions._Split`)."""
 
     def __init__(self, background: Iterable[DomainFormula]):
         self.reads_values = any(isinstance(n, ForallData) for n in nodes_of(background))
@@ -479,8 +482,8 @@ class Reasoner:
         self.switched: Optional[tuple] = None
         self.refutations: dict[tuple, Optional[DomainInterpretation]] = {}
         self.kernels: dict[tuple, tuple[DomainFormula, ...]] = {}
-        self.trims: dict[tuple, bool] = {}
         self.types: dict[tuple, bool] = {}
+        self.splits: dict[tuple, object] = {}
 
 
 def _query_symbols(
@@ -648,10 +651,11 @@ def entailed(
     Let D be the individuals of the premises that kb's background
     symbols and the conclusion do not name and that every premise naming
     them is about alone: a data triple t(d, n) or an atomic concept
-    assertion A(d) (a syntactic locality module; Cuenca Grau, Horrocks,
-    Kazakov & Sattler, *Modular Reuse of Ontologies*, JAIR 2008).  The
-    restricted query keeps the other premises and adds |D| anonymous
-    elements, so its universe has the size of the full query's.
+    assertion A(d) (`split`, a syntactic locality module; Cuenca Grau,
+    Horrocks, Kazakov & Sattler, *Modular Reuse of Ontologies*, JAIR
+    2008).  The restricted query keeps the other premises and adds |D|
+    anonymous elements, so its universe has the size of the full
+    query's (`restricted`).
 
     - `Entailed` is exact.  Rename each member of D in a countermodel of
       the full query to a fresh anonymous element, and map every value
@@ -663,37 +667,69 @@ def entailed(
     - `NotEntailed` is trusted with a certificate.  Drop |D| anonymous
       elements that no other element points to from the restricted
       countermodel; the others keep their successors and so their
-      concepts.  What remains is checked, once per restricted query,
-      against K, the kept premises, their query axioms and the negated
-      conclusion.  Each member of D is then added as a detached element
-      (no edges to other elements) of a type that satisfies K's
-      subsumptions, the premise subsumptions, its own premises and their
-      query axioms, found once per (kb, its premises up to renaming) by
-      a one-element search.  With the restricted fresh value mapped to
-      the full one, that interpretation is a countermodel over exactly
-      the full query's universe and pool, which the full search would
-      also find.
-    - Otherwise the full query is asked, as `entails` would."""
+      concepts.  What remains is checked against K, the kept premises,
+      their query axioms and the negated conclusion.  Each member of D
+      is then added as a detached element (no edges to other elements)
+      of a type that satisfies K's subsumptions, the premise
+      subsumptions, its own premises and their query axioms, found once
+      per (kb, its premises up to renaming) by a one-element search
+      (`has_type`).  With the restricted fresh value mapped to the full
+      one, that interpretation is a countermodel over exactly the full
+      query's universe and pool, which the full search would also find.
+    - Otherwise the full query is asked, as `entails` would.
+
+    The split depends on which individuals K, the conclusion and the
+    premises that are about no one individual name, not on the values
+    of the triples, so a caller that asks many such queries can split
+    once and ask the restricted query once per kept premise set, as
+    `assertions.assertion_holds` does."""
     prem = frozenset(premises)
+    kept, detached = split(prem, conclusion, kb)
+    answer = restricted(kept, conclusion, len(detached), kb)
+    if answer is False and not all(has_type(kept, ps, kb) for ps in detached.values()):
+        answer = None
+    return entails(prem, conclusion, kb).is_entailed if answer is None else answer
+
+
+def split(
+    premises: frozenset[DomainFormula],
+    conclusion: Sequence[DomainFormula],
+    kb: KnowledgeBase,
+) -> tuple[frozenset[DomainFormula], dict[str, list[DomainFormula]]]:
+    """The premises `entailed` keeps, and each member of D (the detached
+    individuals) with its premises."""
     named = kb.background_symbols[0].nominals | signature_of(conclusion).nominals
     own: dict[str, list[DomainFormula]] = {}
-    for p in prem:
+    for p in premises:
         about = _about_one(p)
         if about is None:
             named = named | signature_of((p,)).nominals
         else:
             own.setdefault(about, []).append(p)
-    detached = [ps for d, ps in own.items() if d not in named]
-    if not detached:
-        return entails(prem, conclusion, kb).is_entailed
-    kept = prem.difference(*detached)
-    fresh = DEFAULT_FRESH_WITNESSES + len(detached)
+    detached = {d: ps for d, ps in own.items() if d not in named}
+    return premises.difference(*detached.values()), detached
+
+
+def restricted(
+    kept: frozenset[DomainFormula],
+    conclusion: Sequence[DomainFormula],
+    detached: int,
+    kb: KnowledgeBase,
+) -> Optional[bool]:
+    """What the restricted query, the kept premises over `detached` more
+    anonymous elements, tells of the full one (see `entailed`): True
+    when it is entailed; False when the full query is refuted unless a
+    detached individual has no type (`has_type`), as its countermodel
+    trims; None when only the full query can tell.  With nothing
+    detached the restricted query is the full one, and False is its
+    answer."""
+    fresh = DEFAULT_FRESH_WITNESSES + detached
     verdict = entails(kept, conclusion, kb, fresh_witnesses=fresh)
-    if verdict.is_entailed:
-        return True
-    if isinstance(verdict, NotEntailed) and _detaches(verdict, kept, detached, kb):
+    if verdict.is_entailed or not detached:
+        return verdict.is_entailed
+    if isinstance(verdict, NotEntailed) and _trims(verdict, kept, detached, kb):
         return False
-    return entails(prem, conclusion, kb).is_entailed
+    return None
 
 
 def _about_one(p: DomainFormula) -> Optional[str]:
@@ -704,31 +740,6 @@ def _about_one(p: DomainFormula) -> Optional[str]:
     if isinstance(p, ConceptAssertion) and isinstance(p.concept, Atomic):
         return p.individual
     return None
-
-
-def _detaches(
-    verdict: NotEntailed,
-    kept: frozenset[DomainFormula],
-    detached: list[list[DomainFormula]],
-    kb: KnowledgeBase,
-) -> bool:
-    """Whether the restricted countermodel, with len(detached) anonymous
-    elements traded for detached ones, is a countermodel of the full
-    query (see `entailed`)."""
-    trims, types = kb.reasoner.trims, kb.reasoner.types
-    key = (kept, verdict.violated, len(detached))
-    if key not in trims:
-        trims[key] = _trims(verdict, kept, len(detached), kb)
-    if not trims[key]:
-        return False
-    spread = tuple(sorted((p for p in kept if isinstance(p, Subsumption)), key=str))
-    for ps in detached:
-        key = (spread, frozenset(_renamed(p, _TYPE_ELEMENT) for p in ps))
-        if key not in types:
-            types[key] = _has_type(spread + tuple(key[1]), kb)
-        if not types[key]:
-            return False
-    return True
 
 
 def _trims(
@@ -773,6 +784,21 @@ def _renamed(p: DomainFormula, individual: str) -> DomainFormula:
     if isinstance(p, DataAssertion):
         return DataAssertion(p.role, individual, p.value)
     return ConceptAssertion(p.concept, individual)
+
+
+def has_type(
+    kept: Iterable[DomainFormula], own: Iterable[DomainFormula], kb: KnowledgeBase
+) -> bool:
+    """Whether a detached individual with premises `own` has a type: one
+    element that, with edges to itself alone, satisfies K's subsumptions,
+    the kept premise subsumptions, `own` and their query axioms.  Kept
+    per (premise subsumptions, `own` up to renaming) on kb's reasoner."""
+    spread = tuple(sorted((p for p in kept if isinstance(p, Subsumption)), key=str))
+    key = (spread, frozenset(_renamed(p, _TYPE_ELEMENT) for p in own))
+    types = kb.reasoner.types
+    if key not in types:
+        types[key] = _has_type(spread + tuple(key[1]), kb)
+    return types[key]
 
 
 def _has_type(formulas: tuple[DomainFormula, ...], kb: KnowledgeBase) -> bool:

@@ -1,7 +1,8 @@
 """The corpus output, byte for byte: structured and text `verify`, the
 proof file `--proof-out` writes, text `verify` with closure off, whose
-open obligations print countermodels, text `fuzz` over the default and
-a wider domain, `check` of each proof file, and `explain` of three goals.
+open obligations print countermodels, text `fuzz` over the default
+domain and wider ones, `check` of each proof file, and `explain` of
+three goals.
 To regenerate an expected file after a deliberate change of output, from
 the repository root:
 
@@ -14,13 +15,16 @@ the repository root:
     PYTHONPATH=src python3 -m twotier.cli fuzz PROG KB > tests/golden/STEM.fuzz.txt
     PYTHONPATH=src python3 -m twotier.cli fuzz PROG KB --domain 0,1,2,4 \
         > tests/golden/STEM.fuzz-0124.txt
+    PYTHONPATH=src python3 -m twotier.cli fuzz PROG KB --domain 0,1,2,3,4,5,6 \
+        > tests/golden/assembly_corrected.fuzz-0to6.txt
     PYTHONPATH=src python3 -m twotier.cli check tests/golden/STEM.proof.json \
         PROG KB > tests/golden/STEM.check.txt
     PYTHONPATH=src python3 -m twotier.cli explain KB --goal "GOAL(c)" \
         > tests/golden/assembly_corrected.explain-GOAL.txt
 
-where PROG and KB are src/twotier/corpus/STEM.prog and STEM.kb, and KB
-for `explain` is the one of assembly_corrected.
+where PROG and KB are src/twotier/corpus/STEM.prog and STEM.kb, PROG and
+KB of the wide-domain fuzz are those of assembly_corrected, and KB for
+`explain` is the one of assembly_corrected.
 """
 
 from importlib import resources
@@ -79,6 +83,14 @@ def test_text_fuzz(capfd, stem, suffix):
     code = main(["fuzz", *corpus_args(stem), *FUZZ_DOMAINS[suffix]])
     assert code == 0
     assert capfd.readouterr().out == expected(f"{stem}.{suffix}.txt")
+
+
+def test_text_fuzz_over_values_outside_the_constants(capfd):
+    """Seven values, 117,649 states: the havoc of addWheels(4) filters
+    every one of them, and the fuzzer samples 10,000."""
+    domain = ["--domain", "0,1,2,3,4,5,6"]
+    assert main(["fuzz", *corpus_args("assembly_corrected"), *domain]) == 0
+    assert capfd.readouterr().out == expected("assembly_corrected.fuzz-0to6.txt")
 
 
 @pytest.mark.parametrize("stem", STEMS)

@@ -36,6 +36,7 @@ from twotier.domainlogic import (
     satisfies,
 )
 from twotier.lifting import SpecLifting
+from twotier.statelogic import Eq, Lit, Var, conj, holds, neq
 from tests.conftest import count_groundings, record_bounds
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -966,3 +967,75 @@ def test_the_restricted_decision_is_the_full_one(kb, premises, conclusion):
     alone = KnowledgeBase(kb.signature, kb.axioms, kb.stubs, kb.closure_enabled)
     full = reasoning.entails(premises, conclusion, alone).is_entailed
     assert reasoning.entailed(premises, conclusion, kb) == full
+
+
+def in_lifting_names(x):
+    """x with the data role t read as the lifting's hasValue and the
+    concept N as its NonZero, so that K speaks of the lifted state."""
+    if isinstance(x, str):
+        return {"t": "hasValue", "N": "NonZero"}.get(x, x)
+    if isinstance(x, (tuple, frozenset)):
+        return type(x)(map(in_lifting_names, x))
+    if dataclasses.is_dataclass(x):
+        fields = dataclasses.fields(x)
+        return type(x)(*(in_lifting_names(getattr(x, f.name)) for f in fields))
+    return x
+
+
+# the variables s, x and y, each lifted to the individual of its name:
+# s is K's when K has individuals, x and y never are
+STATE_VARIABLES = ("s", "x", "y")
+# state tiers that fix or exclude a detached variable, or s
+STATE_TIERS = (
+    Eq(Var("x"), Lit(2)),
+    neq(Var("y"), Lit(0)),
+    Eq(Var("s"), Lit(1)),
+    neq(Var("s"), Lit(0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kb=spread_kbs().map(in_lifting_names),
+    state=st.lists(st.sampled_from(STATE_TIERS), max_size=2, unique=True),
+    domain=st.lists(st.sampled_from(in_lifting_names(ATOMS)), min_size=1, max_size=2),
+)
+@example(
+    # x == 2 has no type under some hasValue . 2 <= Bot, so every state
+    # that meets the state tier has inconsistent premises
+    kb=in_lifting_names(tiny_kb(SPREAD_AXIOMS)),
+    state=[Eq(Var("x"), Lit(2))],
+    domain=[ConceptAssertion(B, "c")],
+)
+@example(
+    # the restricted countermodel gives a three anonymous successors, so
+    # it has no anonymous element to spare for s, x and y, and each
+    # state asks its full query.  That is entailed when s, x and y are
+    # all 2, and so B & C: no element but the two anonymous ones can be
+    # one of a's successors
+    kb=parsing.parse_kb(
+        THREE_SUCCESSORS_KB + "some hasValue . 2 <= B & C;\nclosure off;\n"
+    ),
+    state=[Eq(Var("x"), Lit(2))],
+    domain=[NOT_A],
+)
+@example(
+    # the lifted state tier NonZero(s) is a premise about a kept stub
+    kb=tiny_kb(),
+    state=[neq(Var("s"), Lit(0))],
+    domain=[ConceptAssertion(Atomic("NonZero"), "s")],
+)
+def test_assertion_holds_is_the_full_query_in_every_state(kb, state, domain):
+    """Over every state of a small domain, an assertion split once for
+    its states answers as the unrestricted query of each state does."""
+    lifting = SpecLifting(tuple(zip(STATE_VARIABLES, STATE_VARIABLES)), kb.symbols)
+    a = assertion(domain, conj(state))
+    lifted_phi, _residue = lifting.lift_partial(a.state)
+    alone = KnowledgeBase(kb.signature, kb.axioms, kb.stubs, kb.closure_enabled)
+    for values in itertools.product((0, 1, 2), repeat=len(STATE_VARIABLES)):
+        sigma = dict(zip(STATE_VARIABLES, values))
+        premises = lifting.lift_state(sigma) | lifted_phi
+        full = holds(a.state, sigma) and (
+            reasoning.entails(premises, a.domain, alone).is_entailed
+        )
+        assert assertion_holds(sigma, a, kb, lifting) == full, sigma
