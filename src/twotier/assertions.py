@@ -26,6 +26,7 @@ from .domainlogic import (
     DomainFormula,
     DomainInterpretation,
     KnowledgeBase,
+    signature_of,
 )
 from .lifting import VALUE_ROLE, SpecLifting
 from .status import ObligationStatus, status_of_verdict
@@ -65,10 +66,10 @@ def assertion_holds(
     lifting: SpecLifting,
 ) -> bool:
     """Whether sigma meets a's state tier and the lifted state, with the
-    lifted liftable part of the state tier, entails a's domain tier:
-    `reasoning.entailed` of those premises.  Its split of the premises
-    is made once per (a, lifting, sigma's variables) and kept, with the
-    answers, on kb's reasoner (`_Split`)."""
+    lifted liftable part of the state tier, entails a's domain tier.
+    Those premises are split once per (a, lifting, sigma's variables),
+    and the split is kept, with its answers, on kb's reasoner
+    (`_Split`)."""
     if not holds(a.state, sigma):
         return False
     if not a.domain:
@@ -81,21 +82,20 @@ def assertion_holds(
 
 
 class _Split:
-    """`reasoning.entailed` of an assertion's premises, over every state
-    of one set of variables, with the premises split once.
+    """Whether an assertion's premises entail its domain tier, over every
+    state of one set of variables, with the premises split once.
 
     The premises are one triple hasValue(stub(v), σ(v)) per variable v
     and the lifted liftable part φ of the state tier, each about one
-    stub.  Which stubs detach depends only on which of them K or the
-    domain tier names, so `reasoning.split` of one state's premises
-    splits every state's alike.  The relevant variables are those whose
-    stubs stay.  A state's restricted query is then that of its values
-    of the relevant variables, asked once per such projection
-    (`reasoning.restricted`).  When it is entailed, so is every state
+    stub.  A stub that neither K's individuals nor the domain tier name
+    detaches, whatever the state's values (`reasoning.restricted`).  The
+    relevant variables are those whose stubs stay.  A state's restricted
+    query is then that of its values of the relevant variables, asked
+    once per such projection.  When it is entailed, so is every state
     with that projection.  When its countermodel trims, a state fails
     unless a detached stub's premises have no type, and whether they do
     is kept per (stub, its variables' values).  Otherwise the state asks
-    its full query, as `entailed` does."""
+    its full query."""
 
     def __init__(
         self,
@@ -106,17 +106,20 @@ class _Split:
     ):
         self.conclusion, self.kb, self.lifting = a.domain, kb, lifting
         self.phi = lifting.lift_partial(a.state)[0]
-        # the split reads individuals alone, so any values will do
-        sample = lifting.lift_state(dict.fromkeys(variables, 0)) | self.phi
-        kept, detached = reasoning.split(sample, a.domain, kb)
+        named = kb.background_symbols[0].nominals | signature_of(a.domain).nominals
+        stub, about = lifting.stub_for, reasoning._about_one
+        detached = sorted({stub(v) for v in variables} - named)
         # φ's premises about stubs that stay; a state adds its relevant triples
-        self.kept = kept & self.phi
-        stub = lifting.stub_for
+        self.kept = frozenset(p for p in self.phi if about(p) not in detached)
         self.relevant = tuple((v, stub(v)) for v in variables if stub(v) not in detached)
         # each detached stub, its variables and its premises from φ
         self.detached = tuple(
-            (d, tuple(v for v in variables if stub(v) == d), self.phi.intersection(ps))
-            for d, ps in sorted(detached.items())
+            (
+                d,
+                tuple(v for v in variables if stub(v) == d),
+                frozenset(p for p in self.phi if about(p) == d),
+            )
+            for d in detached
         )
         # relevant values -> `reasoning.restricted`'s answer
         self.answers: dict[tuple[int, ...], Optional[bool]] = {}
@@ -147,9 +150,7 @@ class _Split:
         typed = self.types.get(key)
         if typed is None:
             triples = (DataAssertion(VALUE_ROLE, d, sigma[v]) for v in variables)
-            typed = self.types[key] = reasoning.has_type(
-                self.kept, own.union(triples), self.kb
-            )
+            typed = self.types[key] = reasoning.has_type(own.union(triples), self.kb)
         return typed
 
 

@@ -19,8 +19,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from .errors import UnboundVariable, UnknownProcedure
 from .statelogic import (
     Lit,
-    ProgramState,
-    State,
     Term,
     compile_term,
     constants_of,
@@ -223,29 +221,24 @@ class InterpOutcome(NamedTuple):
     fuel_exhausted: bool = False
 
 
-def interpret(s: Statement, sigma: ProgramState | Values, ctx: RunContext) -> InterpOutcome:
-    """The outcomes of s from sigma: a tuple of values in `ctx.names` order,
-    as the fuzzer passes it, or a mapping whose variables s reads and
-    assigns, giving states of the same kind (a call ends in states over
-    the program's variables).  Per run, s is compiled once for tuples,
-    keyed by identity, as a frozen statement hashes its whole tree."""
-    if type(sigma) is tuple:
-        entry = ctx._compiled.get(id(s))
-        if entry is None:
-            entry = ctx._compiled[id(s)] = (s, _compile(s, ctx.names, ctx))
-        return InterpOutcome._make(entry[1](sigma))
-    names = tuple(sorted(sigma))
-    states, pre_v, fuel_x = _compile(s, names, ctx)(tuple(sigma[v] for v in names))
-    return InterpOutcome(frozenset(State(zip(names, st)) for st in states), pre_v, fuel_x)
+def interpret(s: Statement, sigma: Values, ctx: RunContext) -> InterpOutcome:
+    """The outcomes of s from sigma, a tuple of values in `ctx.names` order.
+    Per run, s is compiled once, keyed by identity, as a frozen statement
+    hashes its whole tree."""
+    entry = ctx._compiled.get(id(s))
+    if entry is None:
+        entry = ctx._compiled[id(s)] = (s, _compile(s, ctx))
+    return InterpOutcome._make(entry[1](sigma))
 
 
 def _end(st: Values) -> Outcome:
     return frozenset((st,)), False, False
 
 
-def _compile(s: Statement, names: tuple[str, ...], ctx: RunContext, then=_end):
+def _compile(s: Statement, ctx: RunContext, then=_end):
     """s and then `then`, the compiled rest of the run, as one closure over
-    states in `names` order (Feeley & Lapalme, Computer Languages 1987)."""
+    states in `ctx.names` order (Feeley & Lapalme, Computer Languages 1987)."""
+    names = ctx.names
     if isinstance(s, Skip):
         return then
     if isinstance(s, Assign):
@@ -255,13 +248,13 @@ def _compile(s: Statement, names: tuple[str, ...], ctx: RunContext, then=_end):
         return lambda st: then(st[:i] + (value(st),) + st[i + 1 :])
     if isinstance(s, If):
         cond = compile_term(s.cond, names)
-        yes, no = _compile(s.then, names, ctx, then), _compile(s.orelse, names, ctx, then)
+        yes, no = _compile(s.then, ctx, then), _compile(s.orelse, ctx, then)
         return lambda st: yes(st) if cond(st) != 0 else no(st)
     if isinstance(s, Seq):
-        return _compile(s.first, names, ctx, _compile(s.second, names, ctx, then))
+        return _compile(s.first, ctx, _compile(s.second, ctx, then))
     rest = _from_each(then)
     if isinstance(s, While):
-        cond, body = compile_term(s.cond, names), _compile(s.body, names, ctx)
+        cond, body = compile_term(s.cond, names), _compile(s.body, ctx)
 
         # breadth-first rounds from st: a state seen before ends its path,
         # and a run still going after FUEL rounds is cut off
@@ -290,8 +283,6 @@ def _compile(s: Statement, names: tuple[str, ...], ctx: RunContext, then=_end):
 
         return loop
     if isinstance(s, Call):
-        if names != ctx.names:
-            raise UnboundVariable(min(set(ctx.names) ^ set(names)))
         arg, pres = compile_term(s.arg, names), {}
 
         # the rest of the run from each state of the callee's post

@@ -6,9 +6,9 @@ negation of d.  Interpretations range over a universe of the occurring
 individuals plus a bounded number of anonymous elements (individuals
 are kept pairwise distinct), and data values over the integers occurring
 in the query plus zero and one fresh value.  Every query counts
-DEFAULT_FRESH_WITNESSES anonymous elements, `entailed`'s restricted ones
-excepted (below).  The search grounds the query into propositional
-logic and runs a small DPLL solver.  Each knowledge base's `Reasoner`
+DEFAULT_FRESH_WITNESSES anonymous elements, restricted ones excepted
+(below).  The search grounds the query into propositional logic and
+runs a small DPLL solver.  Each knowledge base's `Reasoner`
 keeps the memos of answers and one grounding of K, which serves every
 query whose universe is no longer than its own.  Universes list K's
 individuals first, and K names no other element, so the query's
@@ -23,16 +23,16 @@ Absence of a countermodel at the bound certifies entailment only for
 acyclic terminologies; cyclic inputs yield Unknown verdicts, and so does a
 search that runs out of its decision budget.
 
-`entailed` gives the verdict alone.  It asks the query first without
-the premises about individuals that neither K nor the conclusion names,
-over one more anonymous element for each (`split`, `restricted`).  Its
-answer is that of the full query: an `Entailed` always, a `NotEntailed`
-when the countermodel extends to one over the full query's universe
-(`has_type`), and otherwise it asks the full query.  The split depends
-on the individuals the premises name, not on their values, so
-`assertion_holds` splits an assertion's premises once for all states
-over its variables and asks the restricted query once per projection
-of a state onto the variables whose stubs stay.
+`restricted` decides a query first without the premises about
+individuals that nothing else names, over one more anonymous element
+for each (a syntactic locality module; Cuenca Grau, Horrocks, Kazakov &
+Sattler, *Modular Reuse of Ontologies*, JAIR 2008).  Its `Entailed` is
+exact, its `NotEntailed` holds when the countermodel extends to one over
+the full query's universe (`has_type`), and anything else asks the full
+query.  `assertions._Split`, whose premises are lifted atoms about one
+stub each, splits an assertion's premises once for all states over its
+variables and asks the restricted query once per projection of a state
+onto the variables whose stubs stay.
 """
 
 from __future__ import annotations
@@ -467,9 +467,8 @@ class Reasoner:
       -> a countermodel, or None when there is none.
     - `kernels`: (delta, pool atoms) -> `kernel.informative_kernel`'s
       answer.
-    - `types`: (premise subsumptions, a detached individual's premises
-      renamed) -> whether a one-element type satisfies them
-      (`has_type`).
+    - `types`: a detached individual's premises, renamed -> whether a
+      one-element type satisfies them (`has_type`).
     - `splits`: (assertion, lifting, variables) -> the split of that
       assertion's premises over states of those variables, with its
       answers (`assertions._Split`)."""
@@ -640,22 +639,24 @@ def entails(
     return Unknown(bound=bound)
 
 
-def entailed(
-    premises: Iterable[DomainFormula],
+def restricted(
+    kept: frozenset[DomainFormula],
     conclusion: Sequence[DomainFormula],
+    detached: int,
     kb: KnowledgeBase,
-) -> bool:
-    """`entails(premises, conclusion, kb).is_entailed`, asked first without
-    the premises about individuals that nothing else names.
+) -> Optional[bool]:
+    """What the restricted query tells of the full one: True when the full
+    query is entailed; False when it is refuted unless a detached
+    individual has no type (`has_type`); None when only the full query
+    can tell.
 
-    Let D be the individuals of the premises that kb's background
-    symbols and the conclusion do not name and that every premise naming
-    them is about alone: a data triple t(d, n) or an atomic concept
-    assertion A(d) (`split`, a syntactic locality module; Cuenca Grau,
-    Horrocks, Kazakov & Sattler, *Modular Reuse of Ontologies*, JAIR
-    2008).  The restricted query keeps the other premises and adds |D|
-    anonymous elements, so its universe has the size of the full
-    query's (`restricted`).
+    The full query's premises are `kept` and, for each of `detached`
+    individuals D that neither K nor the conclusion names, premises
+    about it alone: data triples t(d, n) and atomic concept assertions
+    A(d).  Each kept premise is about one individual too (`_about_one`),
+    so none of them constrains a member of D.  The restricted query asks
+    `kept` over |D| more anonymous elements, so its universe has the
+    size of the full query's.
 
     - `Entailed` is exact.  Rename each member of D in a countermodel of
       the full query to a fresh anonymous element, and map every value
@@ -668,61 +669,17 @@ def entailed(
       elements that no other element points to from the restricted
       countermodel; the others keep their successors and so their
       concepts.  What remains is checked against K, the kept premises,
-      their query axioms and the negated conclusion.  Each member of D
-      is then added as a detached element (no edges to other elements)
-      of a type that satisfies K's subsumptions, the premise
-      subsumptions, its own premises and their query axioms, found once
-      per (kb, its premises up to renaming) by a one-element search
-      (`has_type`).  With the restricted fresh value mapped to the full
-      one, that interpretation is a countermodel over exactly the full
-      query's universe and pool, which the full search would also find.
-    - Otherwise the full query is asked, as `entails` would.
+      their query axioms and the negated conclusion (`_trims`).  Each
+      member of D is then added as a detached element (no edges to
+      other elements) of a type that satisfies K's subsumptions, its own
+      premises and their query axioms (`has_type`).  With the restricted
+      fresh value mapped to the full one, that interpretation is a
+      countermodel over exactly the full query's universe and pool,
+      which the full search would also find.
+    - Otherwise the full query must be asked.
 
-    The split depends on which individuals K, the conclusion and the
-    premises that are about no one individual name, not on the values
-    of the triples, so a caller that asks many such queries can split
-    once and ask the restricted query once per kept premise set, as
-    `assertions.assertion_holds` does."""
-    prem = frozenset(premises)
-    kept, detached = split(prem, conclusion, kb)
-    answer = restricted(kept, conclusion, len(detached), kb)
-    if answer is False and not all(has_type(kept, ps, kb) for ps in detached.values()):
-        answer = None
-    return entails(prem, conclusion, kb).is_entailed if answer is None else answer
-
-
-def split(
-    premises: frozenset[DomainFormula],
-    conclusion: Sequence[DomainFormula],
-    kb: KnowledgeBase,
-) -> tuple[frozenset[DomainFormula], dict[str, list[DomainFormula]]]:
-    """The premises `entailed` keeps, and each member of D (the detached
-    individuals) with its premises."""
-    named = kb.background_symbols[0].nominals | signature_of(conclusion).nominals
-    own: dict[str, list[DomainFormula]] = {}
-    for p in premises:
-        about = _about_one(p)
-        if about is None:
-            named = named | signature_of((p,)).nominals
-        else:
-            own.setdefault(about, []).append(p)
-    detached = {d: ps for d, ps in own.items() if d not in named}
-    return premises.difference(*detached.values()), detached
-
-
-def restricted(
-    kept: frozenset[DomainFormula],
-    conclusion: Sequence[DomainFormula],
-    detached: int,
-    kb: KnowledgeBase,
-) -> Optional[bool]:
-    """What the restricted query, the kept premises over `detached` more
-    anonymous elements, tells of the full one (see `entailed`): True
-    when it is entailed; False when the full query is refuted unless a
-    detached individual has no type (`has_type`), as its countermodel
-    trims; None when only the full query can tell.  With nothing
-    detached the restricted query is the full one, and False is its
-    answer."""
+    With nothing detached the restricted query is the full one, and
+    False is its answer."""
     fresh = DEFAULT_FRESH_WITNESSES + detached
     verdict = entails(kept, conclusion, kb, fresh_witnesses=fresh)
     if verdict.is_entailed or not detached:
@@ -786,18 +743,15 @@ def _renamed(p: DomainFormula, individual: str) -> DomainFormula:
     return ConceptAssertion(p.concept, individual)
 
 
-def has_type(
-    kept: Iterable[DomainFormula], own: Iterable[DomainFormula], kb: KnowledgeBase
-) -> bool:
+def has_type(own: Iterable[DomainFormula], kb: KnowledgeBase) -> bool:
     """Whether a detached individual with premises `own` has a type: one
     element that, with edges to itself alone, satisfies K's subsumptions,
-    the kept premise subsumptions, `own` and their query axioms.  Kept
-    per (premise subsumptions, `own` up to renaming) on kb's reasoner."""
-    spread = tuple(sorted((p for p in kept if isinstance(p, Subsumption)), key=str))
-    key = (spread, frozenset(_renamed(p, _TYPE_ELEMENT) for p in own))
+    `own` and their query axioms.  Kept per `own` up to renaming on kb's
+    reasoner."""
+    key = frozenset(_renamed(p, _TYPE_ELEMENT) for p in own)
     types = kb.reasoner.types
     if key not in types:
-        types[key] = _has_type(spread + tuple(key[1]), kb)
+        types[key] = _has_type(tuple(key), kb)
     return types[key]
 
 

@@ -598,8 +598,8 @@ def test_fuzzing_runs_a_havoc_once(corrected_ctx, monkeypatch):
     checked: list = []
     compile_statement, holds = lang._compile, assertions.assertion_holds
 
-    def counting_compile(s, names, ctx, then=lang._end):
-        compiled = compile_statement(s, names, ctx, then)
+    def counting_compile(s, ctx, then=lang._end):
+        compiled = compile_statement(s, ctx, then)
         if s != last:
             return compiled
 

@@ -6,6 +6,7 @@ from twotier.lang import (
     Assign,
     Call,
     If,
+    Program,
     RunContext,
     Seq,
     Skip,
@@ -56,90 +57,80 @@ def test_contract_instantiation(corrected):
     assert contract_post(program, "addWheels", Lit(2)) == post
 
 
+def values(ctx, **sigma):
+    """sigma as a tuple of values in `ctx.names` order, 0 for each
+    variable it leaves out."""
+    return tuple(sigma.get(v, 0) for v in ctx.names)
+
+
+def globals_ctx(corpus, *variables):
+    """A run of a program that declares only the given globals."""
+    program = Program(tuple((v, Lit(0)) for v in variables), ())
+    return run_ctx((program, corpus[1]))
+
+
 def test_interpret_assign_seq(corrected):
     ctx = run_ctx(corrected)
     out = interpret(
         Seq(Assign("wheels", Lit(4)), Assign("doors", Var("nrDoors"))),
-        State({"wheels": 0, "doors": 0, "nrDoors": 2}),
+        values(ctx, nrDoors=2),
         ctx,
     )
-    assert out.states == {State({"wheels": 4, "doors": 2, "nrDoors": 2})}
+    assert out.states == {values(ctx, wheels=4, doors=2, nrDoors=2)}
     assert not out.pre_violated and not out.fuel_exhausted
 
 
 def test_interpret_if(corrected):
-    ctx = run_ctx(corrected)
+    ctx = globals_ctx(corrected, "b", "x")
     s = If(Var("b"), Assign("x", Lit(1)), Assign("x", Lit(2)))
-    assert interpret(s, State({"b": 1, "x": 0}), ctx).states == {
-        State({"b": 1, "x": 1})
-    }
-    assert interpret(s, State({"b": 0, "x": 0}), ctx).states == {
-        State({"b": 0, "x": 2})
-    }
+    assert interpret(s, values(ctx, b=1), ctx).states == {values(ctx, b=1, x=1)}
+    assert interpret(s, values(ctx, b=0), ctx).states == {values(ctx, b=0, x=2)}
 
 
 def test_interpret_while_terminates(corrected):
-    ctx = run_ctx(corrected)
+    ctx = globals_ctx(corrected, "x")
     # while (x) x := 0  -- one iteration then exit
     s = While(Var("x"), Assign("x", Lit(0)))
-    out = interpret(s, State({"x": 4}), ctx)
-    assert out.states == {State({"x": 0})}
+    out = interpret(s, (4,), ctx)
+    assert out.states == {(0,)}
     assert not out.fuel_exhausted
 
 
 def test_interpret_while_fuel(corrected, monkeypatch):
-    ctx = run_ctx(corrected)
+    ctx = globals_ctx(corrected, "x")
     # while (x) x := 0  -- from x = 1 it takes a second round to see the
     # loop exit, which one round of fuel does not allow
     monkeypatch.setattr(lang, "FUEL", 1)
     s = While(Var("x"), Assign("x", Lit(0)))
-    out = interpret(s, State({"x": 1}), ctx)
+    out = interpret(s, (1,), ctx)
     assert out.fuel_exhausted
     assert out.states == frozenset()
 
 
 def test_interpret_call_havoc(corrected):
     ctx = run_ctx(corrected)
-    sigma = State(
-        {
-            "bodyId": 2,
-            "wheels": 0,
-            "doors": 0,
-            "nrDoors": 2,
-            "nrWheels": 0,
-            "id": 0,
-        }
-    )
+    sigma = values(ctx, bodyId=2, nrDoors=2)
     out = interpret(Call("addWheels", Lit(4)), sigma, ctx)
     assert out.states and not out.pre_violated
     # every post state satisfies the instantiated postcondition state tier
     post = contract_post(ctx.program, "addWheels", Lit(4))
-    for tau in out.states:
+    taus = [State(zip(ctx.names, tau)) for tau in out.states]
+    for tau in taus:
         assert holds(post.state, tau)
     # the domain tier HasFourWheels(c) pins wheels through the lifting
-    assert {tau["wheels"] for tau in out.states} == {4}
+    assert {tau["wheels"] for tau in taus} == {4}
     # havoc: unconstrained variables may take any value in the domain
-    assert len({tau["id"] for tau in out.states}) > 1
+    assert len({tau["id"] for tau in taus}) > 1
 
 
 def test_interpret_call_pre_violation(corrected):
     ctx = run_ctx(corrected)
-    sigma = State(
-        {
-            "bodyId": 0,  # violates bodyId != 0
-            "wheels": 0,
-            "doors": 0,
-            "nrDoors": 2,
-            "nrWheels": 0,
-            "id": 0,
-        }
-    )
+    sigma = values(ctx, nrDoors=2)  # violates bodyId != 0
     out = interpret(Call("addWheels", Lit(4)), sigma, ctx)
     assert out.pre_violated
     assert out.states == frozenset()
 
 
 def test_interpret_skip(corrected):
-    ctx = run_ctx(corrected)
-    sigma = State({"x": 3})
-    assert interpret(Skip(), sigma, ctx).states == {sigma}
+    ctx = globals_ctx(corrected, "x")
+    assert interpret(Skip(), (3,), ctx).states == {(3,)}

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twotier import reasoning
 from twotier.errors import EmptyState, OutsideLiftableFragment, SignatureViolation
 from twotier.statelogic import (
     And,
@@ -94,6 +95,29 @@ def test_lift_state_lifts_the_characteristic_formula(corrected, sigma):
     lift = SpecLifting.direct(corrected[1], ("x",))
     state = State(sigma)
     assert lift.lift_state(state) == lift.lift_spec(characteristic_formula(state))
+
+
+VARIABLES = ("wheels", "doors", "bodyId", "x", "y")
+TERMS = st.one_of(st.sampled_from(VARIABLES).map(Var), st.integers(-1, 4).map(Lit))
+STATE_FORMULAS = st.recursive(
+    st.builds(Eq, TERMS, TERMS),
+    lambda inner: st.one_of(st.builds(Not, inner), st.builds(And, inner, inner)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phi=STATE_FORMULAS,
+    sigma=st.dictionaries(st.sampled_from(VARIABLES), st.integers(-1, 4), min_size=1),
+)
+def test_every_lifted_premise_is_about_one_individual(corrected, phi, sigma):
+    """`assertions._Split` decides an assertion by detaching the stubs
+    that K and the domain tier do not name, which is sound only while
+    every premise it lifts is about one individual alone."""
+    lift = SpecLifting.direct(corrected[1], ("x",))
+    lifted = lift.lift_partial(phi)[0] | lift.lift_state(State(sigma))
+    assert all(reasoning._about_one(p) is not None for p in lifted)
 
 
 def test_kernel_signature_contains_lift_images(corrected):

@@ -776,7 +776,7 @@ def test_an_atom_grounded_after_the_switch_is_off_too():
 
 
 # a query whose conclusion is a tautology, on which chronological DPLL
-# runs out of decisions under these premises (ROADMAP item 4)
+# runs out of decisions under these premises (ROADMAP item 3(b))
 TAUTOLOGY_SIG = DomainSignature(
     nominals=frozenset({"a", "b", "d"}),
     atomic_concepts=frozenset({"A"}),
@@ -793,7 +793,7 @@ TAUTOLOGY = Subsumption(AndC(SOME_1, ExistsData("t", 2)), NotC(NotC(SOME_1)))
 
 @pytest.mark.xfail(
     strict=True,
-    reason="chronological DPLL exhausts its budget on this query (ROADMAP item 4)",
+    reason="chronological DPLL exhausts its budget on this query (ROADMAP item 3(b))",
 )
 def test_a_tautology_is_entailed_under_premises():
     """The conclusion is a tautology, so it is entailed under any premises;
@@ -844,6 +844,24 @@ def test_three_existentials_need_three_witnesses():
     # which fresh_witnesses=3 finds
     goal = ConceptAssertion(NotC(A), "a")
     assert not reasoning.entails((), (goal,), kb).is_entailed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the acyclicity scan misses an axiom under Top, and two anonymous "
+    "elements do not bound its models (ROADMAP item 1)",
+)
+def test_an_axiom_under_top_is_not_acyclic():
+    kb = parsing.parse_kb(
+        "concept A; concept B; concept C; role r; individual a;\n"
+        "Top <= (some r . (B & !C)) & (some r . (C & !B))"
+        " & (some r . (!B & !C)) & (some r . (B & C));\n"
+        "closure off;\n"
+    )
+    # every element needs four r-successors of distinct types, so K has
+    # no model at two anonymous elements and entails an A that no axiom
+    # mentions; fresh_witnesses=3 finds a model without A(a)
+    assert not reasoning.entails((), (ConceptAssertion(A, "a"),), kb).is_entailed
 
 
 # ROADMAP item 1's kb, whose countermodels need three r-successors of a
@@ -908,19 +926,10 @@ def test_a_trimmed_countermodel_must_still_refute_the_conclusion():
     assert assertion_holds({"x": 5}, assertion((none_is_2,)), kb, lifting)
 
 
-# x and y occur in no kb; N is the kb's NonZero
-STATE_ATOMS = tuple(
-    [DataAssertion("t", i, v) for i in "csxy" for v in (0, 1, 2)]
-    + [ConceptAssertion(C, i) for C in (A, Atomic("N")) for i in "xy"]
-)
+# N is the kb's NonZero
 N_IS_NONZERO = equivalence(NotC(ExistsData("t", 0)), Atomic("N"))
 # axioms that constrain every element, so a detached one too
 SPREAD_AXIOMS = N_IS_NONZERO + (Subsumption(ExistsData("t", 2), Bottom()),)
-# premises over every element
-SPREAD_PREMISES = (
-    Subsumption(ExistsData("t", 1), Bottom()),
-    Subsumption(Atomic("N"), A),
-)
 
 
 @st.composite
@@ -930,43 +939,6 @@ def spread_kbs(draw):
     return KnowledgeBase(
         kb.signature, kb.axioms + tuple(spread), kb.stubs, kb.closure_enabled
     )
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    kb=spread_kbs(),
-    premises=st.lists(
-        st.sampled_from(STATE_ATOMS + ATOMS + SPREAD_PREMISES), max_size=5
-    ),
-    conclusion=st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2),
-)
-@example(
-    # x's premises have no type under N == !(some t . 0), so the full
-    # premises are inconsistent and entail anything
-    kb=tiny_kb(N_IS_NONZERO),
-    premises=[DataAssertion("t", "x", 0), ConceptAssertion(Atomic("N"), "x")],
-    conclusion=[ConceptAssertion(A, "c")],
-)
-@example(
-    # a premise subsumption bars x's own premise
-    kb=tiny_kb(),
-    premises=[DataAssertion("t", "x", 1), SPREAD_PREMISES[0]],
-    conclusion=[ConceptAssertion(A, "c")],
-)
-@example(
-    # y's premise has no type under some t . 2 <= Bot
-    kb=tiny_kb(SPREAD_AXIOMS),
-    premises=[DataAssertion("t", "x", 1), DataAssertion("t", "y", 2)],
-    conclusion=[ConceptAssertion(B, "s")],
-)
-def test_the_restricted_decision_is_the_full_one(kb, premises, conclusion):
-    """Random states over individuals inside and outside K, on acyclic and
-    cyclic kbs, with axioms or premises over every element: deciding a
-    query without the premises about individuals only the premises name
-    gives the full query's verdict."""
-    alone = KnowledgeBase(kb.signature, kb.axioms, kb.stubs, kb.closure_enabled)
-    full = reasoning.entails(premises, conclusion, alone).is_entailed
-    assert reasoning.entailed(premises, conclusion, kb) == full
 
 
 def in_lifting_names(x):
@@ -1024,6 +996,36 @@ STATE_TIERS = (
     kb=tiny_kb(),
     state=[neq(Var("s"), Lit(0))],
     domain=[ConceptAssertion(Atomic("NonZero"), "s")],
+)
+@example(
+    # NonZero == !(some hasValue . 0) and NonZero <= some hasValue . 0, so
+    # x's premise NonZero(x) has no type, though its triple has one
+    kb=in_lifting_names(
+        tiny_kb(N_IS_NONZERO + (Subsumption(Atomic("N"), ExistsData("t", 0)),))
+    ),
+    state=[neq(Var("x"), Lit(0))],
+    domain=[ConceptAssertion(A, "c")],
+)
+@example(
+    # K names s, so s's triple stays: B(c) holds when s is 2
+    kb=in_lifting_names(
+        tiny_kb(
+            (
+                RoleAssertion("r", "c", "s"),
+                Subsumption(ExistsData("t", 2), A),
+                Subsumption(ExistsRole("r", A), B),
+            )
+        )
+    ),
+    state=[],
+    domain=[ConceptAssertion(B, "c")],
+)
+@example(
+    # y's premise hasValue(y, 2) has no type under some hasValue . 2 <=
+    # Bot, and x's premise hasValue(x, 1) has one
+    kb=in_lifting_names(tiny_kb(SPREAD_AXIOMS)),
+    state=[Eq(Var("x"), Lit(1)), Eq(Var("y"), Lit(2))],
+    domain=[ConceptAssertion(B, "s")],
 )
 def test_assertion_holds_is_the_full_query_in_every_state(kb, state, domain):
     """Over every state of a small domain, an assertion split once for
