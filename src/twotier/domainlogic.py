@@ -543,6 +543,20 @@ def definition_graph(
 
 
 def is_acyclic(axioms: Iterable[DomainFormula]) -> bool:
+    """No cycle in `definition_graph`, and no subsumption whose subsumed
+    side names no concept while its subsuming side holds a role
+    restriction: such an axiom applies to every element, the successors
+    it asks for among them, so it is a cycle that the graph has no node
+    for."""
+    axioms = tuple(axioms)
+
+    def mentions(kind, c: Concept) -> bool:
+        return any(isinstance(n, kind) for n in _nodes(c, []))
+
+    for f in axioms:
+        if isinstance(f, Subsumption) and not mentions(Atomic, f.lhs):
+            if mentions((ExistsRole, ForallRole), f.rhs):
+                return False
     try:
         graphlib.TopologicalSorter(definition_graph(axioms)).prepare()
     except graphlib.CycleError:

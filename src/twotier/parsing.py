@@ -63,9 +63,9 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
-        # each token naming a program variable, a procedure or an
-        # individual, with which of the three it names, in text order,
-        # for the checks that need the whole program
+        # each token naming a symbol, with the kind of symbol it names
+        # ("variable", "procedure", or a kb declaration keyword), in text
+        # order, for the checks that need the whole text
         self.names: list[tuple[Token, str]] = []
 
     def peek(self, ahead: int = 0) -> Token:
@@ -196,24 +196,29 @@ def _parse_concept_unary(p: _Parser) -> dl.Concept:
         p.expect(")")
         return inner
     if p.accept("{"):
-        name = p.expect_ident()
+        name = _parse_individual(p)
         p.expect("}")
         return dl.Nominal(name)
     if p.at("some") or p.at("all"):
         some = p.advance().text == "some"
+        t = p.peek()
         role = p.expect_ident()
         p.expect(".")
         nxt = p.peek()
         if nxt.kind == "int" or nxt.text == "-":
+            p.names.append((t, "data-role"))
             value = p.expect_int()
             return dl.ExistsData(role, value) if some else dl.ForallData(role, value)
+        p.names.append((t, "role"))
         inner = _parse_concept_unary(p)
         return dl.ExistsRole(role, inner) if some else dl.ForallRole(role, inner)
+    t = p.peek()
     name = p.expect_ident()
     if name == "Top":
         return dl.Top()
     if name == "Bot":
         return dl.Bottom()
+    p.names.append((t, "concept"))
     return dl.Atomic(name)
 
 
@@ -298,39 +303,25 @@ def parse_assertion(text: str, sig: dl.DomainSignature) -> TwoTierAssertion:
 # Knowledge-base files
 
 
-def _symbol_kind(tokens: list[Token], i: int) -> str:
-    """The DomainSignature field of what tokens[i] names in a kb axiom
-    that parsed: an individual after '{', ',' or an assertion's '(', a
-    role after 'some' or 'all', and a concept otherwise."""
-    before = tokens[i - 1].text
-    if before in ("{", ",") or (before == "(" and tokens[i - 2].kind == "ident"):
-        return "nominals"
-    if before in ("some", "all"):
-        value = tokens[i + 2]  # past the '.'
-        data = value.kind == "int" or value.text == "-"
-        return "concrete_roles" if data else "abstract_roles"
-    return "atomic_concepts"
-
-
 def parse_kb(text: str) -> dl.KnowledgeBase:
     p = _Parser(text)
     # one set per declaration keyword, in DomainSignature's field order
     declared: dict[str, set[str]] = {
         "individual": set(), "role": set(), "data-role": set(), "concept": set()
     }
+    # symbols may be declared after the statements that use them; a
+    # declaration is the only `keyword name ;` that a kb can hold
+    for keyword, name, end in zip(p.tokens, p.tokens[1:], p.tokens[2:]):
+        if keyword.text in declared and name.kind == "ident" and end.text == ";":
+            declared[keyword.text].add(name.text)
+    signature = dl.DomainSignature(*map(frozenset, declared.values()))
     axioms: list[dl.DomainFormula] = []
     stubs: list[dl.Stub] = []
     closure = True
-
-    def sig() -> dl.DomainSignature:
-        return dl.DomainSignature(*map(frozenset, declared.values()))
-
-    starts: list[int] = []  # the first token of each axiom
     while p.peek().kind != "eof":
-        names = declared.get(p.peek().text)
-        if names is not None:
+        if p.peek().text in declared:
             p.advance()
-            names.add(p.expect_ident())
+            p.expect_ident()
             p.expect(";")
         elif p.accept("stub"):
             role = p.expect_ident()
@@ -355,29 +346,20 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
                 p.fail("expected 'on' or 'off' after 'closure'")
             closure = word == "on"
             p.expect(";")
-        else:
-            start = p.pos
-            if p.peek().kind == "ident" and p.peek(1).text == "(":
-                axioms.append(_parse_domain_assertion(p, sig()))
-            else:
-                lhs = _parse_concept(p)
-                if p.accept("=="):
-                    axioms.extend(dl.equivalence(lhs, _parse_concept(p)))
-                else:
-                    p.expect("<=")
-                    axioms.append(dl.Subsumption(lhs, _parse_concept(p)))
+        elif p.peek().kind == "ident" and p.peek(1).text == "(":
+            axioms.append(_parse_domain_assertion(p, signature))
             p.expect(";")
-            starts.extend([start] * (len(axioms) - len(starts)))
-    # symbols may be declared after the axioms that use them
-    signature = sig()
-    if dl.signature_of(axioms).missing_from(signature):
-        for axiom, start in zip(axioms, starts):
-            used = dl.signature_of((axiom,))
-            if used.missing_from(signature):
-                for i, t in enumerate(p.tokens[start:], start):
-                    kind = _symbol_kind(p.tokens, i)
-                    if t.text in getattr(used, kind) - getattr(signature, kind):
-                        p.fail(f"undeclared symbol {t.text!r} used in axioms", t)
+        else:
+            lhs = _parse_concept(p)
+            if p.accept("=="):
+                axioms.extend(dl.equivalence(lhs, _parse_concept(p)))
+            else:
+                p.expect("<=")
+                axioms.append(dl.Subsumption(lhs, _parse_concept(p)))
+            p.expect(";")
+    for t, kind in p.names:
+        if t.text not in declared[kind]:
+            p.fail(f"undeclared symbol {t.text!r} used in axioms", t)
     return dl.KnowledgeBase(signature, tuple(axioms), tuple(stubs), closure)
 
 
@@ -388,16 +370,16 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
 _STMT_END = {"end", "else", "fi", "od"}
 
 
-def _parse_statements(p: _Parser, sig: dl.DomainSignature) -> lang.Statement:
+def _parse_statements(p: _Parser) -> lang.Statement:
     stmts: list[lang.Statement] = []
     while not (p.peek().kind == "eof" or p.peek().text in _STMT_END):
-        stmts.append(_parse_statement(p, sig))
+        stmts.append(_parse_statement(p))
     if not stmts:
         p.fail("expected at least one statement")
     return lang.sequence(stmts)
 
 
-def _parse_statement(p: _Parser, sig: dl.DomainSignature) -> lang.Statement:
+def _parse_statement(p: _Parser) -> lang.Statement:
     if p.accept("skip"):
         p.expect(";")
         return lang.Skip()
@@ -406,9 +388,9 @@ def _parse_statement(p: _Parser, sig: dl.DomainSignature) -> lang.Statement:
         cond = _parse_term(p)
         p.expect(")")
         p.expect("then")
-        then = _parse_statements(p, sig)
+        then = _parse_statements(p)
         p.expect("else")
-        orelse = _parse_statements(p, sig)
+        orelse = _parse_statements(p)
         p.expect("fi")
         return lang.If(cond, then, orelse)
     if p.accept("while"):
@@ -416,7 +398,7 @@ def _parse_statement(p: _Parser, sig: dl.DomainSignature) -> lang.Statement:
         cond = _parse_term(p)
         p.expect(")")
         p.expect("do")
-        body = _parse_statements(p, sig)
+        body = _parse_statements(p)
         p.expect("od")
         return lang.While(cond, body)
     t = p.peek()
@@ -457,7 +439,7 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
         p.expect("ensures")
         post = _parse_tier(p, sig)
         p.expect("begin")
-        body = _parse_statements(p, sig)
+        body = _parse_statements(p)
         p.expect("end")
         p.expect(";")
         procedures.append(
@@ -479,7 +461,7 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
 
 
 def parse_statement(text: str, kb: dl.KnowledgeBase) -> lang.Statement:
-    return _parse_all(text, _parse_statements, kb.symbols)
+    return _parse_all(text, _parse_statements)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ abbreviations.  Evaluation follows the standard recursive semantics.
 Implication in this fragment is decided exactly over a small domain
 (the small-model property: Pnueli, Rodeh, Shtrichman and Siegel, Inf. &
 Comp. 2002) by a depth-first search for a state that satisfies the
-premise but not the conclusion.  The search cuts every partial state
-under which that is already false, and tries only one of the values
-that neither formula mentions.
+premise but not the conclusion.  The search checks each top-level
+conjunct of that goal, compiled once, as soon as its last variable is
+assigned (backtracking with constraint checks: Dechter, Constraint
+Processing, 2003, ch. 5), and tries only one of the values that neither
+formula mentions.
 """
 
 from __future__ import annotations
@@ -112,44 +114,49 @@ def conjuncts(phi: StateFormula) -> Iterator[StateFormula]:
         yield phi
 
 
-def strip_true(phi: StateFormula) -> StateFormula:
-    """Drop trivially-true conjuncts (the literal 0 == 0) and associate
-    every conjunction to the left, under negations too, as the parser
-    does.  Used by rule-shape checks so that bookkeeping conjuncts
-    introduced by inverting empty tiers do not block axiom rules, and so
-    that a tree read from a proof file replays: the checker rebuilds
-    `And(state, delift(...))` right-nested, while a stored premise is
-    parsed left-associated."""
-    if isinstance(phi, Not):
-        return Not(strip_true(phi.arg))
-    if isinstance(phi, And):
-        return conj(strip_true(c) for c in conjuncts(phi) if c != TRUE)
-    return phi
-
-
 def same_state(a: StateFormula, b: StateFormula) -> bool:
-    """Equality up to trivially-true conjuncts and the nesting of
-    conjunctions."""
-    return a == b or strip_true(a) == strip_true(b)
+    """Equality up to trivially-true conjuncts (the literal 0 == 0) and the
+    nesting of conjunctions, under negations too.  Used by rule-shape
+    checks so that bookkeeping conjuncts introduced by inverting empty
+    tiers do not block axiom rules, and so that a tree read from a proof
+    file replays: the checker rebuilds `And(state, delift(...))`
+    right-nested, while a stored premise is parsed left-associated.  The
+    two formulas' non-true top-level conjuncts are compared pair by pair,
+    in place."""
+    if a == b:
+        return True
+    left = [c for c in conjuncts(a) if c != TRUE]
+    right = [c for c in conjuncts(b) if c != TRUE]
+    return len(left) == len(right) and all(
+        same_state(x.arg, y.arg) if type(x) is Not and type(y) is Not else x == y
+        for x, y in zip(left, right)
+    )
 
 
-def _nodes(x: StateFormula | Term, acc: list) -> list:
-    """x and every formula and term nested in it, appended to acc."""
-    acc.append(x)
-    if isinstance(x, (Eq, And)):
-        _nodes(x.lhs, acc)
-        _nodes(x.rhs, acc)
-    elif isinstance(x, Not):
-        _nodes(x.arg, acc)
-    return acc
+def _scan(x: StateFormula | Term, names: set[str], ints: set[int]) -> set[str]:
+    """Add the variables of x to names and its integer literals to ints;
+    return names."""
+    kind = type(x)
+    if kind is Var:
+        names.add(x.name)
+    elif kind is Lit:
+        ints.add(x.value)
+    elif kind is Not:
+        _scan(x.arg, names, ints)
+    else:
+        _scan(x.lhs, names, ints)
+        _scan(x.rhs, names, ints)
+    return names
 
 
 def variables_of(phi: StateFormula | Term) -> frozenset[str]:
-    return frozenset(n.name for n in _nodes(phi, []) if isinstance(n, Var))
+    return frozenset(_scan(phi, set(), set()))
 
 
 def constants_of(phi: StateFormula | Term) -> frozenset[int]:
-    return frozenset(n.value for n in _nodes(phi, []) if isinstance(n, Lit))
+    ints: set[int] = set()
+    _scan(phi, set(), ints)
+    return frozenset(ints)
 
 
 # ---------------------------------------------------------------------------
@@ -274,46 +281,23 @@ def check_domain(
     """Variables and the small-model value domain for implication checks:
     constants of either formula, 0, and one fresh value per distinct
     variable."""
-    nodes = _nodes(phi1, _nodes(phi2, []))
-    variables = tuple(sorted({n.name for n in nodes if isinstance(n, Var)}))
-    values = {n.value for n in nodes if isinstance(n, Lit)}
-    values.add(0)
-    fresh = max((abs(v) for v in values), default=0) + 1
-    for _ in range(max(1, len(variables))):
-        values.add(fresh)
-        fresh += 1
-    return variables, frozenset(values)
+    ints: set[int] = set()
+    return _domain(_scan(phi2, _scan(phi1, set(), ints), ints), ints)
+
+
+def _domain(
+    names: set[str], ints: set[int]
+) -> tuple[tuple[str, ...], frozenset[int]]:
+    values = ints | {0}
+    fresh = max(abs(v) for v in values) + 1
+    values.update(range(fresh, fresh + max(1, len(names))))
+    return tuple(sorted(names)), frozenset(values)
 
 
 def state_implies(phi1: StateFormula, phi2: StateFormula) -> bool:
     """Implication over the small-model domain of the equality fragment,
     decided by the pruned search of `state_implies_counterexample`."""
     return state_implies_counterexample(phi1, phi2) is None
-
-
-def _partial_holds(phi: StateFormula, partial: dict[str, int]) -> Optional[bool]:
-    """phi under a partial state: True or False when every completion
-    agrees, None when it depends on an unassigned variable."""
-    kind = type(phi)
-    if kind is Eq:
-        lhs, rhs = phi.lhs, phi.rhs
-        left = lhs.value if type(lhs) is Lit else partial.get(lhs.name)
-        right = rhs.value if type(rhs) is Lit else partial.get(rhs.name)
-        if left is None or right is None:
-            return True if lhs == rhs else None
-        return left == right
-    if kind is Not:
-        arg = _partial_holds(phi.arg, partial)
-        return None if arg is None else not arg
-    if kind is And:
-        left = _partial_holds(phi.lhs, partial)
-        if left is False:
-            return False
-        right = _partial_holds(phi.rhs, partial)
-        if right is False:
-            return False
-        return True if left and right else None
-    raise TypeError(f"not a state formula: {phi!r}")
 
 
 def state_implies_counterexample(
@@ -323,38 +307,47 @@ def state_implies_counterexample(
     domain's sorted values, that satisfies phi1 but not phi2; None if
     there is none.
 
-    The search assigns the variables in sorted order, each value in
-    ascending order, and cuts a branch as soon as phi1 && !phi2 is false
-    under the partial state.  Values that occur in neither formula are
+    Each top-level conjunct of phi1 && !phi2 is compiled once and filed
+    under the last of its variables in sorted order; a conjunct that
+    names no variable is decided before the search.  The search assigns
+    the variables in sorted order, each value in ascending order, and
+    cuts a branch as soon as a conjunct filed under the variable just
+    assigned is false.  Values that occur in neither formula are
     interchangeable: swapping two of them maps counter-states to
     counter-states.  So a variable tries only the smallest of them that
     no earlier variable holds; the first counter-state that gives it a
     larger unused one would have a smaller swapped twin."""
-    variables, values = check_domain(phi1, phi2)
+    ints: set[int] = set()
+    goal = [*conjuncts(phi1), Not(phi2)]
+    scanned = [_scan(c, set(), ints) for c in goal]
+    variables, values = _domain(set().union(*scanned), ints)
     ordered = sorted(values)
-    goal = And(phi1, Not(phi2))
-    interchangeable = values - constants_of(goal)
-    partial: dict[str, int] = {}
+    interchangeable = values - ints
+    # checks[i]: the conjuncts decided once the first i variables are set
+    checks: list[list] = [[] for _ in range(len(variables) + 1)]
+    for c, names in zip(goal, scanned):
+        level = variables.index(max(names)) + 1 if names else 0
+        checks[level].append(compile_formula(c, variables))
+    assigned: list[int] = []
 
     def search(i: int) -> bool:
-        # goal is not false under partial; with every variable assigned,
-        # it is true
+        # the conjuncts filed under the first i variables hold; with every
+        # variable assigned, the goal holds
         if i == len(variables):
             return True
-        name = variables[i]
-        held = set(partial.values())
+        tests = checks[i + 1]
         fresh_tried = False
         for value in ordered:
-            if value in interchangeable and value not in held:
+            if value in interchangeable and value not in assigned:
                 if fresh_tried:
                     continue
                 fresh_tried = True
-            partial[name] = value
-            if _partial_holds(goal, partial) is not False and search(i + 1):
+            assigned.append(value)
+            if all(t(assigned) for t in tests) and search(i + 1):
                 return True
-        del partial[name]
+            assigned.pop()
         return False
 
-    if _partial_holds(goal, partial) is False or not search(0):
+    if not all(t(assigned) for t in checks[0]) or not search(0):
         return None
-    return State(partial)
+    return State(zip(variables, assigned))

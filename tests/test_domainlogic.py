@@ -122,6 +122,10 @@ def test_acyclicity_scan():
     assert not is_acyclic(cyclic)
     through_def = (*equivalence(A, ExistsRole("r", B)), Subsumption(B, A))
     assert not is_acyclic(through_def)
+    # an axiom under Top applies to the successors it asks for
+    assert not is_acyclic((Subsumption(Top(), ExistsRole("r", B)),))
+    assert is_acyclic((Subsumption(Top(), B),))
+    assert is_acyclic((Subsumption(ExistsRole("r", A), B),))
     graph = definition_graph(acyclic)
     assert graph["A"] >= {"B", "C"}
 

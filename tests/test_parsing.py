@@ -10,6 +10,7 @@ from twotier.domainlogic import (
     ExistsData,
     ExistsRole,
     NotC,
+    RoleAssertion,
     Subsumption,
 )
 from twotier.lang import Assign, Call, If, Seq, Skip, While
@@ -315,6 +316,23 @@ def test_parse_errors_point_at_line_and_column(addwheels, entry, text, expected)
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert (str(exc.value), exc.value.line, exc.value.column) == expected
+
+
+@pytest.mark.parametrize(
+    "text, axiom",
+    [
+        ("individual c; A(c); concept A;", ConceptAssertion(Atomic("A"), "c")),
+        ("individual c; r(c, c); role r;", RoleAssertion("r", "c", "c")),
+        ("v(c, 2); individual c; data-role v;", DataAssertion("v", "c", 2)),
+    ],
+)
+def test_a_kb_assertion_may_name_a_symbol_declared_later(text, axiom):
+    assert parse_kb(text).axioms == (axiom,)
+
+
+def test_a_stub_may_name_symbols_declared_later():
+    kb = parse_kb("stub r(c, s) for var x; role r; individual c; individual s;")
+    assert [(s.role, s.subject, s.stub) for s in kb.stubs] == [("r", "c", "s")]
 
 
 def test_a_term_may_name_the_parameter_of_a_later_procedure(addwheels):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twotier import statelogic
 from twotier.errors import UnboundVariable
@@ -24,9 +24,9 @@ from twotier.statelogic import (
     eval_term,
     holds,
     neq,
+    same_state,
     state_implies,
     state_implies_counterexample,
-    strip_true,
     substitute,
     variables_of,
 )
@@ -111,21 +111,79 @@ def test_characteristic_formula_identifies_state(sigma):
         assert holds(chi, tau) == (tau == sigma)
 
 
+def strip_true(phi):
+    """A normal form: trivially-true conjuncts dropped and every
+    conjunction associated to the left, under negations too.  The oracle
+    for `same_state`, which holds when the normal forms are equal."""
+    if isinstance(phi, Not):
+        return Not(strip_true(phi.arg))
+    if isinstance(phi, And):
+        return conj(strip_true(c) for c in conjuncts(phi) if c != TRUE)
+    return phi
+
+
 @given(formulas())
 @settings(max_examples=200)
-def test_strip_true_preserves_meaning_on_conjunctions(phi):
+def test_same_state_ignores_true_conjuncts(phi):
     conjunction = And(TRUE, And(phi, TRUE))
-    stripped = strip_true(conjunction)
+    assert same_state(conjunction, phi) and same_state(phi, conjunction)
+    assert same_state(Not(conjunction), Not(phi))
     for sigma in all_states():
-        assert holds(stripped, sigma) == holds(conjunction, sigma)
+        assert holds(strip_true(conjunction), sigma) == holds(conjunction, sigma)
 
 
-def test_strip_true_normalizes_associativity():
+def test_same_state_ignores_associativity():
     a, b, c = Eq(Var("a"), Lit(1)), Eq(Var("b"), Lit(2)), neq(Var("c"), Lit(0))
-    assert strip_true(And(a, And(b, c))) == strip_true(And(And(a, b), c))
-    assert strip_true(Not(And(a, And(b, c)))) == strip_true(Not(And(And(a, b), c)))
-    assert strip_true(TRUE) == TRUE
+    assert same_state(And(a, And(b, c)), And(And(a, b), c))
+    assert same_state(Not(And(a, And(b, c))), Not(And(And(a, b), c)))
+    assert same_state(TRUE, And(TRUE, TRUE)) and same_state(And(TRUE, TRUE), TRUE)
+    assert not same_state(And(a, b), And(b, a))
+    assert not same_state(Not(a), a) and not same_state(Not(And(a, b)), Not(a))
     assert list(conjuncts(And(And(a, b), c))) == [a, b, c]
+
+
+@st.composite
+def nested(draw, parts):
+    """A conjunction of parts, in order, nested at random."""
+    if len(parts) == 1:
+        return parts[0]
+    cut = draw(st.integers(1, len(parts) - 1))
+    return And(draw(nested(parts[:cut])), draw(nested(parts[cut:])))
+
+
+@st.composite
+def variants(draw, phi):
+    """phi with its conjunctions re-associated and true conjuncts
+    inserted at random, under negations too."""
+    if isinstance(phi, Not):
+        return Not(draw(variants(phi.arg)))
+    if isinstance(phi, Eq):
+        parts = [phi]
+    else:
+        parts = [draw(variants(c)) for c in conjuncts(phi)]
+    for _ in range(draw(st.integers(0, 2))):
+        parts.insert(draw(st.integers(0, len(parts))), TRUE)
+    return draw(nested(parts))
+
+
+@st.composite
+def state_pairs(draw):
+    phi = draw(formulas())
+    kind = draw(st.sampled_from(("variant", "negated variant", "unrelated")))
+    if kind == "unrelated":
+        return phi, draw(formulas())
+    a, b = draw(variants(phi)), draw(variants(phi))
+    return (Not(a), Not(b)) if kind == "negated variant" else (a, b)
+
+
+@given(state_pairs())
+@settings(max_examples=300)
+def test_same_state_is_equality_of_the_normal_form(pair):
+    a, b = pair
+    assert same_state(a, b) == (strip_true(a) == strip_true(b))
+    if same_state(a, b):
+        for sigma in all_states():
+            assert holds(a, sigma) == holds(b, sigma)
 
 
 def test_conj_disj_semantics():
@@ -195,17 +253,35 @@ def first_counter_state(phi1, phi2):
     return None
 
 
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_counterexample_is_the_first_state_of_the_enumeration(data):
+@st.composite
+def implications(draw):
     # constant pools with negative constants, with and without 0
-    constants = data.draw(st.sampled_from(((-2, 0, 3), (-1, 2), (-3, -1), (5,))))
+    constants = draw(st.sampled_from(((-2, 0, 3), (-1, 2), (-3, -1), (5,))))
     leaves = st.one_of(
         st.sampled_from(constants).map(Lit), st.sampled_from(VARS).map(Var)
     )
-    p, q = data.draw(formulas(leaves=leaves)), data.draw(formulas(leaves=leaves))
+    p, q = draw(formulas(leaves=leaves)), draw(formulas(leaves=leaves))
     # the last two pairs are valid
-    phi1, phi2 = data.draw(st.sampled_from(((p, q), (And(p, q), p), (p, disj(q, p)))))
+    return draw(st.sampled_from(((p, q), (And(p, q), p), (p, disj(q, p)))))
+
+
+FALSE = Not(TRUE)
+A1, B2 = Eq(Var("a"), Lit(1)), Eq(Var("b"), Lit(2))
+
+
+@given(implications())
+@settings(max_examples=300, deadline=None)
+# conjuncts that name no variable, decided before the search
+@example((FALSE, A1))
+@example((And(A1, FALSE), B2))
+@example((A1, TRUE))
+@example((Eq(Lit(1), Lit(1)), Eq(Lit(1), Lit(2))))
+@example((And(A1, Eq(Lit(3), Lit(3))), neq(Lit(3), Lit(-1))))
+# a disjunctive conclusion: its negation is one conjunct over a, b and c
+@example((neq(Var("c"), Lit(0)), disj(A1, disj(B2, Eq(Var("c"), Var("a"))))))
+@example((And(A1, B2), disj(neq(Var("b"), Lit(2)), Eq(Var("c"), Lit(0)))))
+def test_counterexample_is_the_first_state_of_the_enumeration(pair):
+    phi1, phi2 = pair
     assert state_implies_counterexample(phi1, phi2) == first_counter_state(phi1, phi2)
 
 
