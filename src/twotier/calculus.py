@@ -9,10 +9,8 @@ the same code path, so a tree is only accepted if every step re-derives.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -614,68 +612,59 @@ def validate_judgement_empirically(
     the bounded domain and check the postcondition on every outcome.  A
     run that calls a procedure outside its precondition is a
     counterexample with no outcome state, listed before that state's
-    postcondition violations.  When there are more than `samples`
-    states, a seeded sample of them is drawn without building the
-    others.  The statement and contracts run compiled, over tuples of
-    values (see `interpret`).  One run shares a RunContext, so a call's
-    havoc and what follows it are interpreted once, and the post is
-    checked once per distinct outcome state: whether a state meets it
-    depends on the state alone, so the report is the one a fresh check
-    per outcome would give."""
+    postcondition violations, which are listed in the order of their
+    states' sorted (name, value) pairs.  When there are more than
+    `samples` states, a seeded sample of them is drawn without building
+    the others.  The statement and contracts run compiled, over tuples of
+    values in declaration order (see `interpret`).  One run shares a
+    RunContext, so a call's havoc and what follows it are interpreted
+    once, and the post is checked once per distinct set of outcome
+    states: whether a state meets it depends on the state alone, so the
+    report is the one a fresh check per outcome would give."""
     run = RunContext(
         program=ctx.program,
         kb=ctx.kb,
         lifting=ctx.lifting,
         var_domain=tuple(sorted(set(var_domain))),
     )
-    order, names = ctx.program.variables, run.names
-    values = run.var_domain
-    total = len(values) ** len(order)
+    names, values = run.names, run.var_domain
+    total = len(values) ** len(names)
     if total > samples:
         # the states rng.sample would pick from the full product, decoded
         # from their positions in itertools.product order
         picks = random.Random(seed).sample(range(total), samples)
-        combos = (_nth_combo(values, len(order), i) for i in picks)
+        states = (_nth_combo(values, len(names), i) for i in picks)
     else:
-        combos = itertools.product(values, repeat=len(order))
-    # a combo lists values in declaration order, a state in sorted order
-    arrange = itemgetter(*map(order.index, names)) if len(names) > 1 else tuple
+        states = run.all_states()
     pre = compile_assertion(j.pre, names, ctx.kb, ctx.lifting)
     post = compile_assertion(j.post, names, ctx.kb, ctx.lifting)
+
+    def named(state: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
+        return tuple(sorted(zip(names, state)))
+
+    # a set of outcome states -> those that break the post, named and sorted;
+    # a tuple, so that every set with none shares the one empty tuple
+    violations: dict[frozenset, tuple] = {}
     counterexamples: list[FuzzCounterexample] = []
-    fuel_issues = 0
-    tested = 0
-    post_holds: dict[tuple[int, ...], bool] = {}
-    for combo in combos:
-        sigma = arrange(combo)
+    fuel_issues = tested = 0
+    for sigma in states:
         if not pre(sigma):
             continue
         tested += 1
         outcome = interpret(j.stmt, sigma, run)
-        if outcome.fuel_exhausted:
-            fuel_issues += 1
+        fuel_issues += outcome.fuel_exhausted
         if outcome.pre_violated:
             counterexamples.append(
-                FuzzCounterexample(
-                    tuple(zip(names, sigma)), None, "callee precondition violated"
-                )
+                FuzzCounterexample(named(sigma), None, "callee precondition violated")
             )
-        found = len(counterexamples)
-        for sigma2 in outcome.states:
-            ok = post_holds.get(sigma2)
-            if ok is None:
-                ok = post_holds[sigma2] = post(sigma2)
-            if not ok:
-                counterexamples.append(
-                    FuzzCounterexample(
-                        sigma=tuple(zip(names, sigma)),
-                        sigma_prime=tuple(zip(names, sigma2)),
-                        detail="postcondition violated",
-                    )
-                )
-        if len(counterexamples) - found > 1:
-            # a state's violations are listed in the order of their states
-            counterexamples[found:] = sorted(
-                counterexamples[found:], key=lambda cx: cx.sigma_prime
+        bad = violations.get(outcome.states)
+        if bad is None:
+            bad = violations[outcome.states] = tuple(
+                sorted(named(s) for s in outcome.states if not post(s))
+            )
+        if bad:
+            counterexamples += (
+                FuzzCounterexample(named(sigma), s, "postcondition violated")
+                for s in bad
             )
     return FuzzReport(tested, tuple(counterexamples), fuel_issues)

@@ -307,6 +307,14 @@ class DomainInterpretation:
         return "\n".join(lines)
 
 
+def _declared(mapping: Mapping, name: str):
+    """mapping[name], or UndeclaredSymbol(name) when name has no entry."""
+    try:
+        return mapping[name]
+    except KeyError:
+        raise UndeclaredSymbol(name) from None
+
+
 def concept_extension(c: Concept, interp: DomainInterpretation) -> frozenset[str]:
     universe = interp.universe
     if isinstance(c, Top):
@@ -314,13 +322,9 @@ def concept_extension(c: Concept, interp: DomainInterpretation) -> frozenset[str
     if isinstance(c, Bottom):
         return frozenset()
     if isinstance(c, Atomic):
-        if c.name not in interp.concept_ext:
-            raise UndeclaredSymbol(c.name)
-        return interp.concept_ext[c.name]
+        return _declared(interp.concept_ext, c.name)
     if isinstance(c, Nominal):
-        if c.name not in interp.nominal_map:
-            raise UndeclaredSymbol(c.name)
-        return frozenset({interp.nominal_map[c.name]})
+        return frozenset({_declared(interp.nominal_map, c.name)})
     if isinstance(c, NotC):
         return universe - concept_extension(c.arg, interp)
     if isinstance(c, AndC):
@@ -328,28 +332,20 @@ def concept_extension(c: Concept, interp: DomainInterpretation) -> frozenset[str
     if isinstance(c, OrC):
         return concept_extension(c.lhs, interp) | concept_extension(c.rhs, interp)
     if isinstance(c, ExistsRole):
-        if c.role not in interp.abs_role_ext:
-            raise UndeclaredSymbol(c.role)
-        ext = interp.abs_role_ext[c.role]
+        ext = _declared(interp.abs_role_ext, c.role)
         inner = concept_extension(c.arg, interp)
         return frozenset(x for x in universe if any((x, y) in ext for y in inner))
     if isinstance(c, ForallRole):
-        if c.role not in interp.abs_role_ext:
-            raise UndeclaredSymbol(c.role)
-        ext = interp.abs_role_ext[c.role]
+        ext = _declared(interp.abs_role_ext, c.role)
         inner = concept_extension(c.arg, interp)
         return frozenset(
             x for x in universe if all(y in inner for (s, y) in ext if s == x)
         )
     if isinstance(c, ExistsData):
-        if c.role not in interp.conc_role_ext:
-            raise UndeclaredSymbol(c.role)
-        ext = interp.conc_role_ext[c.role]
+        ext = _declared(interp.conc_role_ext, c.role)
         return frozenset(x for x in universe if (x, c.value) in ext)
     if isinstance(c, ForallData):
-        if c.role not in interp.conc_role_ext:
-            raise UndeclaredSymbol(c.role)
-        ext = interp.conc_role_ext[c.role]
+        ext = _declared(interp.conc_role_ext, c.role)
         return frozenset(
             x for x in universe if all(v == c.value for (s, v) in ext if s == x)
         )
@@ -362,26 +358,18 @@ def satisfies(interp: DomainInterpretation, delta: DomainFormula) -> bool:
             delta.rhs, interp
         )
     if isinstance(delta, ConceptAssertion):
-        if delta.individual not in interp.nominal_map:
-            raise UndeclaredSymbol(delta.individual)
-        return interp.nominal_map[delta.individual] in concept_extension(
+        return _declared(interp.nominal_map, delta.individual) in concept_extension(
             delta.concept, interp
         )
     if isinstance(delta, RoleAssertion):
-        for n in (delta.subject, delta.obj):
-            if n not in interp.nominal_map:
-                raise UndeclaredSymbol(n)
-        if delta.role not in interp.abs_role_ext:
-            raise UndeclaredSymbol(delta.role)
-        pair = (interp.nominal_map[delta.subject], interp.nominal_map[delta.obj])
-        return pair in interp.abs_role_ext[delta.role]
+        pair = (
+            _declared(interp.nominal_map, delta.subject),
+            _declared(interp.nominal_map, delta.obj),
+        )
+        return pair in _declared(interp.abs_role_ext, delta.role)
     if isinstance(delta, DataAssertion):
-        if delta.subject not in interp.nominal_map:
-            raise UndeclaredSymbol(delta.subject)
-        if delta.role not in interp.conc_role_ext:
-            raise UndeclaredSymbol(delta.role)
-        pair = (interp.nominal_map[delta.subject], delta.value)
-        return pair in interp.conc_role_ext[delta.role]
+        pair = (_declared(interp.nominal_map, delta.subject), delta.value)
+        return pair in _declared(interp.conc_role_ext, delta.role)
     raise TypeError(f"not a domain formula: {delta!r}")
 
 

@@ -7,7 +7,8 @@ callee's contract: from a state satisfying the precondition the call may
 reach any state over the bounded variable domain satisfying the
 postcondition; from a state violating the precondition the relation is
 empty (flagged for diagnostics).  `interpret` runs a statement compiled
-once per run into closures over tuples of values, not walked per state.
+once per run into closures over tuples of values, in the program's
+declaration order, not walked per state.
 """
 
 from __future__ import annotations
@@ -189,21 +190,17 @@ class RunContext:
     kb: KnowledgeBase
     lifting: SpecLifting
     var_domain: tuple[int, ...]
-    names: tuple[str, ...] = field(init=False)  # the variables, sorted
+    names: tuple[str, ...] = field(init=False)  # the variables, in declaration order
     _havoc_cache: dict = field(default_factory=dict)
-    _states: Optional[tuple[Values, ...]] = None
     _compiled: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.names = tuple(sorted(self.program.variables))
+        self.names = self.program.variables
 
-    def all_states(self) -> tuple[Values, ...]:
+    def all_states(self) -> Iterator[Values]:
         """Every state over the program's variables and the run's domain,
-        built on first use."""
-        if self._states is None:
-            values = sorted(self.var_domain)
-            self._states = tuple(itertools.product(values, repeat=len(self.names)))
-        return self._states
+        in `itertools.product` order, streamed rather than stored."""
+        return itertools.product(sorted(self.var_domain), repeat=len(self.names))
 
     def post_states(self, proc: str, arg_value: int) -> frozenset[Values]:
         key = (proc, arg_value)

@@ -422,6 +422,8 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
     globals_: list[tuple[str, lang.Expr]] = []
     procedures: list[lang.Procedure] = []
     while p.accept("var"):
+        if any(v == p.peek().text for v, _ in globals_):
+            p.fail(f"duplicate variable {p.peek().text!r}")
         name = p.expect_ident()
         p.expect("=")
         value = sl.Lit(p.expect_int())

@@ -482,9 +482,7 @@ def test_empirical_validation_samples_the_states_of_the_full_product(corrected_c
     report = validate_judgement_empirically(
         corrected_ctx, j, (4, 0, 2), samples=100, seed=5
     )
-    names = corrected_ctx.program.variables
-    product = itertools.product((0, 2, 4), repeat=len(names))
-    states = [dict(zip(names, c)) for c in product]
+    states = every_state(corrected_ctx.program, (0, 2, 4))
     expected = [s for s in random.Random(5).sample(states, 100) if s["wheels"] != 4]
     assert report.tested == 100
     assert [dict(cx.sigma) for cx in report.counterexamples] == expected
@@ -654,11 +652,16 @@ def big_step(s, sigmas: list[dict], call) -> tuple[list[dict], bool]:
     return list({tuple(t.items()): t for t in finals}.values()), broke
 
 
-def big_step_report(ctx, j, domain) -> calculus.FuzzReport:
-    """The fuzz report of j by `big_step`, from each state afresh."""
-    program, kb, lifting = ctx.program, ctx.kb, ctx.lifting
+def every_state(program, domain) -> list[dict]:
     names = program.variables
-    every = [dict(zip(names, c)) for c in itertools.product(domain, repeat=len(names))]
+    return [dict(zip(names, c)) for c in itertools.product(domain, repeat=len(names))]
+
+
+def big_step_report(ctx, j, domain, starts=None) -> calculus.FuzzReport:
+    """The fuzz report of j by `big_step`, from each state of starts
+    afresh, every state over the domain by default."""
+    program, kb, lifting = ctx.program, ctx.kb, ctx.lifting
+    every = every_state(program, domain)
     holds = functools.cache(
         lambda items, a: assertion_holds(dict(items), a, kb, lifting)
     )
@@ -679,7 +682,7 @@ def big_step_report(ctx, j, domain) -> calculus.FuzzReport:
         return post_states, False
 
     tested, found = 0, []
-    for sigma in every:
+    for sigma in every if starts is None else starts:
         if not holds(tuple(sigma.items()), j.pre):
             continue
         tested += 1
@@ -725,6 +728,8 @@ def liftable(variables):
             lambda phi: assertion((HFW,), And(phi, Eq(Var("wheels"), Lit(4))))
         ),
     ),
+    samples=st.integers(1, 728),
+    seed=st.integers(0, 2**32 - 1),
 )
 @example(
     pre=assertion((), Eq(Var("nrDoors"), Lit(2))),
@@ -735,13 +740,25 @@ def liftable(variables):
         Assign("wheels", Var("nrDoors")),
     ],
     post=assertion((HFW,), Eq(Var("wheels"), Lit(4))),
+    samples=100,
+    seed=5,
 )
-def test_fuzz_reports_match_a_big_step_evaluator(corrected_ctx, pre, stmts, post):
+def test_fuzz_reports_match_a_big_step_evaluator(
+    corrected_ctx, pre, stmts, post, samples, seed
+):
     """The compiled statements of the benchmark's generated grammar give
-    the fuzz report of an evaluator that shares no code with them."""
+    the fuzz report of an evaluator that shares no code with them, over
+    all 729 states and over a seeded sample of them, from the states
+    `random.sample` picks from the full product."""
     j = Judgement(pre, sequence(stmts), post)
-    expected = big_step_report(corrected_ctx, j, (0, 2, 4))
-    assert validate_judgement_empirically(corrected_ctx, j, (0, 2, 4)) == expected
+    domain = (0, 2, 4)
+    expected = big_step_report(corrected_ctx, j, domain)
+    assert validate_judgement_empirically(corrected_ctx, j, domain) == expected
+    every = every_state(corrected_ctx.program, domain)
+    picks = random.Random(seed).sample(every, samples)
+    expected = big_step_report(corrected_ctx, j, domain, picks)
+    report = validate_judgement_empirically(corrected_ctx, j, domain, samples, seed)
+    assert report == expected
 
 
 @pytest.mark.hashseed
@@ -773,7 +790,7 @@ def test_the_fuzzer_asks_the_reasoner_in_one_order_under_every_hash_seed(
     digest = hashlib.sha256(json.dumps(asked).encode()).hexdigest()
     assert (len(asked), digest) == (
         51,
-        "b213502b66f83624071dd4b45e229899206faaf1fb03388fe4bcf682e749405f",
+        "dbe315b3c1618a7e7fb7f4905c526d90cba0f84fb51ac1a438e17da94176a691",
     )
 
 

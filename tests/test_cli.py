@@ -127,6 +127,35 @@ def test_duplicate_procedure_is_a_parse_error(capfd, tmp_path):
     assert err == "error: 10:6: duplicate procedure 'addWheels'\n"
 
 
+DUPLICATE_VAR_PROG = """var x = 0;
+var x = 1;
+
+proc p(n)
+  requires [ - | - ]
+  ensures [ - | x == 1 ]
+begin
+  skip;
+end;
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "fuzz", "check", "parse"])
+def test_duplicate_variable_is_a_parse_error(capfd, tmp_path, command):
+    # a second slot of one name would make the fuzzer test phantom states
+    prog = tmp_path / "duplicate_var.prog"
+    prog.write_text(DUPLICATE_VAR_PROG, encoding="utf-8")
+    argv = {
+        "verify": ["verify", str(prog), ADD_KB],
+        "fuzz": ["fuzz", str(prog), ADD_KB],
+        "check": ["check", str(tmp_path / "proofs.json"), str(prog), ADD_KB],
+        "parse": ["parse", str(prog), "--kb", ADD_KB],
+    }[command]
+    code, out, err = run(capfd, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: 2:5: duplicate variable 'x'\n"
+
+
 def test_a_call_to_an_undeclared_procedure_is_a_parse_error(capfd, tmp_path):
     prog = tmp_path / "unknown.prog"
     prog.write_text(

@@ -119,6 +119,16 @@ def test_duplicate_procedure_is_a_parse_error(corrected):
     assert exc.value.line == text.count("\n") + 1
 
 
+def test_duplicate_variable_is_a_parse_error(corrected):
+    # each variable is one slot of a state
+    text = corpus_text("assembly_corrected.prog")
+    with pytest.raises(ParseError, match="duplicate variable 'wheels'") as exc:
+        parse_program("var wheels = 1;\n" + text, corrected[1])
+    # the corpus's own declaration, one line further down, is the second
+    line = text[: text.index("var wheels")].count("\n") + 2
+    assert (exc.value.line, exc.value.column) == (line, 5)
+
+
 def test_parse_statements(corrected):
     kb = corrected[1]
     assert parse_statement("skip;", kb) == Skip()
