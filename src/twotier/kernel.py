@@ -42,19 +42,27 @@ class CandidatePool:
     ) -> "CandidatePool":
         """hasValue(stub, n) and NonZero(stub) atoms over the declared
         stubs (plus stubs of any extra variables), with n drawn from the
-        constants of kb and the caller, plus zero."""
+        constants of kb and the caller, plus zero.  The pool is kept on
+        kb's reasoner per (lifting, constants, variables), so that every
+        context over kb with these shares it."""
+        constants, variables = frozenset(extra_constants), tuple(variables)
+        key = (lifting, constants, variables)
+        pools = kb.reasoner.pools
+        if key in pools:
+            return pools[key]
         stubs = sorted(
             {s.stub for s in kb.stubs}
             | {lifting.stub_for(v) for v in variables}
         )
-        values = sorted(kb.constants | set(extra_constants) | {0})
+        values = sorted(kb.constants | constants | {0})
         atoms: list[DomainFormula] = []
         for stub in stubs:
             atoms.append(ConceptAssertion(Atomic(NONZERO_CONCEPT), stub))
             for n in values:
                 atoms.append(DataAssertion(VALUE_ROLE, stub, n))
         atoms.sort(key=str)
-        return CandidatePool(tuple(atoms))
+        pool = pools[key] = CandidatePool(tuple(atoms))
+        return pool
 
 
 @dataclass(frozen=True)

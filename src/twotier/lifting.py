@@ -55,6 +55,13 @@ class SpecLifting:
 
     @staticmethod
     def direct(kb: KnowledgeBase, variables: Iterable[str] = ()) -> "SpecLifting":
+        """The lifting of kb's stubs and a default stub for each other
+        variable.  It is kept on kb's reasoner per variables, so that
+        every program over kb and the same variables shares it."""
+        variables = tuple(variables)
+        liftings = kb.reasoner.liftings
+        if variables in liftings:
+            return liftings[variables]
         bindings: dict[str, str] = {}
         for s in kb.stubs:
             bindings[s.variable] = s.stub
@@ -67,7 +74,8 @@ class SpecLifting:
                 atomic_concepts=frozenset({NONZERO_CONCEPT}),
             )
         )
-        return SpecLifting(tuple(sorted(bindings.items())), kernel)
+        lifting = liftings[variables] = SpecLifting(tuple(sorted(bindings.items())), kernel)
+        return lifting
 
     def stub_for(self, variable: str) -> str:
         for v, s in self.stub_bindings:

@@ -1,12 +1,18 @@
 """Recursive-descent parsers and pretty-printers for the concrete
 syntax: program files, knowledge-base files, state formulas, concepts,
 domain assertions, and contract tiers.  Pretty-printing then re-parsing
-is the identity on ASTs."""
+is the identity on ASTs.
+
+A text is scanned once, by `findall` over one pattern that takes the
+blanks and comments in front of each token (or the end of the text) with
+it.  The parser reads the tokens as strings, each of the kind its first
+character tells, and finds a token's offset only for an error."""
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .errors import ParseError
 from . import statelogic as sl
@@ -21,93 +27,91 @@ from .lifting import SpecLifting
 
 _TOKEN_RE = re.compile(
     r"""
-    \s+ | //[^\n]*
-  | (?P<ident>data-role\b|[A-Za-z][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<sym>:=|==|!=|&&|\|\||<=|[()\[\]{}|&!.,;=-])
-  | (?P<bad>.)
+    (?:\s+|//[^\n]*)*
+    ( data-role\b | [A-Za-z][A-Za-z0-9_]* | \d+
+    | :=|==|!=|&&|\|\||<=|[()\[\]{}|&!.,;=-]
+    | . | \Z )
     """,
     re.VERBOSE | re.DOTALL,
 )
+# every one-character token but a bad character
+_ONE_CHAR_RE = re.compile(r"[A-Za-z\d()\[\]{}|&!.,;=-]")
 
 
-class Token(NamedTuple):
-    kind: str  # 'ident' | 'int' | 'sym' | 'eof'
-    text: str
-    offset: int
-
-
-def _error(text: str, offset: int, message: str) -> ParseError:
-    """The error at `offset`, with its 1-based line and column."""
-    line = text.count("\n", 0, offset) + 1
-    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise _error(text, m.start(), f"unexpected character {m.group()!r}")
-        if kind is not None:  # whitespace and comments name no group
-            tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(text)))
-    return tokens
+def _kind(token: str) -> str:
+    """'ident', 'int', 'sym' or 'eof', read off the first character."""
+    if not token:
+        return "eof"
+    if token[0].isalpha():  # no bad character is left, so an ASCII letter
+        return "ident"
+    return "int" if token[0].isdecimal() else "sym"
 
 
 class _Parser:
-    """Tokens of one text.  No grammar rule asks for the empty text, so
-    the eof token is never accepted and the parser never moves past it."""
+    """Tokens of one text.  The list ends in the eof token "", twice when
+    blanks or a comment end the text.  No grammar rule asks for the
+    empty text, so the eof token is never accepted and the parser never
+    moves past it."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens: list[str] = _TOKEN_RE.findall(text)
         self.pos = 0
-        # each token naming a symbol, with the kind of symbol it names
-        # ("variable", "procedure", or a kb declaration keyword), in text
-        # order, for the checks that need the whole text
-        self.names: list[tuple[Token, str]] = []
+        bad = [t for t in set(self.tokens) if len(t) == 1 and not _ONE_CHAR_RE.match(t)]
+        if bad:
+            self.pos = min(map(self.tokens.index, bad))
+            self.fail(f"unexpected character {self.peek()!r}")
+        # the index of each token naming a symbol, with the kind of symbol
+        # it names ("variable", "procedure", or a kb declaration keyword),
+        # in text order, for the checks that need the whole text
+        self.names: list[tuple[int, str]] = []
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> str:
         return self.tokens[self.pos + ahead]
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         t = self.tokens[self.pos]
         self.pos += 1
         return t
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.tokens[self.pos] == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def fail(self, message: str, token: Token | None = None) -> NoReturn:
-        t = self.peek() if token is None else token
-        raise _error(self.text, t.offset, message)
+    def offset(self, index: int) -> int:
+        """Where the token at `index` starts in the text."""
+        return next(itertools.islice(_TOKEN_RE.finditer(self.text), index, None)).start(1)
+
+    def fail(self, message: str, index: int | None = None) -> NoReturn:
+        """The error at the token at `index`, by default the next one, with
+        its 1-based line and column."""
+        offset = self.offset(self.pos if index is None else index)
+        line = self.text.count("\n", 0, offset) + 1
+        raise ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
     def expect(self, text: str) -> None:
         if not self.accept(text):
-            self.fail(f"expected {text!r}, found {self.peek().text!r}")
+            self.fail(f"expected {text!r}, found {self.peek()!r}")
 
     def expect_ident(self) -> str:
-        if self.peek().kind != "ident":
-            self.fail(f"expected identifier, found {self.peek().text!r}")
-        return self.advance().text
+        if _kind(self.peek()) != "ident":
+            self.fail(f"expected identifier, found {self.peek()!r}")
+        return self.advance()
 
     def expect_int(self) -> int:
         neg = self.accept("-")
-        if self.peek().kind != "int":
-            self.fail(f"expected integer, found {self.peek().text!r}")
-        value = int(self.advance().text)
-        return -value if neg else value
+        if _kind(self.peek()) != "int":
+            self.fail(f"expected integer, found {self.peek()!r}")
+        return -int(self.advance()) if neg else int(self.advance())
 
     def expect_eof(self) -> None:
-        if self.peek().kind != "eof":
-            self.fail(f"trailing input starting at {self.peek().text!r}")
+        if self.peek():
+            self.fail(f"trailing input starting at {self.peek()!r}")
 
 
 def _parse_all(text: str, rule, *args):
@@ -135,11 +139,10 @@ def _binary(p: _Parser, ops: tuple, unary, level: int = 0):
 
 
 def _parse_term(p: _Parser) -> sl.Term:
-    t = p.peek()
-    if t.kind == "int" or t.text == "-":
+    if p.at("-") or _kind(p.peek()) == "int":
         return sl.Lit(p.expect_int())
+    p.names.append((p.pos, "variable"))
     name = p.expect_ident()
-    p.names.append((t, "variable"))
     return sl.Var(name)
 
 
@@ -200,19 +203,18 @@ def _parse_concept_unary(p: _Parser) -> dl.Concept:
         p.expect("}")
         return dl.Nominal(name)
     if p.at("some") or p.at("all"):
-        some = p.advance().text == "some"
-        t = p.peek()
+        some = p.advance() == "some"
+        t = p.pos
         role = p.expect_ident()
         p.expect(".")
-        nxt = p.peek()
-        if nxt.kind == "int" or nxt.text == "-":
+        if p.at("-") or _kind(p.peek()) == "int":
             p.names.append((t, "data-role"))
             value = p.expect_int()
             return dl.ExistsData(role, value) if some else dl.ForallData(role, value)
         p.names.append((t, "role"))
         inner = _parse_concept_unary(p)
         return dl.ExistsRole(role, inner) if some else dl.ForallRole(role, inner)
-    t = p.peek()
+    t = p.pos
     name = p.expect_ident()
     if name == "Top":
         return dl.Top()
@@ -234,13 +236,13 @@ def parse_concept(text: str) -> dl.Concept:
 
 
 def _parse_individual(p: _Parser) -> str:
-    p.names.append((p.peek(), "individual"))
+    p.names.append((p.pos, "individual"))
     return p.expect_ident()
 
 
 def _parse_domain_assertion(p: _Parser, sig: dl.DomainSignature) -> dl.DomainFormula:
     """name(args) with the name classified through the signature."""
-    t = p.peek()
+    t = p.pos
     name = p.expect_ident()
     p.expect("(")
     if name in sig.abstract_roles:
@@ -279,14 +281,14 @@ def parse_domain_formula(text: str, sig: dl.DomainSignature) -> dl.DomainFormula
 def _parse_tier(p: _Parser, sig: dl.DomainSignature) -> TwoTierAssertion:
     p.expect("[")
     domain: list[dl.DomainFormula] = []
-    if p.at("-") and p.peek(1).text == "|":
+    if p.at("-") and p.peek(1) == "|":
         p.advance()
     else:
         domain.append(_parse_domain_assertion(p, sig))
         while p.accept(","):
             domain.append(_parse_domain_assertion(p, sig))
     p.expect("|")
-    if p.at("-") and p.peek(1).text == "]":
+    if p.at("-") and p.peek(1) == "]":
         p.advance()
         state = sl.TRUE
     else:
@@ -306,20 +308,18 @@ def parse_assertion(text: str, sig: dl.DomainSignature) -> TwoTierAssertion:
 def parse_kb(text: str) -> dl.KnowledgeBase:
     p = _Parser(text)
     # one set per declaration keyword, in DomainSignature's field order
-    declared: dict[str, set[str]] = {
-        "individual": set(), "role": set(), "data-role": set(), "concept": set()
-    }
+    declared = {k: set() for k in ("individual", "role", "data-role", "concept")}
     # symbols may be declared after the statements that use them; a
     # declaration is the only `keyword name ;` that a kb can hold
     for keyword, name, end in zip(p.tokens, p.tokens[1:], p.tokens[2:]):
-        if keyword.text in declared and name.kind == "ident" and end.text == ";":
-            declared[keyword.text].add(name.text)
+        if keyword in declared and _kind(name) == "ident" and end == ";":
+            declared[keyword].add(name)
     signature = dl.DomainSignature(*map(frozenset, declared.values()))
     axioms: list[dl.DomainFormula] = []
     stubs: list[dl.Stub] = []
     closure = True
-    while p.peek().kind != "eof":
-        if p.peek().text in declared:
+    while p.peek():
+        if p.peek() in declared:
             p.advance()
             p.expect_ident()
             p.expect(";")
@@ -346,7 +346,7 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
                 p.fail("expected 'on' or 'off' after 'closure'")
             closure = word == "on"
             p.expect(";")
-        elif p.peek().kind == "ident" and p.peek(1).text == "(":
+        elif _kind(p.peek()) == "ident" and p.peek(1) == "(":
             axioms.append(_parse_domain_assertion(p, signature))
             p.expect(";")
         else:
@@ -358,8 +358,8 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
                 axioms.append(dl.Subsumption(lhs, _parse_concept(p)))
             p.expect(";")
     for t, kind in p.names:
-        if t.text not in declared[kind]:
-            p.fail(f"undeclared symbol {t.text!r} used in axioms", t)
+        if p.tokens[t] not in declared[kind]:
+            p.fail(f"undeclared symbol {p.tokens[t]!r} used in axioms", t)
     return dl.KnowledgeBase(signature, tuple(axioms), tuple(stubs), closure)
 
 
@@ -368,11 +368,15 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
 
 
 _STMT_END = {"end", "else", "fi", "od"}
+# the words the program grammar reads as themselves
+_KEYWORDS = _STMT_END | set(
+    "var proc requires ensures begin skip if then while do true false".split()
+)
 
 
 def _parse_statements(p: _Parser) -> lang.Statement:
     stmts: list[lang.Statement] = []
-    while not (p.peek().kind == "eof" or p.peek().text in _STMT_END):
+    while p.peek() and p.peek() not in _STMT_END:
         stmts.append(_parse_statement(p))
     if not stmts:
         p.fail("expected at least one statement")
@@ -401,7 +405,7 @@ def _parse_statement(p: _Parser) -> lang.Statement:
         body = _parse_statements(p)
         p.expect("od")
         return lang.While(cond, body)
-    t = p.peek()
+    t = p.pos
     name = p.expect_ident()
     st: lang.Statement
     if p.accept(":="):
@@ -416,25 +420,32 @@ def _parse_statement(p: _Parser) -> lang.Statement:
     return st
 
 
+def _declared_name(p: _Parser, kind: str, taken, clash: str) -> str:
+    """The name a declaration of `kind` introduces: no keyword, and none
+    in `taken`, for which `clash` is the error."""
+    if p.peek() in _KEYWORDS:
+        p.fail(f"keyword {p.peek()!r} cannot name a {kind}")
+    if p.peek() in taken:
+        p.fail(f"{clash} {p.peek()!r}")
+    return p.expect_ident()
+
+
 def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
     p = _Parser(text)
     sig = kb.symbols
-    globals_: list[tuple[str, lang.Expr]] = []
-    procedures: list[lang.Procedure] = []
+    globals_: dict[str, lang.Expr] = {}
+    procedures: dict[str, lang.Procedure] = {}
     while p.accept("var"):
-        if any(v == p.peek().text for v, _ in globals_):
-            p.fail(f"duplicate variable {p.peek().text!r}")
-        name = p.expect_ident()
+        name = _declared_name(p, "variable", globals_, "duplicate variable")
         p.expect("=")
-        value = sl.Lit(p.expect_int())
+        globals_[name] = sl.Lit(p.expect_int())
         p.expect(";")
-        globals_.append((name, value))
     while p.accept("proc"):
-        if any(proc.name == p.peek().text for proc in procedures):
-            p.fail(f"duplicate procedure {p.peek().text!r}")
-        pname = p.expect_ident()
+        pname = _declared_name(p, "procedure", procedures, "duplicate procedure")
         p.expect("(")
-        param = p.expect_ident()
+        # a parameter is a program variable: one of a global's name would
+        # be that global's slot, which the contract renames to the argument
+        param = _declared_name(p, "parameter", globals_, "parameter names the global variable")
         p.expect(")")
         p.expect("requires")
         pre = _parse_tier(p, sig)
@@ -444,21 +455,18 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
         body = _parse_statements(p)
         p.expect("end")
         p.expect(";")
-        procedures.append(
-            lang.Procedure(pname, param, lang.Contract(pre, post), body)
-        )
+        procedures[pname] = lang.Procedure(pname, param, lang.Contract(pre, post), body)
     p.expect_eof()
-    program = lang.Program(tuple(globals_), tuple(procedures))
-    # a contract names the kb's individuals and the lifting's stubs
-    lifting = SpecLifting.direct(kb, program.variables)
+    program = lang.Program(tuple(globals_.items()), tuple(procedures.values()))
     declared = {
         "variable": set(program.variables),
-        "procedure": {proc.name for proc in procedures},
-        "individual": lifting.kernel_signature.nominals,
+        "procedure": procedures,
+        # a contract names the kb's individuals and the lifting's stubs
+        "individual": SpecLifting.direct(kb, program.variables).kernel_signature.nominals,
     }
     for t, kind in p.names:
-        if t.text not in declared[kind]:
-            p.fail(f"undeclared {kind} {t.text!r}", t)
+        if p.tokens[t] not in declared[kind]:
+            p.fail(f"undeclared {kind} {p.tokens[t]!r}", t)
     return program
 
 
@@ -516,29 +524,21 @@ def program_to_text(program: lang.Program) -> str:
 
 
 def kb_to_text(kb: dl.KnowledgeBase) -> str:
-    lines: list[str] = []
-    for name in sorted(kb.signature.atomic_concepts):
-        lines.append(f"concept {name};")
-    for name in sorted(kb.signature.abstract_roles):
-        lines.append(f"role {name};")
-    for name in sorted(kb.signature.concrete_roles):
-        lines.append(f"data-role {name};")
-    for name in sorted(kb.signature.nominals):
-        lines.append(f"individual {name};")
+    sig = kb.signature
+    lines = [f"concept {name};" for name in sorted(sig.atomic_concepts)]
+    lines += [f"role {name};" for name in sorted(sig.abstract_roles)]
+    lines += [f"data-role {name};" for name in sorted(sig.concrete_roles)]
+    lines += [f"individual {name};" for name in sorted(sig.nominals)]
     lines.append("")
-    i = 0
-    while i < len(kb.axioms):
-        axiom = kb.axioms[i]
-        nxt = kb.axioms[i + 1] if i + 1 < len(kb.axioms) else None
-        if (
-            isinstance(axiom, dl.Subsumption)
-            and nxt == dl.Subsumption(axiom.rhs, axiom.lhs)
-        ):
-            lines.append(f"{axiom.lhs} == {axiom.rhs};")
-            i += 2
-        else:
-            lines.append(f"{axiom};")
-            i += 1
+    i, axioms = 0, kb.axioms
+    while i < len(axioms):
+        a = axioms[i]
+        # a subsumption followed by its converse is an equivalence
+        pair = isinstance(a, dl.Subsumption) and axioms[i + 1 : i + 2] == (
+            dl.Subsumption(a.rhs, a.lhs),
+        )
+        lines.append(f"{a.lhs} == {a.rhs};" if pair else f"{a};")
+        i += 2 if pair else 1
     if kb.stubs:
         lines.append("")
         for s in kb.stubs:

@@ -465,6 +465,10 @@ class Reasoner:
       that state settled (None if it conflicts).
     - `refutations`: (premises, conclusion formula, anonymous elements)
       -> a countermodel, or None when there is none.
+    - `liftings`: variables -> `lifting.SpecLifting.direct`'s lifting
+      of them.
+    - `pools`: (lifting, constants, variables) -> `kernel.CandidatePool.build`'s
+      pool.
     - `kernels`: (delta, pool atoms) -> `kernel.informative_kernel`'s
       answer.
     - `types`: a detached individual's premises, renamed -> whether a
@@ -480,6 +484,8 @@ class Reasoner:
         self.base: Optional[tuple] = None
         self.switched: Optional[tuple] = None
         self.refutations: dict[tuple, Optional[DomainInterpretation]] = {}
+        self.liftings: dict[tuple, object] = {}
+        self.pools: dict[tuple, object] = {}
         self.kernels: dict[tuple, tuple[DomainFormula, ...]] = {}
         self.types: dict[tuple, bool] = {}
         self.splits: dict[tuple, object] = {}

@@ -156,6 +156,44 @@ def test_duplicate_variable_is_a_parse_error(capfd, tmp_path, command):
     assert err == "error: 2:5: duplicate variable 'x'\n"
 
 
+CLASH_PROG = """var x = 0;
+
+proc p(x)
+  requires [ - | - ]
+  ensures [ - | x == 1 ]
+begin
+  x := 1;
+end;
+
+proc q(n)
+  requires [ - | - ]
+  ensures [ - | x == 5 ]
+begin
+  p(0);
+end;
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "fuzz", "check", "parse"])
+def test_a_parameter_named_like_a_global_is_a_parse_error(capfd, tmp_path, command):
+    # one slot for both made q Closed and its fuzzing find nothing, though
+    # running q leaves x == 1
+    prog = tmp_path / "clash.prog"
+    prog.write_text(CLASH_PROG, encoding="utf-8")
+    kb = tmp_path / "clash.kb"
+    kb.write_text("closure off;\n", encoding="utf-8")
+    argv = {
+        "verify": ["verify", str(prog), str(kb)],
+        "fuzz": ["fuzz", str(prog), str(kb)],
+        "check": ["check", str(tmp_path / "proofs.json"), str(prog), str(kb)],
+        "parse": ["parse", str(prog), "--kb", str(kb)],
+    }[command]
+    code, out, err = run(capfd, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: 3:8: parameter names the global variable 'x'\n"
+
+
 def test_a_call_to_an_undeclared_procedure_is_a_parse_error(capfd, tmp_path):
     prog = tmp_path / "unknown.prog"
     prog.write_text(

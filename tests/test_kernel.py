@@ -20,6 +20,7 @@ from twotier.strategy import verify_procedure, verify_program
 from tests.conftest import count_groundings, load_corpus, record_bounds
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen_programs  # noqa: E402
 import gen_scaled  # noqa: E402
 
 NZ = lambda s: ConceptAssertion(Atomic("NonZero"), s)
@@ -239,20 +240,50 @@ def test_verifying_the_corpus_grounds_k_at_most_five_times(monkeypatch):
 
 
 def test_a_second_context_shares_the_kernel(monkeypatch):
-    """Two contexts over one kb build equal pools; the second asks no
-    atom again for a kernel the first computed."""
+    """Two contexts over one kb share one pool, and an equal pool built
+    apart asks no atom again for a kernel the first computed."""
     program, kb = load_corpus("assembly_corrected")
     first = VerifCtx.build(program, kb)
     delta = (ConceptAssertion(Atomic("SmallCar"), "c"), hv("doorsVar", 2))
     kernel = informative_kernel(delta, kb, first.pool)
     assert kernel
-    second = VerifCtx.build(program, kb)
-    assert second.pool == first.pool and second.pool is not first.pool
+    assert VerifCtx.build(program, kb).pool is first.pool
+    second = CandidatePool(tuple(list(first.pool.atoms)))
+    assert second == first.pool and second.atoms is not first.pool.atoms
 
     def no_atoms(*args, **kwargs):
         raise AssertionError("the kernel is asked again")
 
     monkeypatch.setattr(reasoning, "entailed_atoms", no_atoms)
-    assert informative_kernel(delta, kb, second.pool) == kernel
+    assert informative_kernel(delta, kb, second) == kernel
     # the kernel reads delta as a set
-    assert informative_kernel(delta[::-1] + delta, kb, second.pool) == kernel
+    assert informative_kernel(delta[::-1] + delta, kb, second) == kernel
+
+
+def test_contexts_over_one_kb_share_one_lifting_and_pool(monkeypatch):
+    """The 500 generated programs have the same variables and constants:
+    their contexts share one lifting and one pool, whose atoms are
+    rendered once, for the pool's order, and equal a fresh build."""
+    kb_text = (gen_programs.CORPUS / f"{gen_programs.HOST_STEM}.kb").read_text(
+        encoding="utf-8"
+    )
+    kb = parsing.parse_kb(kb_text)
+    programs = [parsing.parse_program(t, kb) for t in gen_programs.programs(42, 500)]
+    renders = []
+    for cls in (ConceptAssertion, DataAssertion):
+        render = cls.__str__
+        monkeypatch.setattr(
+            cls, "__str__", lambda a, render=render: renders.append(a) or render(a)
+        )
+    contexts = [VerifCtx.build(program, kb) for program in programs]
+    monkeypatch.undo()
+    pool = contexts[0].pool
+    assert sorted(map(str, renders)) == sorted(map(str, pool.atoms))
+    assert all(c.pool is pool and c.lifting is contexts[0].lifting for c in contexts)
+    fresh = parsing.parse_kb(kb_text)
+    for c in contexts:
+        lifting = SpecLifting.direct(fresh, c.program.variables)
+        assert c.lifting == lifting
+        assert c.pool.atoms == CandidatePool.build(
+            fresh, lifting, c.program.constants(), c.program.variables
+        ).atoms

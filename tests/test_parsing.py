@@ -1,6 +1,10 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import re
+from typing import NamedTuple
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from twotier import parsing
 from twotier.errors import ParseError
 from twotier.domainlogic import (
     AndC,
@@ -345,6 +349,53 @@ def test_a_stub_may_name_symbols_declared_later():
     assert [(s.role, s.subject, s.stub) for s in kb.stubs] == [("r", "c", "s")]
 
 
+CLASH = (
+    "var x = 0;\n"
+    "proc p(x) requires [ - | - ] ensures [ - | x == 1 ] begin x := 1; end;\n"
+    "proc q(n) requires [ - | - ] ensures [ - | x == 5 ] begin p(0); end;\n"
+)
+
+
+def test_a_parameter_named_like_a_global_is_a_parse_error():
+    # both would be one slot, and p's contract would rename the global to
+    # the argument: q's call assumes 0 == 1, and q would be Closed
+    with pytest.raises(ParseError) as exc:
+        parse_program(CLASH, parse_kb("closure off;"))
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        "2:8: parameter names the global variable 'x'", 2, 8
+    )
+
+
+KEYWORDS = (
+    "var", "proc", "requires", "ensures", "begin", "end", "skip", "if", "then",
+    "else", "fi", "while", "do", "od", "true", "false",
+)
+
+
+@pytest.mark.parametrize("keyword", KEYWORDS)
+@pytest.mark.parametrize(
+    "kind, template, column",
+    [
+        ("variable", "var {} = 0;\nproc p(n) {}", 5),
+        ("procedure", "var x = 0;\nproc {}(n) {}", 6),
+        ("parameter", "var x = 0;\nproc p({}) {}", 8),
+    ],
+    ids=["variable", "procedure", "parameter"],
+)
+def test_a_keyword_cannot_name_a_declaration(keyword, kind, template, column):
+    # the statement and contract parsers read a keyword as the keyword
+    rest = "requires [ - | - ] ensures [ - | - ] begin skip; end;"
+    text = template.format(keyword, rest)
+    with pytest.raises(ParseError) as exc:
+        parse_program(text, parse_kb("closure off;"))
+    line = 1 if kind == "variable" else 2
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        f"{line}:{column}: keyword {keyword!r} cannot name a {kind}", line, column
+    )
+    # any other name parses
+    parse_program(template.format("ok", rest), parse_kb("closure off;"))
+
+
 def test_a_term_may_name_the_parameter_of_a_later_procedure(addwheels):
     # every parameter is a program variable, wherever it is declared
     text = (
@@ -393,3 +444,81 @@ def state_texts(draw, depth=2):
 def test_state_formula_parse_render_fixpoint(text):
     phi = parse_state_formula(text)
     assert parse_state_formula(str(phi)) == phi
+
+
+# the tokenizer before the one-scan `_Parser`, as the oracle of its tokens,
+# kinds, offsets and errors
+_ORACLE_RE = re.compile(
+    r"""
+    \s+ | //[^\n]*
+  | (?P<ident>data-role\b|[A-Za-z][A-Za-z0-9_]*)
+  | (?P<int>\d+)
+  | (?P<sym>:=|==|!=|&&|\|\||<=|[()\[\]{}|&!.,;=-])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class OracleToken(NamedTuple):
+    kind: str
+    text: str
+    offset: int
+
+
+def oracle_tokenize(text: str) -> list[OracleToken]:
+    tokens = []
+    for m in _ORACLE_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            offset = m.start()
+            line = text.count("\n", 0, offset) + 1
+            raise ParseError(
+                f"unexpected character {m.group()!r}",
+                line,
+                offset - text.rfind("\n", 0, offset),
+            )
+        if kind is not None:
+            tokens.append(OracleToken(kind, m.group(), m.start()))
+    tokens.append(OracleToken("eof", "", len(text)))
+    return tokens
+
+
+PIECES = (
+    "a", "x_1", "wheels", "Top", "data-role", "data", "role", "0", "42", "٣",
+    ":=", "==", "!=", "&&", "||", "<=", "(", ")", "[", "]", "{", "}", "|", "&",
+    "!", ".", ",", ";", "=", "-",
+    " ", "\t", "\n", "\r\n", "\u00a0", "// note", "//", "// # @ é\n",
+    "#", "/", "@", "é", "_", ":", "<", "²",
+)
+
+
+@given(
+    st.lists(st.sampled_from(PIECES), max_size=30),
+    st.sampled_from(("", "// last", "\n", "\n\n", " \n")),
+)
+@example([], "")
+@example(["a"], "\n")
+@example(["a", " "], "// last")
+@example([" "], "")
+@settings(max_examples=400)
+def test_the_scan_gives_the_oracle_tokens(pieces, end):
+    text = "".join(pieces) + end
+    try:
+        expected = oracle_tokenize(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parsing._Parser(text)
+        assert (str(got.value), got.value.line, got.value.column) == (
+            str(exc), exc.line, exc.column
+        )
+        return
+    p = parsing._Parser(text)
+    first_eof = p.tokens.index("")
+    # past the first eof token at most one more: the parser stops at it
+    assert p.tokens[first_eof:] in ([""], ["", ""])
+    got = [
+        OracleToken(parsing._kind(t), t, p.offset(i))
+        for i, t in enumerate(p.tokens[: first_eof + 1])
+    ]
+    assert got == expected
