@@ -2,7 +2,7 @@
 description-logic domain assertions and first-order state assertions,
 connected by a semantic lifting."""
 
-from .statelogic import And, Eq, Lit, Not, State, TRUE, Var
+from .statelogic import And, Eq, Lit, Not, TRUE, Var
 from .domainlogic import (
     Atomic,
     ConceptAssertion,
@@ -41,7 +41,6 @@ __all__ = [
     "ProofTree",
     "RoleAssertion",
     "SpecLifting",
-    "State",
     "Subsumption",
     "TRUE",
     "TwoTierAssertion",

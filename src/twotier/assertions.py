@@ -13,7 +13,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .statelogic import (
     ProgramState,
-    State,
     StateFormula,
     TRUE,
     compile_formula,
@@ -174,7 +173,7 @@ def compile_assertion(
 class ImplicationResult:
     status: ObligationStatus
     detail: str
-    counter_state: Optional[State] = None
+    counter_state: Optional[dict[str, int]] = None
     counter_model: Optional[DomainInterpretation] = None
 
     @property

@@ -188,7 +188,7 @@ class VerifCtx:
         result = assertion_implies(a1, a2, self.kb, self.lifting)
         note = result.detail
         if result.counter_state is not None:
-            note += f"; counter-state {dict(result.counter_state)}"
+            note += f"; counter-state {result.counter_state}"
         if result.counter_model is not None:
             note += "; countermodel:\n" + result.counter_model.describe()
         return Obligation(

@@ -328,10 +328,12 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
             p.expect("(")
             subject = p.expect_ident()
             p.expect(",")
+            at_stub = p.pos
             stub = p.expect_ident()
             p.expect(")")
             p.expect("for")
             p.expect("var")
+            at_variable = p.pos
             variable = p.expect_ident()
             p.expect(";")
             for name in (subject, stub):
@@ -339,6 +341,15 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
                     p.fail(f"stub references undeclared individual {name!r}")
             if role not in declared["role"]:
                 p.fail(f"stub references undeclared role {role!r}")
+            # the lifting maps each variable to one stub and back
+            for earlier in stubs:
+                if earlier.variable == variable:
+                    p.fail(f"second stub for variable {variable!r}", at_variable)
+                if earlier.stub == stub:
+                    p.fail(
+                        f"stub {stub!r} already stands for variable {earlier.variable!r}",
+                        at_stub,
+                    )
             stubs.append(dl.Stub(role, subject, stub, variable))
         elif p.accept("closure"):
             word = p.expect_ident()
@@ -409,7 +420,7 @@ def _parse_statement(p: _Parser) -> lang.Statement:
     name = p.expect_ident()
     st: lang.Statement
     if p.accept(":="):
-        p.names.append((t, "variable"))
+        p.names.append((t, "assigned"))
         st = lang.Assign(name, _parse_term(p))
     else:
         p.expect("(")
@@ -460,13 +471,19 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
     program = lang.Program(tuple(globals_.items()), tuple(procedures.values()))
     declared = {
         "variable": set(program.variables),
+        # a call's contract reads the callee's parameter as the argument,
+        # which is sound only while no statement changes a parameter
+        "assigned": set(globals_),
         "procedure": procedures,
         # a contract names the kb's individuals and the lifting's stubs
         "individual": SpecLifting.direct(kb, program.variables).kernel_signature.nominals,
     }
     for t, kind in p.names:
-        if p.tokens[t] not in declared[kind]:
-            p.fail(f"undeclared {kind} {p.tokens[t]!r}", t)
+        name = p.tokens[t]
+        if name not in declared[kind]:
+            if kind == "assigned" and name in declared["variable"]:
+                p.fail(f"parameter {name!r} cannot be assigned", t)
+            p.fail(f"undeclared {'variable' if kind == 'assigned' else kind} {name!r}", t)
     return program
 
 

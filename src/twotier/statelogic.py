@@ -149,10 +149,6 @@ def _scan(x: StateFormula | Term, names: set[str], ints: set[int]) -> set[str]:
     return names
 
 
-def variables_of(phi: StateFormula | Term) -> frozenset[str]:
-    return frozenset(_scan(phi, set(), set()))
-
-
 def constants_of(phi: StateFormula | Term) -> frozenset[int]:
     ints: set[int] = set()
     _scan(phi, set(), ints)
@@ -160,54 +156,9 @@ def constants_of(phi: StateFormula | Term) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Program states
-
-
-class State(Mapping[str, int]):
-    """Immutable, hashable finite map from variable names to integers."""
-
-    __slots__ = ("_items", "_dict", "_hash")
-
-    def __init__(self, bindings: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        d = dict(bindings)
-        self._dict = d
-        self._items = tuple(sorted(d.items()))
-        self._hash = hash(self._items)
-
-    def __getitem__(self, key: str) -> int:
-        return self._dict[key]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self) -> int:
-        return len(self._dict)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, State):
-            return self._items == other._items
-        if isinstance(other, Mapping):
-            return self._dict == dict(other)
-        return NotImplemented
-
-    def set(self, var: str, value: int) -> "State":
-        d = dict(self._dict)
-        d[var] = value
-        return State(d)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self._items)
-        return f"State({inner})"
-
+# Semantics
 
 ProgramState = Mapping[str, int]
-
-
-# ---------------------------------------------------------------------------
-# Semantics
 
 
 def eval_term(t: Term, sigma: ProgramState) -> int:
@@ -275,25 +226,6 @@ def characteristic_formula(sigma: ProgramState) -> StateFormula:
     return conj(Eq(Var(v), Lit(sigma[v])) for v in sorted(sigma))
 
 
-def check_domain(
-    phi1: StateFormula, phi2: StateFormula
-) -> tuple[tuple[str, ...], frozenset[int]]:
-    """Variables and the small-model value domain for implication checks:
-    constants of either formula, 0, and one fresh value per distinct
-    variable."""
-    ints: set[int] = set()
-    return _domain(_scan(phi2, _scan(phi1, set(), ints), ints), ints)
-
-
-def _domain(
-    names: set[str], ints: set[int]
-) -> tuple[tuple[str, ...], frozenset[int]]:
-    values = ints | {0}
-    fresh = max(abs(v) for v in values) + 1
-    values.update(range(fresh, fresh + max(1, len(names))))
-    return tuple(sorted(names)), frozenset(values)
-
-
 def state_implies(phi1: StateFormula, phi2: StateFormula) -> bool:
     """Implication over the small-model domain of the equality fragment,
     decided by the pruned search of `state_implies_counterexample`."""
@@ -302,8 +234,8 @@ def state_implies(phi1: StateFormula, phi2: StateFormula) -> bool:
 
 def state_implies_counterexample(
     phi1: StateFormula, phi2: StateFormula
-) -> Optional[State]:
-    """The first state, in itertools.product order over the check
+) -> Optional[dict[str, int]]:
+    """The first state, in itertools.product order over the small-model
     domain's sorted values, that satisfies phi1 but not phi2; None if
     there is none.
 
@@ -320,9 +252,12 @@ def state_implies_counterexample(
     ints: set[int] = set()
     goal = [*conjuncts(phi1), Not(phi2)]
     scanned = [_scan(c, set(), ints) for c in goal]
-    variables, values = _domain(set().union(*scanned), ints)
-    ordered = sorted(values)
-    interchangeable = values - ints
+    variables = sorted(set().union(*scanned))
+    # the small-model domain: the constants of either formula, 0 and one
+    # fresh value per variable
+    fresh = max(map(abs, ints | {0})) + 1
+    ordered = sorted(ints | {0, *range(fresh, fresh + len(variables))})
+    interchangeable = set(ordered) - ints
     # checks[i]: the conjuncts decided once the first i variables are set
     checks: list[list] = [[] for _ in range(len(variables) + 1)]
     for c, names in zip(goal, scanned):
@@ -350,4 +285,4 @@ def state_implies_counterexample(
 
     if not all(t(assigned) for t in checks[0]) or not search(0):
         return None
-    return State(zip(variables, assigned))
+    return dict(zip(variables, assigned))

@@ -41,7 +41,7 @@ from twotier.lang import (
     statements_of,
 )
 from twotier.lifting import SpecLifting, check_compatibility, liftable_formula_pool
-from twotier.statelogic import And, Eq, Lit, Not, State, TRUE, Var, conj, neq, substitute
+from twotier.statelogic import And, Eq, Lit, Not, TRUE, Var, conj, neq, substitute
 from twotier.status import ObligationStatus
 from twotier import reasoning
 from twotier.strategy import derive, verify_program
@@ -181,7 +181,7 @@ def test_criterion_5_kernel_lemma_suite(criterion_log):
     states = tuple(
         s
         for s in (
-            State(zip(variables, combo))
+            dict(zip(variables, combo))
             for combo in itertools.product((0, 2, 4), repeat=3)
         )
         if reasoning.consistent(lifting.lift_state(s), kb)
@@ -190,7 +190,7 @@ def test_criterion_5_kernel_lemma_suite(criterion_log):
 
     def sat(a):
         return frozenset(
-            s for s in states if assertion_holds(s, a, kb, lifting)
+            i for i, s in enumerate(states) if assertion_holds(s, a, kb, lifting)
         )
 
     phis = liftable_formula_pool(variables, (0, 2, 4))

@@ -12,7 +12,7 @@ from twotier.assertions import (
 from twotier.domainlogic import Atomic, ConceptAssertion, DataAssertion
 from twotier.kernel import CandidatePool, alpha_deduce
 from twotier.lifting import SpecLifting
-from twotier.statelogic import And, Eq, Lit, State, TRUE, Var, neq
+from twotier.statelogic import And, Eq, Lit, TRUE, Var, neq
 from twotier.status import ObligationStatus
 
 HFW = ConceptAssertion(Atomic("HasFourWheels"), "c")
@@ -41,11 +41,11 @@ def test_assertion_holds(corrected):
     kb = corrected[1]
     lift = lifting_for(kb)
     a = assertion((HFW,), Eq(Var("wheels"), Lit(4)))
-    assert assertion_holds(State({"wheels": 4}), a, kb, lift)
-    assert not assertion_holds(State({"wheels": 2}), a, kb, lift)
+    assert assertion_holds({"wheels": 4}, a, kb, lift)
+    assert not assertion_holds({"wheels": 2}, a, kb, lift)
     # state tier alone holds but the lifted state refutes the domain tier
     b = assertion((HFW,), TRUE)
-    assert not assertion_holds(State({"wheels": 2}), b, kb, lift)
+    assert not assertion_holds({"wheels": 2}, b, kb, lift)
 
 
 def test_implication_branch_condition_strengthening(corrected):
@@ -112,7 +112,7 @@ def test_domain_strengthening_is_sound(corrected):
     assert assertion_implies(base, enriched, kb, lift).proved
     for wheels in (0, 2, 4):
         for doors in (0, 2, 4):
-            sigma = State({"wheels": wheels, "doors": doors, "bodyId": 1})
+            sigma = {"wheels": wheels, "doors": doors, "bodyId": 1}
             assert assertion_holds(sigma, base, kb, lift) == assertion_holds(
                 sigma, enriched, kb, lift
             )
@@ -134,6 +134,6 @@ def test_holds_respects_implication(wheels, doors, body):
     a1 = assertion((HFW,), And(Eq(Var("wheels"), Lit(4)), neq(Var("bodyId"), Lit(0))))
     a2 = assertion((HFW,), Eq(Var("wheels"), Lit(4)))
     assert assertion_implies(a1, a2, kb, lift).proved
-    sigma = State({"wheels": wheels, "doors": doors, "bodyId": body})
+    sigma = {"wheels": wheels, "doors": doors, "bodyId": body}
     if assertion_holds(sigma, a1, kb, lift):
         assert assertion_holds(sigma, a2, kb, lift)

@@ -194,6 +194,71 @@ def test_a_parameter_named_like_a_global_is_a_parse_error(capfd, tmp_path, comma
     assert err == "error: 3:8: parameter names the global variable 'x'\n"
 
 
+ASSIGNED_PARAMETER_PROGS = {
+    # p's contract reads m as q's argument 0: q's call assumed 0 == 1
+    "own": """var x = 0;
+
+proc p(m)
+  requires [ - | - ]
+  ensures [ - | m == 1 ]
+begin
+  m := 1;
+end;
+
+proc q(n)
+  requires [ - | - ]
+  ensures [ - | x == 5 ]
+begin
+  p(0);
+end;
+""",
+    # q assigns p's parameter: the calls of q and of p assumed 0 == 5
+    "other": """var x = 0;
+
+proc q(n)
+  requires [ - | - ]
+  ensures [ - | m == 5 ]
+begin
+  m := 5;
+end;
+
+proc p(m)
+  requires [ - | - ]
+  ensures [ - | m == 5 ]
+begin
+  q(0);
+end;
+
+proc r(k)
+  requires [ - | - ]
+  ensures [ - | x == 7 ]
+begin
+  p(0);
+end;
+""",
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "fuzz", "check", "parse"])
+@pytest.mark.parametrize("case", ASSIGNED_PARAMETER_PROGS)
+def test_an_assigned_parameter_is_a_parse_error(capfd, tmp_path, case, command):
+    # every procedure was Closed and fuzzing found nothing
+    prog = tmp_path / "assigned.prog"
+    prog.write_text(ASSIGNED_PARAMETER_PROGS[case], encoding="utf-8")
+    kb = tmp_path / "assigned.kb"
+    kb.write_text("closure off;\n", encoding="utf-8")
+    argv = {
+        "verify": ["verify", str(prog), str(kb)],
+        "fuzz": ["fuzz", str(prog), str(kb)],
+        "check": ["check", str(tmp_path / "proofs.json"), str(prog), str(kb)],
+        "parse": ["parse", str(prog), "--kb", str(kb)],
+    }[command]
+    code, out, err = run(capfd, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: 7:3: parameter 'm' cannot be assigned\n"
+
+
 def test_a_call_to_an_undeclared_procedure_is_a_parse_error(capfd, tmp_path):
     prog = tmp_path / "unknown.prog"
     prog.write_text(

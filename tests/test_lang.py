@@ -18,7 +18,7 @@ from twotier.lang import (
     statements_of,
 )
 from twotier.lifting import SpecLifting
-from twotier.statelogic import Eq, Lit, State, Var, holds
+from twotier.statelogic import Eq, Lit, Var, holds
 
 
 def run_ctx(corpus, domain=(0, 2, 4)):
@@ -114,7 +114,7 @@ def test_interpret_call_havoc(corrected):
     assert out.states and not out.pre_violated
     # every post state satisfies the instantiated postcondition state tier
     post = contract_post(ctx.program, "addWheels", Lit(4))
-    taus = [State(zip(ctx.names, tau)) for tau in out.states]
+    taus = [dict(zip(ctx.names, tau)) for tau in out.states]
     for tau in taus:
         assert holds(post.state, tau)
     # the domain tier HasFourWheels(c) pins wheels through the lifting

@@ -10,7 +10,6 @@ from twotier.statelogic import (
     Eq,
     Lit,
     Not,
-    State,
     TRUE,
     Var,
     characteristic_formula,
@@ -73,14 +72,14 @@ def test_lift_spec_and_partial(corrected):
 
 def test_lift_state(corrected):
     lift = SpecLifting.direct(corrected[1])
-    lifted = lift.lift_state(State({"bodyId": 1, "doors": 2, "wheels": 4}))
+    lifted = lift.lift_state({"bodyId": 1, "doors": 2, "wheels": 4})
     assert lifted == {
         DataAssertion("hasValue", "bodyVar", 1),
         DataAssertion("hasValue", "doorsVar", 2),
         DataAssertion("hasValue", "wheelsVar", 4),
     }
     with pytest.raises(EmptyState):
-        lift.lift_state(State({}))
+        lift.lift_state({})
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,8 +92,7 @@ def test_lift_state(corrected):
 )
 def test_lift_state_lifts_the_characteristic_formula(corrected, sigma):
     lift = SpecLifting.direct(corrected[1], ("x",))
-    state = State(sigma)
-    assert lift.lift_state(state) == lift.lift_spec(characteristic_formula(state))
+    assert lift.lift_state(sigma) == lift.lift_spec(characteristic_formula(sigma))
 
 
 VARIABLES = ("wheels", "doors", "bodyId", "x", "y")
@@ -116,7 +114,7 @@ def test_every_lifted_premise_is_about_one_individual(corrected, phi, sigma):
     that K and the domain tier do not name, which is sound only while
     every premise it lifts is about one individual alone."""
     lift = SpecLifting.direct(corrected[1], ("x",))
-    lifted = lift.lift_partial(phi)[0] | lift.lift_state(State(sigma))
+    lifted = lift.lift_partial(phi)[0] | lift.lift_state(sigma)
     assert all(reasoning._about_one(p) is not None for p in lifted)
 
 
@@ -168,7 +166,7 @@ def test_delift_round_trip_on_invertible_fragment(pairs):
     # logical equivalence over enumerated states
     names = ("wheels", "doors", "bodyId")
     for combo in itertools.product((0, 2, 4), repeat=3):
-        sigma = State(zip(names, combo))
+        sigma = dict(zip(names, combo))
         assert holds(phi, sigma) == holds(back, sigma)
 
 

@@ -186,6 +186,7 @@ def test_function_and_predicate_symbols_are_parse_errors(text, column):
 
 
 CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
+STUBS = "role r; individual c; individual s1; individual s2;\n"
 
 
 @pytest.mark.parametrize(
@@ -294,6 +295,29 @@ CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
             "  ensures [ wheels(c, d) | - ]\nbegin\n  skip;\nend;",
             ("4:23: undeclared individual 'd'", 4, 23),
         ),
+        # a call's contract reads the callee's parameter as the argument
+        (
+            "program",
+            CONTRACT + "begin\n  a := 1;\nend;",
+            ("6:3: parameter 'a' cannot be assigned", 6, 3),
+        ),
+        (
+            "program",
+            CONTRACT + "begin\n  b := x;\nend;\n"
+            "proc q(b) requires [ - | - ] ensures [ - | - ] begin skip; end;",
+            ("6:3: parameter 'b' cannot be assigned", 6, 3),
+        ),
+        # the lifting maps each variable to one stub individual and back
+        (
+            "kb",
+            STUBS + "stub r(c, s1) for var x;\nstub r(c, s2) for var x;",
+            ("3:23: second stub for variable 'x'", 3, 23),
+        ),
+        (
+            "kb",
+            STUBS + "stub r(c, s1) for var x;\nstub r(c, s1) for var y;",
+            ("3:11: stub 's1' already stands for variable 'x'", 3, 11),
+        ),
     ],
     ids=[
         "character-after-comment-and-tab",
@@ -316,6 +340,10 @@ CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
         "undeclared-variable-in-contract",
         "stub-of-no-program-variable",
         "undeclared-individual-in-contract",
+        "assigned-parameter",
+        "assigned-parameter-of-another-procedure",
+        "second-stub-for-a-variable",
+        "stub-individual-for-two-variables",
     ],
 )
 def test_parse_errors_point_at_line_and_column(addwheels, entry, text, expected):

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from twotier.calculus import check_proof
+from twotier.calculus import check_program, check_proof
 from twotier.errors import ParseError
 from twotier.serialize import FORMAT, dumps, loads, tree_from_dict, tree_to_dict
 from twotier.strategy import verify_program
@@ -131,3 +132,20 @@ def test_a_repeated_bad_text_is_reported_at_its_first_node(corrected, corrected_
     doc = json.dumps({"format": FORMAT, "version": 1, "procedures": {"assembly": data}})
     with pytest.raises(ParseError, match=r"^assembly root\.0 post: "):
         loads(doc, kb, program)
+
+
+def test_a_stored_proof_may_use_the_rule_aliases(addwheels, addwheels_ctx):
+    # calculus.RULE_ALIASES: post-abd is post-core and new-var is var
+    golden = Path(__file__).parent / "golden" / "addwheels.proof.json"
+    text = golden.read_text(encoding="utf-8")
+    for rule, alias in (("post-core", "post-abd"), ("var", "new-var")):
+        assert text.count(f'"rule": "{rule}"') == 1
+        text = text.replace(f'"rule": "{rule}"', f'"rule": "{alias}"')
+    program, kb = addwheels
+    trees = loads(text, kb, program)
+    assert [node.rule for _, node in trees["addWheels"].walk()] == [
+        "post-abd",
+        "post-inv",
+        "new-var",
+    ]
+    assert [r.closed for r in check_program(addwheels_ctx, trees).values()] == [True]

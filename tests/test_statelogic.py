@@ -10,11 +10,9 @@ from twotier.statelogic import (
     Eq,
     Lit,
     Not,
-    State,
     TRUE,
     Var,
     characteristic_formula,
-    check_domain,
     compile_formula,
     compile_term,
     conj,
@@ -28,7 +26,6 @@ from twotier.statelogic import (
     state_implies,
     state_implies_counterexample,
     substitute,
-    variables_of,
 )
 
 VARS = ("a", "b", "c")
@@ -54,16 +51,16 @@ def formulas(draw, depth=3, leaves=terms):
 
 @st.composite
 def states(draw):
-    return State({v: draw(st.sampled_from(VALUES)) for v in VARS})
+    return {v: draw(st.sampled_from(VALUES)) for v in VARS}
 
 
 def all_states(values=VALUES, names=VARS):
     for combo in itertools.product(values, repeat=len(names)):
-        yield State(zip(names, combo))
+        yield dict(zip(names, combo))
 
 
 def test_eval_and_holds_basics():
-    sigma = State({"a": 3, "b": 0})
+    sigma = {"a": 3, "b": 0}
     assert eval_term(Lit(7), sigma) == 7
     assert eval_term(Var("a"), sigma) == 3
     assert holds(Eq(Var("a"), Lit(3)), sigma)
@@ -74,19 +71,11 @@ def test_eval_and_holds_basics():
         eval_term(Var("zz"), sigma)
 
 
-def test_state_is_immutable_mapping():
-    sigma = State({"a": 1})
-    tau = sigma.set("a", 2)
-    assert sigma["a"] == 1 and tau["a"] == 2
-    assert sigma != tau
-    assert hash(State({"a": 1})) == hash(sigma)
-
-
 @given(formulas(), states(), st.sampled_from(VARS), terms)
 @settings(max_examples=300)
 def test_substitution_lemma(phi, sigma, v, e):
     # holds(phi[v\e], sigma) == holds(phi, sigma[v -> eval(e, sigma)])
-    updated = sigma.set(v, eval_term(e, sigma))
+    updated = {**sigma, v: eval_term(e, sigma)}
     assert holds(substitute(phi, v, e), sigma) == holds(phi, updated)
 
 
@@ -196,9 +185,8 @@ def test_conj_disj_semantics():
         assert holds(either, sigma) == (holds(a, sigma) or holds(b, sigma))
 
 
-def test_variables_and_constants():
+def test_constants():
     phi = And(Eq(Var("a"), Lit(4)), neq(Var("b"), Lit(0)))
-    assert variables_of(phi) == {"a", "b"}
     assert constants_of(phi) == {4, 0}
 
 
@@ -225,14 +213,6 @@ def test_state_implies_transitive(p, q, r):
         assert state_implies(p, r)
 
 
-def test_check_domain_covers_constants_zero_and_fresh():
-    phi = Eq(Var("a"), Lit(7))
-    names, dom = check_domain(phi, TRUE)
-    assert "a" in names
-    assert 7 in dom and 0 in dom
-    assert any(n not in (7, 0) for n in dom)  # a fresh value
-
-
 def test_counterexample_soundness_is_exhaustive_at_bound():
     # if no counterexample is reported, none exists over the bound
     phi1 = neq(Var("a"), Lit(0))
@@ -242,12 +222,26 @@ def test_counterexample_soundness_is_exhaustive_at_bound():
     assert holds(phi1, cex) and not holds(phi2, cex)
 
 
+def terms_of(phi):
+    """The terms of phi, left to right."""
+    if isinstance(phi, Eq):
+        return [phi.lhs, phi.rhs]
+    if isinstance(phi, Not):
+        return terms_of(phi.arg)
+    return terms_of(phi.lhs) + terms_of(phi.rhs)
+
+
 def first_counter_state(phi1, phi2):
-    """The first state of the product over the check domain that
-    satisfies phi1 but not phi2."""
-    names, values = check_domain(phi1, phi2)
-    for combo in itertools.product(sorted(values), repeat=len(names)):
-        sigma = State(zip(names, combo))
+    """The first state that satisfies phi1 but not phi2, in the product
+    order over the small-model domain: the constants of both formulas, 0,
+    and one fresh value per variable."""
+    both = terms_of(phi1) + terms_of(phi2)
+    names = sorted({t.name for t in both if isinstance(t, Var)})
+    constants = {t.value for t in both if isinstance(t, Lit)} | {0}
+    fresh = max(abs(n) for n in constants) + 1
+    values = sorted(constants | set(range(fresh, fresh + len(names))))
+    for combo in itertools.product(values, repeat=len(names)):
+        sigma = dict(zip(names, combo))
         if holds(phi1, sigma) and not holds(phi2, sigma):
             return sigma
     return None
@@ -267,6 +261,9 @@ def implications(draw):
 
 FALSE = Not(TRUE)
 A1, B2 = Eq(Var("a"), Lit(1)), Eq(Var("b"), Lit(2))
+DISTINCT = conj(
+    neq(x, y) for x, y in itertools.combinations([Lit(0), *map(Var, VARS)], 2)
+)
 
 
 @given(implications())
@@ -280,29 +277,35 @@ A1, B2 = Eq(Var("a"), Lit(1)), Eq(Var("b"), Lit(2))
 # a disjunctive conclusion: its negation is one conjunct over a, b and c
 @example((neq(Var("c"), Lit(0)), disj(A1, disj(B2, Eq(Var("c"), Var("a"))))))
 @example((And(A1, B2), disj(neq(Var("b"), Lit(2)), Eq(Var("c"), Lit(0)))))
+# three variables, nonzero and pairwise distinct: one fresh value each
+@example((DISTINCT, FALSE))
 def test_counterexample_is_the_first_state_of_the_enumeration(pair):
     phi1, phi2 = pair
     assert state_implies_counterexample(phi1, phi2) == first_counter_state(phi1, phi2)
 
 
 def test_a_chain_of_equalities_is_decided_without_enumerating(monkeypatch):
-    built = []
+    # the search checks 34 conjuncts on the two queries below
+    checks = []
+    compile_conjunct = statelogic.compile_formula
 
-    class CountedState(State):
-        __slots__ = ()
+    def counted(phi, names):
+        check = compile_conjunct(phi, names)
 
-        def __init__(self, bindings=()):
-            built.append(bindings)
-            if len(built) > 1000:
-                raise AssertionError("enumerated the check domain")
-            super().__init__(bindings)
+        def counted_check(values):
+            checks.append(phi)
+            if len(checks) > 100:
+                raise AssertionError("enumerated the small-model domain")
+            return check(values)
 
-    monkeypatch.setattr(statelogic, "State", CountedState)
+        return counted_check
+
+    monkeypatch.setattr(statelogic, "compile_formula", counted)
     names = "abcdefgh"
     chain = conj(Eq(Var(x), Var(y)) for x, y in zip(names, names[1:]))
     # nine values over eight variables: 9**8 states to enumerate
     assert state_implies(chain, Eq(Var("a"), Var("h")))
-    assert state_implies_counterexample(chain, Eq(Var("a"), Lit(0))) == State(
-        {x: 1 for x in names}
-    )
-    assert len(built) <= 8
+    assert state_implies_counterexample(chain, Eq(Var("a"), Lit(0))) == {
+        x: 1 for x in names
+    }
+    assert checks
