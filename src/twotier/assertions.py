@@ -93,7 +93,7 @@ class _Split:
     once per such projection.  When it is entailed, so is every state
     with that projection.  When its countermodel trims, a state fails
     unless a detached stub's premises have no type, and whether they do
-    is kept per (stub, its variables' values).  Otherwise the state asks
+    is kept per (stub, its variable's value).  Otherwise the state asks
     its full query."""
 
     def __init__(
@@ -107,22 +107,19 @@ class _Split:
         self.phi = lifting.lift_partial(a.state)[0]
         named = kb.background_symbols[0].nominals | signature_of(a.domain).nominals
         stub, about = lifting.stub_for, reasoning._about_one
-        detached = sorted({stub(v) for v in variables} - named)
+        # the lifting is one-to-one, so each detached stub is one variable's
+        detached = {stub(v): v for v in variables if stub(v) not in named}
         # φ's premises about stubs that stay; a state adds its relevant triples
         self.kept = frozenset(p for p in self.phi if about(p) not in detached)
         self.relevant = tuple((v, stub(v)) for v in variables if stub(v) not in detached)
-        # each detached stub, its variables and its premises from φ
+        # each detached stub, its variable and its premises from φ
         self.detached = tuple(
-            (
-                d,
-                tuple(v for v in variables if stub(v) == d),
-                frozenset(p for p in self.phi if about(p) == d),
-            )
-            for d in detached
+            (d, detached[d], frozenset(p for p in self.phi if about(p) == d))
+            for d in sorted(detached)
         )
         # relevant values -> `reasoning.restricted`'s answer
         self.answers: dict[tuple[int, ...], Optional[bool]] = {}
-        # (detached stub, its variables' values) -> whether they have a type
+        # (detached stub, its variable's value) -> whether they have a type
         self.types: dict[tuple, bool] = {}
 
     def entailed(self, sigma: ProgramState) -> bool:
@@ -144,12 +141,12 @@ class _Split:
         return answer
 
     def _has_type(self, detached: tuple, sigma: ProgramState) -> bool:
-        d, variables, own = detached
-        key = (d, tuple(sigma[v] for v in variables))
+        d, v, own = detached
+        key = (d, sigma[v])
         typed = self.types.get(key)
         if typed is None:
-            triples = (DataAssertion(VALUE_ROLE, d, sigma[v]) for v in variables)
-            typed = self.types[key] = reasoning.has_type(own.union(triples), self.kb)
+            triple = DataAssertion(VALUE_ROLE, d, sigma[v])
+            typed = self.types[key] = reasoning.has_type(own | {triple}, self.kb)
         return typed
 
 

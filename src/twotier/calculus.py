@@ -148,12 +148,7 @@ class VerifCtx:
     @staticmethod
     def build(program: Program, kb: KnowledgeBase) -> "VerifCtx":
         lifting = SpecLifting.direct(kb, program.variables)
-        pool = CandidatePool.build(
-            kb,
-            lifting,
-            extra_constants=program.constants(),
-            variables=program.variables,
-        )
+        pool = CandidatePool.build(kb, lifting, extra_constants=program.constants())
         return VerifCtx(program=program, kb=kb, lifting=lifting, pool=pool)
 
     # -- obligation discharge ------------------------------------------------

@@ -123,9 +123,7 @@ def cmd_explain(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     kb = load_kb(args.kb, args.closure)
     goal = parsing.parse_domain_formula(args.goal, kb.symbols)
-    variables = tuple(s.variable for s in kb.stubs)
-    lifting = SpecLifting.direct(kb, variables)
-    pool = CandidatePool.build(kb, lifting, variables=variables)
+    pool = CandidatePool.build(kb, SpecLifting.direct(kb))
     deduced = informative_kernel((goal,), kb, pool)
     rendered = ", ".join(str(a) for a in deduced)
     print(f"deduced kernel: {{{rendered}}}", file=out)

@@ -38,25 +38,20 @@ class CandidatePool:
         kb: KnowledgeBase,
         lifting: SpecLifting,
         extra_constants: Iterable[int] = (),
-        variables: Iterable[str] = (),
     ) -> "CandidatePool":
-        """hasValue(stub, n) and NonZero(stub) atoms over the declared
-        stubs (plus stubs of any extra variables), with n drawn from the
-        constants of kb and the caller, plus zero.  The pool is kept on
-        kb's reasoner per (lifting, constants, variables), so that every
-        context over kb with these shares it."""
-        constants, variables = frozenset(extra_constants), tuple(variables)
-        key = (lifting, constants, variables)
+        """hasValue(stub, n) and NonZero(stub) atoms over the stubs of the
+        lifting's table, with n drawn from the constants of kb and the
+        caller, plus zero.  The pool is kept on kb's reasoner per
+        (lifting, constants), so that every context over kb with these
+        shares it."""
+        constants = frozenset(extra_constants)
+        key = (lifting, constants)
         pools = kb.reasoner.pools
         if key in pools:
             return pools[key]
-        stubs = sorted(
-            {s.stub for s in kb.stubs}
-            | {lifting.stub_for(v) for v in variables}
-        )
         values = sorted(kb.constants | constants | {0})
         atoms: list[DomainFormula] = []
-        for stub in stubs:
+        for stub in lifting.inverse:
             atoms.append(ConceptAssertion(Atomic(NONZERO_CONCEPT), stub))
             for n in values:
                 atoms.append(DataAssertion(VALUE_ROLE, stub, n))

@@ -9,13 +9,16 @@ kernel formulas that carry no state-level content.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import EmptyState, OutsideLiftableFragment, SignatureViolation
+from .errors import (
+    EmptyState,
+    OutsideLiftableFragment,
+    SignatureViolation,
+    UnboundVariable,
+    VerifierError,
+)
 from .statelogic import (
-    And,
     Eq,
     Lit,
     Not,
@@ -25,7 +28,6 @@ from .statelogic import (
     Var,
     conj,
     conjuncts,
-    holds,
 )
 from .domainlogic import (
     Atomic,
@@ -36,7 +38,6 @@ from .domainlogic import (
     KnowledgeBase,
     signature_of,
 )
-from . import reasoning
 
 VALUE_ROLE = "hasValue"
 NONZERO_CONCEPT = "NonZero"
@@ -46,48 +47,69 @@ def default_stub_name(variable: str) -> str:
     return f"var_{variable}"
 
 
-@dataclass(frozen=True)
+class LiftingClash(VerifierError):
+    """A lifting's refusal of its `binding`-th (variable, stub) binding:
+    an earlier binding has the same `taken` part, "variable" or "stub"."""
+
+    def __init__(self, message: str, binding: int, variable: str, taken: str):
+        super().__init__(message)
+        self.binding, self.variable, self.taken = binding, variable, taken
+
+
 class SpecLifting:
-    """The direct lifting for a fixed knowledge base and variable set."""
+    """The direct lifting for a fixed knowledge base and variable set.
+    `table` maps each variable to its stub individual, and `inverse` back.
+    Built from (variable, stub) bindings, it refuses one that gives a
+    variable a second stub or a stub a second variable (`LiftingClash`).
+    `direct` keeps one per kb and variables, so it compares by identity."""
 
-    stub_bindings: tuple[tuple[str, str], ...]  # (variable, stub individual)
-    kernel_signature: DomainSignature
-
-    @staticmethod
-    def direct(kb: KnowledgeBase, variables: Iterable[str] = ()) -> "SpecLifting":
-        """The lifting of kb's stubs and a default stub for each other
-        variable.  It is kept on kb's reasoner per variables, so that
-        every program over kb and the same variables shares it."""
-        variables = tuple(variables)
-        liftings = kb.reasoner.liftings
-        if variables in liftings:
-            return liftings[variables]
-        bindings: dict[str, str] = {}
-        for s in kb.stubs:
-            bindings[s.variable] = s.stub
-        for v in variables:
-            bindings.setdefault(v, default_stub_name(v))
-        kernel = kb.symbols.union(
+    def __init__(self, bindings: Iterable[tuple[str, str]], signature: DomainSignature):
+        """The lifting of the bindings, whose kernel signature adds their
+        stubs, `VALUE_ROLE` and `NONZERO_CONCEPT` to `signature`."""
+        self.table: dict[str, str] = {}
+        self.inverse: dict[str, str] = {}
+        for i, (v, s) in enumerate(bindings):
+            if v in self.table:
+                raise LiftingClash(f"second stub for variable {v!r}", i, v, "variable")
+            if s in self.inverse:
+                w = self.inverse[s]
+                message = (
+                    f"default stub {s!r} of variable {v!r} is the stub of variable {w!r}"
+                    if s == default_stub_name(v)
+                    else f"stub {s!r} already stands for variable {w!r}"
+                )
+                raise LiftingClash(message, i, v, "stub")
+            self.table[v], self.inverse[s] = s, v
+        self.kernel_signature = signature.union(
             DomainSignature(
-                nominals=frozenset(bindings.values()),
+                nominals=frozenset(self.inverse),
                 concrete_roles=frozenset({VALUE_ROLE}),
                 atomic_concepts=frozenset({NONZERO_CONCEPT}),
             )
         )
-        lifting = liftings[variables] = SpecLifting(tuple(sorted(bindings.items())), kernel)
-        return lifting
+
+    @staticmethod
+    def direct(kb: KnowledgeBase, variables: Iterable[str] = ()) -> "SpecLifting":
+        """The lifting of kb's stubs and of the default stub of each other
+        variable.  It is kept on kb's reasoner per variables, so that
+        every program over kb and the same variables shares it."""
+        variables = tuple(variables)
+        liftings = kb.reasoner.liftings
+        if variables not in liftings:
+            bindings = [(s.variable, s.stub) for s in kb.stubs]
+            bound = {v for v, _ in bindings}
+            bindings += [(v, default_stub_name(v)) for v in variables if v not in bound]
+            liftings[variables] = SpecLifting(bindings, kb.symbols)
+        return liftings[variables]
 
     def stub_for(self, variable: str) -> str:
-        for v, s in self.stub_bindings:
-            if v == variable:
-                return s
-        return default_stub_name(variable)
+        try:
+            return self.table[variable]
+        except KeyError:
+            raise UnboundVariable(variable) from None
 
     def variable_for(self, stub: str) -> Optional[str]:
-        for v, s in self.stub_bindings:
-            if s == stub:
-                return v
-        return None
+        return self.inverse.get(stub)
 
     # -- formula lifting ----------------------------------------------------
 
@@ -176,72 +198,3 @@ class SpecLifting:
             (d, self.delift_atom(d)) for d in sorted(atoms, key=str)
         )
 
-
-# ---------------------------------------------------------------------------
-# Compatibility checking
-
-
-@dataclass(frozen=True)
-class CompatibilityViolation:
-    sigma: tuple[tuple[str, int], ...]
-    phi: StateFormula
-    verdict: reasoning.EntailmentVerdict
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    states_checked: int
-    formulas_checked: int
-    violations: tuple[CompatibilityViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def liftable_formula_pool(
-    variables: Sequence[str], var_domain: Iterable[int]
-) -> list[StateFormula]:
-    """All liftable atoms over the variables and values, plus their
-    pairwise conjunctions; deterministic order."""
-    atoms: list[StateFormula] = []
-    for v in sorted(variables):
-        for n in sorted(set(var_domain)):
-            atoms.append(Eq(Var(v), Lit(n)))
-        atoms.append(Not(Eq(Var(v), Lit(0))))
-    return atoms + [And(a, b) for a, b in itertools.combinations(atoms, 2)]
-
-
-def check_compatibility(
-    lifting: SpecLifting,
-    kb: KnowledgeBase,
-    var_domain: Iterable[int],
-    variables: Sequence[str] = (),
-    formulas: Optional[Sequence[StateFormula]] = None,
-) -> CompatibilityReport:
-    """Exhaustive check that satisfaction survives lifting: whenever a
-    pool formula holds in a state, the lifted state entails the lifted
-    formula under kb."""
-    values = sorted(set(var_domain))
-    names = sorted(variables) or sorted({v for v, _ in lifting.stub_bindings})
-    if formulas is None:
-        formulas = liftable_formula_pool(names, values)
-    violations: list[CompatibilityViolation] = []
-    states = 0
-    for combo in itertools.product(values, repeat=len(names)):
-        sigma = dict(zip(names, combo))
-        states += 1
-        if not sigma:
-            continue
-        lifted_state = lifting.lift_state(sigma)
-        for phi in formulas:
-            if not holds(phi, sigma):
-                continue
-            verdict = reasoning.entails(lifted_state, lifting.lift_spec(phi), kb)
-            if not verdict.is_entailed:
-                violations.append(
-                    CompatibilityViolation(
-                        tuple(sorted(sigma.items())), phi, verdict
-                    )
-                )
-    return CompatibilityReport(states, len(formulas), tuple(violations))

@@ -19,7 +19,7 @@ from . import statelogic as sl
 from . import domainlogic as dl
 from .assertions import TwoTierAssertion, assertion
 from . import lang
-from .lifting import SpecLifting
+from .lifting import LiftingClash, SpecLifting
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +317,7 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
     signature = dl.DomainSignature(*map(frozenset, declared.values()))
     axioms: list[dl.DomainFormula] = []
     stubs: list[dl.Stub] = []
+    stub_at: list[dict[str, int]] = []  # each stub's individual and variable tokens
     closure = True
     while p.peek():
         if p.peek() in declared:
@@ -324,33 +325,24 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
             p.expect_ident()
             p.expect(";")
         elif p.accept("stub"):
+            t = p.pos  # the tokens are `role ( subject , stub ) for var variable ;`
             role = p.expect_ident()
             p.expect("(")
             subject = p.expect_ident()
             p.expect(",")
-            at_stub = p.pos
             stub = p.expect_ident()
             p.expect(")")
             p.expect("for")
             p.expect("var")
-            at_variable = p.pos
             variable = p.expect_ident()
             p.expect(";")
-            for name in (subject, stub):
+            for name, at in ((subject, t + 2), (stub, t + 4)):
                 if name not in declared["individual"]:
-                    p.fail(f"stub references undeclared individual {name!r}")
+                    p.fail(f"stub references undeclared individual {name!r}", at)
             if role not in declared["role"]:
-                p.fail(f"stub references undeclared role {role!r}")
-            # the lifting maps each variable to one stub and back
-            for earlier in stubs:
-                if earlier.variable == variable:
-                    p.fail(f"second stub for variable {variable!r}", at_variable)
-                if earlier.stub == stub:
-                    p.fail(
-                        f"stub {stub!r} already stands for variable {earlier.variable!r}",
-                        at_stub,
-                    )
+                p.fail(f"stub references undeclared role {role!r}", t)
             stubs.append(dl.Stub(role, subject, stub, variable))
+            stub_at.append({"stub": t + 4, "variable": t + 8})
         elif p.accept("closure"):
             word = p.expect_ident()
             if word not in ("on", "off"):
@@ -371,7 +363,12 @@ def parse_kb(text: str) -> dl.KnowledgeBase:
     for t, kind in p.names:
         if p.tokens[t] not in declared[kind]:
             p.fail(f"undeclared symbol {p.tokens[t]!r} used in axioms", t)
-    return dl.KnowledgeBase(signature, tuple(axioms), tuple(stubs), closure)
+    kb = dl.KnowledgeBase(signature, tuple(axioms), tuple(stubs), closure)
+    try:
+        SpecLifting.direct(kb)
+    except LiftingClash as exc:
+        p.fail(str(exc), stub_at[exc.binding][exc.taken])
+    return kb
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +443,9 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
     sig = kb.symbols
     globals_: dict[str, lang.Expr] = {}
     procedures: dict[str, lang.Procedure] = {}
+    declared_at: dict[str, int] = {}  # each variable's first declaration
     while p.accept("var"):
+        declared_at[p.peek()] = p.pos
         name = _declared_name(p, "variable", globals_, "duplicate variable")
         p.expect("=")
         globals_[name] = sl.Lit(p.expect_int())
@@ -456,6 +455,7 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
         p.expect("(")
         # a parameter is a program variable: one of a global's name would
         # be that global's slot, which the contract renames to the argument
+        declared_at.setdefault(p.peek(), p.pos)
         param = _declared_name(p, "parameter", globals_, "parameter names the global variable")
         p.expect(")")
         p.expect("requires")
@@ -469,6 +469,10 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
         procedures[pname] = lang.Procedure(pname, param, lang.Contract(pre, post), body)
     p.expect_eof()
     program = lang.Program(tuple(globals_.items()), tuple(procedures.values()))
+    try:
+        lifting = SpecLifting.direct(kb, program.variables)
+    except LiftingClash as exc:
+        p.fail(str(exc), declared_at.get(exc.variable))
     declared = {
         "variable": set(program.variables),
         # a call's contract reads the callee's parameter as the argument,
@@ -476,7 +480,7 @@ def parse_program(text: str, kb: dl.KnowledgeBase) -> lang.Program:
         "assigned": set(globals_),
         "procedure": procedures,
         # a contract names the kb's individuals and the lifting's stubs
-        "individual": SpecLifting.direct(kb, program.variables).kernel_signature.nominals,
+        "individual": lifting.kernel_signature.nominals,
     }
     for t, kind in p.names:
         name = p.tokens[t]

@@ -467,8 +467,8 @@ class Reasoner:
       -> a countermodel, or None when there is none.
     - `liftings`: variables -> `lifting.SpecLifting.direct`'s lifting
       of them.
-    - `pools`: (lifting, constants, variables) -> `kernel.CandidatePool.build`'s
-      pool.
+    - `pools`: (lifting, constants) -> `kernel.CandidatePool.build`'s
+      pool.  A lifting is kept per variables, so it keys by identity.
     - `kernels`: (delta, pool atoms) -> `kernel.informative_kernel`'s
       answer.
     - `types`: a detached individual's premises, renamed -> whether a

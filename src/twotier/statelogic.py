@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import EmptyState, UnboundVariable
+from .errors import UnboundVariable
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +217,6 @@ def substitute(phi: StateFormula, v: str, e: Term) -> StateFormula:
     if isinstance(phi, And):
         return And(substitute(phi.lhs, v, e), substitute(phi.rhs, v, e))
     raise TypeError(f"not a state formula: {phi!r}")
-
-
-def characteristic_formula(sigma: ProgramState) -> StateFormula:
-    """Conjunction of v == sigma(v) in lexicographic variable order."""
-    if not sigma:
-        raise EmptyState("characteristic formula of the empty state")
-    return conj(Eq(Var(v), Lit(sigma[v])) for v in sorted(sigma))
 
 
 def state_implies(phi1: StateFormula, phi2: StateFormula) -> bool:

@@ -10,21 +10,15 @@ carrying diagnostics.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from .errors import BudgetExceeded, NoExplanation, RuleShapeMismatch, UnboundVariable
 from .statelogic import And, Eq, Lit, Not, StateFormula, disj, holds, substitute
 from .statelogic import state_implies_counterexample
-from .domainlogic import (
-    ConceptAssertion,
-    DataAssertion,
-    DomainFormula,
-    Subsumption,
-    signature_of,
-)
+from .domainlogic import DomainFormula, Subsumption, signature_of
 from .lifting import SpecLifting
 from .kernel import alpha_abduce, informative_kernel
 from .status import ObligationStatus
+from . import reasoning
 from .assertions import TwoTierAssertion, assertion, same_assertion
 from .lang import (
     Assign,
@@ -89,13 +83,6 @@ def _concepts_over_role(ctx: VerifCtx, role: str) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _stub_role(ctx: VerifCtx, stub: str) -> Optional[str]:
-    for s in ctx.kb.stubs:
-        if s.stub == stub:
-            return s.role
-    return None
-
-
 def _provenance_note(
     ctx: VerifCtx,
     counter_state,
@@ -114,12 +101,8 @@ def _provenance_note(
         if not falsified:
             continue
         line = f"unmet conjunct {needed} recovered from domain atom {atom}"
-        stub = None
-        if isinstance(atom, DataAssertion):
-            stub = atom.subject
-        elif isinstance(atom, ConceptAssertion):
-            stub = atom.individual
-        role = _stub_role(ctx, stub) if stub else None
+        stub = reasoning._about_one(atom)
+        role = next((s.role for s in ctx.kb.stubs if s.stub == stub), None)
         if role:
             concepts = _concepts_over_role(ctx, role)
             if concepts:

@@ -40,12 +40,13 @@ from twotier.lang import (
     sequence,
     statements_of,
 )
-from twotier.lifting import SpecLifting, check_compatibility, liftable_formula_pool
+from twotier.lifting import SpecLifting
 from twotier.statelogic import And, Eq, Lit, Not, TRUE, Var, conj, neq, substitute
 from twotier.status import ObligationStatus
 from twotier import reasoning
 from twotier.strategy import derive, verify_program
 
+from tests.compatibility import check_compatibility, liftable_formula_pool
 from tests.conftest import corpus_text, load_corpus
 
 DATA = Path(__file__).parent / "data"

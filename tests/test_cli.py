@@ -259,6 +259,28 @@ def test_an_assigned_parameter_is_a_parse_error(capfd, tmp_path, case, command):
     assert err == "error: 7:3: parameter 'm' cannot be assigned\n"
 
 
+CLASH = Path(__file__).parent / "data" / "default_stub_clash"
+
+
+@pytest.mark.parametrize("command", ["verify", "fuzz", "check", "parse"])
+def test_a_kb_stub_named_like_a_default_stub_is_a_parse_error(capfd, tmp_path, command):
+    # x and y lifted to one individual var_y: p was Closed, and fuzzing
+    # found nothing
+    prog, kb = f"{CLASH}.prog", f"{CLASH}.kb"
+    argv = {
+        "verify": ["verify", prog, kb],
+        "fuzz": ["fuzz", prog, kb],
+        "check": ["check", str(tmp_path / "proofs.json"), prog, kb],
+        "parse": ["parse", prog, "--kb", kb],
+    }[command]
+    code, out, err = run(capfd, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: 1:16: default stub 'var_y' of variable 'y' is the stub of variable 'x'\n"
+    )
+
+
 def test_a_call_to_an_undeclared_procedure_is_a_parse_error(capfd, tmp_path):
     prog = tmp_path / "unknown.prog"
     prog.write_text(

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twotier import reasoning
-from twotier.errors import EmptyState, OutsideLiftableFragment, SignatureViolation
+from twotier.errors import (
+    EmptyState,
+    OutsideLiftableFragment,
+    SignatureViolation,
+    UnboundVariable,
+)
 from twotier.statelogic import (
     And,
     Eq,
@@ -12,7 +17,6 @@ from twotier.statelogic import (
     Not,
     TRUE,
     Var,
-    characteristic_formula,
     conj,
     holds,
 )
@@ -20,12 +24,16 @@ from twotier.domainlogic import (
     Atomic,
     ConceptAssertion,
     DataAssertion,
+    DomainSignature,
+    KnowledgeBase,
+    Stub,
     signature_of,
 )
-from twotier.lifting import (
-    SpecLifting,
+from twotier.lifting import LiftingClash, SpecLifting, default_stub_name
+
+from tests.compatibility import (
+    characteristic_formula,
     check_compatibility,
-    default_stub_name,
     liftable_formula_pool,
 )
 
@@ -42,6 +50,53 @@ def test_stub_declarations_override_defaults(corrected):
     assert lift.variable_for("var_nrWheels") == "nrWheels"
     # a stub-shaped name that no program variable is bound to names none
     assert lift.variable_for("var_q") is None
+    # a variable outside the table has no stub
+    with pytest.raises(UnboundVariable):
+        lift.stub_for("q")
+
+
+STUB_VARIABLES = ("x", "y", "z")
+# stub individuals, some named like a variable or its default stub
+STUB_NAMES = ("s", "x", "var_x", "var_y", "var_z")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kb_stubs=st.lists(
+        st.tuples(st.sampled_from(STUB_VARIABLES), st.sampled_from(STUB_NAMES)), max_size=4
+    ),
+    variables=st.lists(st.sampled_from(STUB_VARIABLES), unique=True),
+)
+def test_the_lifting_table_is_one_to_one_or_refused(kb_stubs, variables):
+    """The table is kb's stubs plus a default stub for each other
+    variable.  It is refused exactly when kb gives a variable two stubs
+    or a stub two variables, or a kb stub takes the default name of a
+    variable with no stub of its own."""
+    kb = KnowledgeBase(
+        DomainSignature(
+            nominals=frozenset(STUB_NAMES) | {"c"}, abstract_roles=frozenset({"r"})
+        ),
+        (),
+        tuple(Stub("r", "c", s, v) for v, s in kb_stubs),
+    )
+    kb_variables = [v for v, _ in kb_stubs]
+    kb_names = [s for _, s in kb_stubs]
+    defaults = {v: default_stub_name(v) for v in variables if v not in kb_variables}
+    refused = (
+        len(set(kb_variables)) < len(kb_variables)
+        or len(set(kb_names)) < len(kb_names)
+        or any(d in kb_names for d in defaults.values())
+    )
+    try:
+        lift = SpecLifting.direct(kb, variables)
+    except LiftingClash:
+        assert refused
+        return
+    assert not refused
+    assert lift.table == dict(kb_stubs) | defaults
+    stubs = [lift.stub_for(v) for v in lift.table]
+    assert len(set(stubs)) == len(stubs)
+    assert all(lift.variable_for(lift.stub_for(v)) == v for v in lift.table)
 
 
 def test_lift_atoms(corrected):
@@ -91,7 +146,7 @@ def test_lift_state(corrected):
     )
 )
 def test_lift_state_lifts_the_characteristic_formula(corrected, sigma):
-    lift = SpecLifting.direct(corrected[1], ("x",))
+    lift = SpecLifting.direct(corrected[1], ("x", "y"))
     assert lift.lift_state(sigma) == lift.lift_spec(characteristic_formula(sigma))
 
 
@@ -113,7 +168,7 @@ def test_every_lifted_premise_is_about_one_individual(corrected, phi, sigma):
     """`assertions._Split` decides an assertion by detaching the stubs
     that K and the domain tier do not name, which is sound only while
     every premise it lifts is about one individual alone."""
-    lift = SpecLifting.direct(corrected[1], ("x",))
+    lift = SpecLifting.direct(corrected[1], ("x", "y"))
     lifted = lift.lift_partial(phi)[0] | lift.lift_state(sigma)
     assert all(reasoning._about_one(p) is not None for p in lifted)
 

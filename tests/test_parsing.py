@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -187,6 +188,9 @@ def test_function_and_predicate_symbols_are_parse_errors(text, column):
 
 CONTRACT = "var x = 0;\nproc p(a)\n  requires [ - | - ]\n  ensures [ - | - ]\n"
 STUBS = "role r; individual c; individual s1; individual s2;\n"
+CLASH = Path(__file__).parent / "data" / "default_stub_clash"
+CLASH_KB = CLASH.with_suffix(".kb").read_text(encoding="utf-8")
+CLASH_PROG = CLASH.with_suffix(".prog").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -318,6 +322,36 @@ STUBS = "role r; individual c; individual s1; individual s2;\n"
             STUBS + "stub r(c, s1) for var x;\nstub r(c, s1) for var y;",
             ("3:11: stub 's1' already stands for variable 'x'", 3, 11),
         ),
+        # a kb stub that takes a variable's default stub name
+        (
+            "program-over-clash-kb",
+            CLASH_PROG,
+            (
+                "1:16: default stub 'var_y' of variable 'y' is the stub of variable 'x'",
+                1,
+                16,
+            ),
+        ),
+        (
+            "program-over-clash-kb",
+            "var x = 0;\nproc p(y) requires [ - | - ] ensures [ - | - ] begin skip; end;",
+            (
+                "2:8: default stub 'var_y' of variable 'y' is the stub of variable 'x'",
+                2,
+                8,
+            ),
+        ),
+        # an undeclared name in a stub is pointed at, as in an axiom
+        (
+            "kb",
+            "role r; individual c;\nstub r(c, s) for var x;\nclosure on;\n",
+            ("2:11: stub references undeclared individual 's'", 2, 11),
+        ),
+        (
+            "kb",
+            "individual c; individual s;\nstub r(c, s) for var x;\nclosure on;\n",
+            ("2:6: stub references undeclared role 'r'", 2, 6),
+        ),
     ],
     ids=[
         "character-after-comment-and-tab",
@@ -344,6 +378,10 @@ STUBS = "role r; individual c; individual s1; individual s2;\n"
         "assigned-parameter-of-another-procedure",
         "second-stub-for-a-variable",
         "stub-individual-for-two-variables",
+        "default-stub-of-a-global-is-a-kb-stub",
+        "default-stub-of-a-parameter-is-a-kb-stub",
+        "stub-of-an-undeclared-individual",
+        "stub-of-an-undeclared-role",
     ],
 )
 def test_parse_errors_point_at_line_and_column(addwheels, entry, text, expected):
@@ -351,6 +389,7 @@ def test_parse_errors_point_at_line_and_column(addwheels, entry, text, expected)
     parse = {
         "kb": parse_kb,
         "program": lambda t: parse_program(t, kb),
+        "program-over-clash-kb": lambda t: parse_program(t, parse_kb(CLASH_KB)),
         "assertion": lambda t: parse_assertion(t, kb.symbols),
         "statement": lambda t: parse_statement(t, kb),
         "state": parse_state_formula,

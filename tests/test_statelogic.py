@@ -12,7 +12,6 @@ from twotier.statelogic import (
     Not,
     TRUE,
     Var,
-    characteristic_formula,
     compile_formula,
     compile_term,
     conj,
@@ -27,6 +26,8 @@ from twotier.statelogic import (
     state_implies_counterexample,
     substitute,
 )
+
+from tests.compatibility import characteristic_formula
 
 VARS = ("a", "b", "c")
 VALUES = (-1, 0, 1, 2)
