@@ -16,7 +16,6 @@ from .statelogic import (
     StateFormula,
     TRUE,
     compile_formula,
-    holds,
     same_state,
     state_implies_counterexample,
 )
@@ -49,9 +48,6 @@ def assertion(
     return TwoTierAssertion(tuple(dict.fromkeys(domain)), state)
 
 
-TRIVIAL = assertion()
-
-
 def same_assertion(a: TwoTierAssertion, b: TwoTierAssertion) -> bool:
     """Syntactic equality up to domain-tier set order and trivially-true
     state conjuncts."""
@@ -66,23 +62,22 @@ def assertion_holds(
 ) -> bool:
     """Whether sigma meets a's state tier and the lifted state, with the
     lifted liftable part of the state tier, entails a's domain tier.
-    Those premises are split once per (a, lifting, sigma's variables),
-    and the split is kept, with its answers, on kb's reasoner
-    (`_Split`)."""
-    if not holds(a.state, sigma):
-        return False
-    if not a.domain:
-        return True
+    The state tier is compiled, and those premises are split, once per
+    (a, lifting, sigma's variables); the split is kept, with its answers,
+    on kb's reasoner (`_Split`)."""
     key = (a, lifting, tuple(sigma))
     split = kb.reasoner.splits.get(key)
     if split is None:
         split = kb.reasoner.splits[key] = _Split(a, key[2], kb, lifting)
-    return split.entailed(sigma)
+    if not split.state(tuple(sigma.values())):
+        return False
+    return not a.domain or split.entailed(sigma)
 
 
 class _Split:
-    """Whether an assertion's premises entail its domain tier, over every
-    state of one set of variables, with the premises split once.
+    """An assertion's state tier, compiled over one set of variables
+    (`state`), and whether its premises entail its domain tier, over
+    every state of those variables, with the premises split once.
 
     The premises are one triple hasValue(stub(v), σ(v)) per variable v
     and the lifted liftable part φ of the state tier, each about one
@@ -103,9 +98,12 @@ class _Split:
         kb: KnowledgeBase,
         lifting: SpecLifting,
     ):
+        self.state = compile_formula(a.state, variables)
+        if not a.domain:
+            return  # the state tier is the whole assertion
         self.conclusion, self.kb, self.lifting = a.domain, kb, lifting
         self.phi = lifting.lift_partial(a.state)[0]
-        named = kb.background_symbols[0].nominals | signature_of(a.domain).nominals
+        named = kb.symbols.nominals | signature_of(a.domain).nominals
         stub, about = lifting.stub_for, reasoning._about_one
         # the lifting is one-to-one, so each detached stub is one variable's
         detached = {stub(v): v for v in variables if stub(v) not in named}

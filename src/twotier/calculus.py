@@ -71,7 +71,7 @@ class Judgement:
 
 @dataclass(frozen=True)
 class Obligation:
-    kind: str  # dl-entailment | state-implication | assertion-implication | signature-check
+    kind: str  # dl-entailment | assertion-implication | signature-check | strategy
     payload: str
     status: ObligationStatus
     note: str = ""
@@ -124,9 +124,6 @@ class ProofTree:
             node = node.premises[0]
             out.append(node.rule)
         return tuple(out)
-
-    def rules_used(self) -> frozenset[str]:
-        return frozenset(node.rule for _, node in self.walk())
 
     def walk(self, path: str = "root") -> Iterator[tuple[str, "ProofTree"]]:
         yield path, self
@@ -421,31 +418,6 @@ def kernel_steps(side: str, alpha, recovered) -> list[Step]:
 
 def cons_step(inner_pre: TwoTierAssertion, inner_post: TwoTierAssertion) -> Step:
     return ("cons", {"inner_pre": inner_pre, "inner_post": inner_post})
-
-
-def expand_lift_var(ctx: VerifCtx, target: Judgement) -> ProofTree:
-    """The primitive derivation behind rule lift-var: cons over var."""
-    assert isinstance(target.stmt, Assign)
-    steps = [cons_step(assertion((), target.pre.state), target.post)]
-    return chain(ctx, target, steps, lambda j: step(ctx, "var", j))
-
-
-def expand_total(
-    ctx: VerifCtx, target: Judgement, kernel: tuple[DomainFormula, ...]
-) -> ProofTree:
-    """The primitive derivation behind rule total, for a non-empty
-    kernel: cons, post-core, post-inv, cons, var."""
-    stmt = target.stmt
-    assert isinstance(stmt, Assign)
-    kernel = tuple(kernel)
-    hat = And(target.post.state, ctx.lifting.delift(kernel))
-    bare_pre = assertion((), substitute(hat, stmt.var, stmt.expr))
-    steps = [
-        cons_step(bare_pre, target.post),
-        *kernel_steps("post", kernel, kernel),
-        cons_step(bare_pre, assertion(target.post.domain + kernel, hat)),
-    ]
-    return chain(ctx, target, steps, lambda j: step(ctx, "var", j))
 
 
 # ---------------------------------------------------------------------------

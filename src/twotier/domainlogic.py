@@ -400,8 +400,8 @@ class KnowledgeBase:
 
     @cached_property
     def symbols(self) -> DomainSignature:
-        """The declared signature plus every symbol the axioms use."""
-        return self.signature.union(signature_of(self.axioms))
+        """The declared signature plus every symbol the background uses."""
+        return self.signature.union(signature_of(self.background))
 
     @cached_property
     def acyclic(self) -> bool:
@@ -432,15 +432,6 @@ class KnowledgeBase:
     def constants(self) -> frozenset[int]:
         """The axioms' integer constants."""
         return constants_of_formulas(self.axioms)
-
-    @cached_property
-    def background_symbols(self) -> tuple[DomainSignature, frozenset[int]]:
-        """The declared signature plus the background axioms' symbols, and
-        the axioms' integer constants."""
-        return (
-            self.signature.union(signature_of(self.background)),
-            constants_of_formulas(self.background),
-        )
 
     def closure_axioms(self) -> tuple[DomainFormula, ...]:
         """Per stub (R, c, s, v): the subject's only R-successor is s."""

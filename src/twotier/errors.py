@@ -33,12 +33,6 @@ class OutsideLiftableFragment(VerifierError):
         self.atom = atom
 
 
-class SignatureViolation(VerifierError):
-    def __init__(self, symbol):
-        super().__init__(f"symbol outside the kernel signature: {symbol}")
-        self.symbol = symbol
-
-
 class NoExplanation(VerifierError):
     pass
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from .errors import NoExplanation
@@ -22,11 +21,6 @@ from .status import ObligationStatus, status_of_verdict as _status
 from . import reasoning
 
 ABDUCTION_MAX_SIZE = 3
-
-
-class KernelMode(str, Enum):
-    DEDUCED = "Deduced"
-    ABDUCED = "Abduced"
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,6 @@ class CandidatePool:
 @dataclass(frozen=True)
 class KernelResult:
     atoms: tuple[DomainFormula, ...]
-    mode: KernelMode
     forward_obligation: ObligationStatus  # delta entails atoms
     backward_obligation: ObligationStatus  # atoms entail delta
 
@@ -79,7 +72,6 @@ def alpha_deduce(
     backward = _status(reasoning.entails(atoms, delta, kb))
     return KernelResult(
         atoms=atoms,
-        mode=KernelMode.DEDUCED,
         forward_obligation=ObligationStatus.PROVED,
         backward_obligation=backward,
     )
@@ -118,7 +110,6 @@ def alpha_abduce(
         results.append(
             KernelResult(
                 atoms=atoms,
-                mode=KernelMode.ABDUCED,
                 forward_obligation=forward,
                 backward_obligation=ObligationStatus.PROVED,
             )

@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 from .errors import (
     EmptyState,
     OutsideLiftableFragment,
-    SignatureViolation,
     UnboundVariable,
     VerifierError,
 )
@@ -36,7 +35,6 @@ from .domainlogic import (
     DomainFormula,
     DomainSignature,
     KnowledgeBase,
-    signature_of,
 )
 
 VALUE_ROLE = "hasValue"
@@ -182,11 +180,9 @@ class SpecLifting:
         return None
 
     def delift(self, delta: Iterable[DomainFormula]) -> StateFormula:
-        atoms = tuple(delta)
-        outside = signature_of(atoms).missing_from(self.kernel_signature)
-        if outside:
-            raise SignatureViolation(outside[0])
-        return conj(img for _d, img in self.delift_pairs(atoms) if img is not None)
+        """The conjunction of the state-level readings of delta's atoms;
+        an atom with none, inside the kernel signature or not, drops."""
+        return conj(img for _d, img in self.delift_pairs(delta) if img is not None)
 
     def delift_pairs(
         self, delta: Iterable[DomainFormula]

@@ -498,7 +498,7 @@ def _query_symbols(
     query over kb's background axioms and the query's formulas.  The
     query axioms add no symbol or constant beyond the query's own."""
     query = tuple(query)
-    sig, ints = kb.background_symbols
+    sig, ints = kb.symbols, kb.constants
     return (
         sig.union(signature_of(query)),
         ints | constants_of_formulas(query) | {0},
@@ -511,7 +511,7 @@ def _query_bounds(
     """The universe (K's individuals, the other named individuals, each
     sorted, then the anonymous ones) and the value pool (the query's
     values plus one fresh value)."""
-    own = kb.background_symbols[0].nominals
+    own = kb.symbols.nominals
     anon = tuple(f"{_ANON_PREFIX}{i}" for i in range(anonymous))
     universe = tuple(sorted(own & nominals)) + tuple(sorted(nominals - own)) + anon
     fresh = max(abs(v) for v in ints) + 1

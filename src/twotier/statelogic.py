@@ -4,7 +4,8 @@ fragment.
 Terms are program variables and integer literals.  Formulas are
 equalities between terms under negation and conjunction; disjunction,
 disequality and the constants true and false are parse-time
-abbreviations.  Evaluation follows the standard recursive semantics.
+abbreviations.  A formula is evaluated by compiling it once into
+closures over tuples of values (`compile_formula`).
 Implication in this fragment is decided exactly over a small domain
 (the small-model property: Pnueli, Rodeh, Shtrichman and Siegel, Inf. &
 Comp. 2002) by a depth-first search for a state that satisfies the
@@ -89,10 +90,6 @@ StateFormula = Eq | Not | And
 TRUE: StateFormula = Eq(Lit(0), Lit(0))
 
 
-def neq(lhs: Term, rhs: Term) -> StateFormula:
-    return Not(Eq(lhs, rhs))
-
-
 def disj(lhs: StateFormula, rhs: StateFormula) -> StateFormula:
     return Not(And(Not(lhs), Not(rhs)))
 
@@ -161,29 +158,15 @@ def constants_of(phi: StateFormula | Term) -> frozenset[int]:
 ProgramState = Mapping[str, int]
 
 
-def eval_term(t: Term, sigma: ProgramState) -> int:
-    if isinstance(t, Lit):
-        return t.value
-    if isinstance(t, Var):
-        try:
-            return sigma[t.name]
-        except KeyError:
-            raise UnboundVariable(t.name) from None
-    raise TypeError(f"not a term: {t!r}")
-
-
 def holds(phi: StateFormula, sigma: ProgramState) -> bool:
-    if isinstance(phi, Eq):
-        return eval_term(phi.lhs, sigma) == eval_term(phi.rhs, sigma)
-    if isinstance(phi, Not):
-        return not holds(phi.arg, sigma)
-    if isinstance(phi, And):
-        return holds(phi.lhs, sigma) and holds(phi.rhs, sigma)
-    raise TypeError(f"not a state formula: {phi!r}")
+    """Whether sigma satisfies phi: `compile_formula` over sigma's
+    variables, applied to sigma's values."""
+    return compile_formula(phi, tuple(sigma))(tuple(sigma.values()))
 
 
 def compile_term(t: Term, names: Sequence[str]) -> Callable[[tuple], int]:
-    """eval_term over tuples of values in `names` order, as a closure."""
+    """The value of t over tuples of values in `names` order, as a closure;
+    a variable outside `names` raises UnboundVariable."""
     if isinstance(t, Lit):
         return lambda values, value=t.value: value
     if t.name not in names:
@@ -192,8 +175,9 @@ def compile_term(t: Term, names: Sequence[str]) -> Callable[[tuple], int]:
 
 
 def compile_formula(phi: StateFormula, names: Sequence[str]) -> Callable[[tuple], bool]:
-    """holds(phi, ·) over tuples of values in `names` order, phi walked once
-    into closures (Feeley & Lapalme, Computer Languages 1987)."""
+    """Whether phi holds, over tuples of values in `names` order, phi
+    walked once into closures (Feeley & Lapalme, Computer Languages
+    1987); a variable outside `names` raises UnboundVariable."""
     if isinstance(phi, Eq):
         lhs, rhs = compile_term(phi.lhs, names), compile_term(phi.rhs, names)
         return lambda values: lhs(values) == rhs(values)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .errors import BudgetExceeded, NoExplanation, RuleShapeMismatch, UnboundVariable
+from .errors import BudgetExceeded, NoExplanation, RuleShapeMismatch
 from .statelogic import And, Eq, Lit, Not, StateFormula, disj, holds, substitute
 from .statelogic import state_implies_counterexample
 from .domainlogic import DomainFormula, Subsumption, signature_of
@@ -94,11 +94,7 @@ def _provenance_note(
     parts = []
     for atom, phi in ctx.lifting.delift_pairs(recovered_atoms):
         needed = substitute(phi, var, expr)
-        try:
-            falsified = not holds(needed, counter_state)
-        except UnboundVariable:
-            falsified = False
-        if not falsified:
+        if holds(needed, counter_state):
             continue
         line = f"unmet conjunct {needed} recovered from domain atom {atom}"
         stub = reasoning._about_one(atom)

@@ -1,8 +1,8 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from twotier import assertions
 from twotier.assertions import (
-    TRIVIAL,
     ImplicationResult,
     assertion,
     assertion_holds,
@@ -10,10 +10,13 @@ from twotier.assertions import (
     same_assertion,
 )
 from twotier.domainlogic import Atomic, ConceptAssertion, DataAssertion
+from twotier.errors import UnboundVariable
 from twotier.kernel import CandidatePool, alpha_deduce
 from twotier.lifting import SpecLifting
-from twotier.statelogic import And, Eq, Lit, TRUE, Var, neq
+from twotier.statelogic import And, Eq, Lit, TRUE, Var
 from twotier.status import ObligationStatus
+
+from tests.oracles import TRIVIAL, neq
 
 HFW = ConceptAssertion(Atomic("HasFourWheels"), "c")
 SC = ConceptAssertion(Atomic("SmallCar"), "c")
@@ -46,6 +49,18 @@ def test_assertion_holds(corrected):
     # state tier alone holds but the lifted state refutes the domain tier
     b = assertion((HFW,), TRUE)
     assert not assertion_holds({"wheels": 2}, b, kb, lift)
+
+
+@pytest.mark.parametrize("domain", [(), (HFW,)])
+@pytest.mark.parametrize("first", ["wheels", "doors"])
+def test_assertion_holds_refuses_a_missing_variable_whatever_the_order(
+    corrected, domain, first
+):
+    kb = corrected[1]
+    wheels, doors = Eq(Var("wheels"), Lit(4)), Eq(Var("doors"), Lit(2))
+    state = And(wheels, doors) if first == "wheels" else And(doors, wheels)
+    with pytest.raises(UnboundVariable):
+        assertion_holds({"wheels": 0}, assertion(domain, state), kb, lifting_for(kb))
 
 
 def test_implication_branch_condition_strengthening(corrected):

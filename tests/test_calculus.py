@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import twotier
 from twotier import assertions, calculus, lang, reasoning
-from twotier.assertions import assertion, assertion_holds
+from twotier.assertions import assertion, assertion_holds, same_assertion
 from twotier.calculus import (
     Judgement,
     ProofTree,
@@ -21,17 +21,16 @@ from twotier.calculus import (
     apply_rule,
     canonical_rule,
     check_proof,
-    expand_lift_var,
-    expand_total,
     validate_judgement_empirically,
 )
 from twotier.domainlogic import Atomic, ConceptAssertion, DataAssertion
 from twotier.errors import MissingArgument, RuleShapeMismatch
 from twotier.lang import Assign, Call, If, RunContext, Seq, Skip, While, sequence
-from twotier.statelogic import And, Eq, Lit, TRUE, Var, conj, neq, substitute
+from twotier.statelogic import And, Eq, Lit, TRUE, Var, conj, substitute
 from twotier.status import ObligationStatus
 
 from tests.conftest import load_corpus
+from tests.oracles import expand_lift_var, expand_total, neq
 
 HFW = ConceptAssertion(Atomic("HasFourWheels"), "c")
 hv4 = DataAssertion("hasValue", "wheelsVar", 4)
@@ -307,6 +306,25 @@ def test_sided_rules(corrected_ctx, rule, target, kwargs, premise, obligations, 
         with pytest.raises(error) as info:
             apply_rule(corrected_ctx, rule, target, **bad_kwargs)
         assert str(info.value) == text
+
+
+@pytest.mark.parametrize("side", ["pre", "post"])
+def test_inv_rule_fails_its_signature_check_outside_the_kernel(corrected_ctx, side):
+    """An atom outside the kernel signature recovers no state conjunct,
+    and the rule's signature check fails on it."""
+    mystery = ConceptAssertion(Atomic("Mystery"), "c")
+    tiers = {"pre": assertion(), "post": assertion(), side: assertion((mystery,))}
+    target = Judgement(tiers["pre"], Skip(), tiers["post"])
+    rule, recovered = f"{side}-inv", (mystery,)
+    (got,), (ob,) = apply_rule(corrected_ctx, rule, target, delta_prime=recovered)
+    # the recovered conjunct is true: the premise is the target
+    assert same_assertion(got.pre, target.pre) and same_assertion(got.post, target.post)
+    assert (ob.kind, ob.payload, ob.status) == (
+        "signature-check",
+        "sig({Mystery(c)}) within kernel",
+        ObligationStatus.FAILED,
+    )
+    assert ob.note == "outside kernel: Mystery"
 
 
 def test_lift_var_rule_and_expansion_agree(corrected_ctx):

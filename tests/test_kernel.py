@@ -9,7 +9,6 @@ from twotier.errors import NoExplanation
 from twotier.domainlogic import Atomic, ConceptAssertion, DataAssertion
 from twotier.kernel import (
     CandidatePool,
-    KernelMode,
     alpha_abduce,
     alpha_deduce,
     informative_kernel,
@@ -61,7 +60,6 @@ def test_pool_extra_variables_and_constants(corrected_pool):
 def test_deduce_smallcar(corrected_pool):
     kb, pool = corrected_pool
     result = alpha_deduce((ConceptAssertion(Atomic("SmallCar"), "c"),), kb, pool)
-    assert result.mode is KernelMode.DEDUCED
     assert set(result.atoms) == {hv("doorsVar", 2), hv("wheelsVar", 4), NZ("bodyVar")}
     assert result.forward_obligation is ObligationStatus.PROVED
     # the asserted HasChassis(c) supplies Car, so the atoms give SmallCar back
@@ -105,7 +103,6 @@ def test_abduce_has_body(verbatim_pool):
     kb, pool = verbatim_pool
     results = alpha_abduce((ConceptAssertion(Atomic("HasBody"), "c"),), kb, pool)
     first = results[0]
-    assert first.mode is KernelMode.ABDUCED
     assert set(first.atoms) == {NZ("bodyVar")}
     assert first.backward_obligation is ObligationStatus.PROVED
     # any nonzero body value also explains, but does not entail back

@@ -18,9 +18,7 @@ from twotier.statelogic import (
     conjuncts,
     constants_of,
     disj,
-    eval_term,
     holds,
-    neq,
     same_state,
     state_implies,
     state_implies_counterexample,
@@ -28,6 +26,7 @@ from twotier.statelogic import (
 )
 
 from tests.compatibility import characteristic_formula
+from tests.oracles import eval_term, neq, walk_holds
 
 VARS = ("a", "b", "c")
 VALUES = (-1, 0, 1, 2)
@@ -83,15 +82,29 @@ def test_substitution_lemma(phi, sigma, v, e):
 @given(formulas(), terms, states(), st.permutations(VARS))
 @settings(max_examples=300)
 def test_compiled_formulas_agree_with_holds(phi, t, sigma, order):
+    """compile_formula, and holds, its one-state form, against the
+    recursive semantics."""
     names = tuple(order)
     values = tuple(sigma[v] for v in names)
-    assert compile_formula(phi, names)(values) == holds(phi, sigma)
+    assert compile_formula(phi, names)(values) == walk_holds(phi, sigma)
+    assert holds(phi, {v: sigma[v] for v in names}) == walk_holds(phi, sigma)
     assert compile_term(t, names)(values) == eval_term(t, sigma)
 
 
 def test_a_compiled_formula_over_an_unbound_variable_is_refused():
     with pytest.raises(UnboundVariable):
         compile_formula(Eq(Var("zz"), Lit(0)), VARS)
+
+
+@pytest.mark.parametrize("first", ["x", "y"])
+def test_a_missing_variable_raises_whatever_the_conjunct_order(first):
+    # y is missing: the conjunct over x is false, and whether it comes
+    # first or second, the missing y is refused, not short-circuited
+    x1, y2 = Eq(Var("x"), Lit(1)), Eq(Var("y"), Lit(2))
+    phi = And(x1, y2) if first == "x" else And(y2, x1)
+    with pytest.raises(UnboundVariable) as raised:
+        holds(phi, {"x": 0})
+    assert raised.value.name == "y"
 
 
 @given(states())
@@ -243,7 +256,7 @@ def first_counter_state(phi1, phi2):
     values = sorted(constants | set(range(fresh, fresh + len(names))))
     for combo in itertools.product(values, repeat=len(names)):
         sigma = dict(zip(names, combo))
-        if holds(phi1, sigma) and not holds(phi2, sigma):
+        if walk_holds(phi1, sigma) and not walk_holds(phi2, sigma):
             return sigma
     return None
 
