@@ -22,7 +22,7 @@ from .calculus import (
     validate_judgement_empirically,
 )
 from .strategy import derive, verify_procedure, verify_program
-from .kernel import CandidatePool, alpha_abduce, alpha_deduce
+from .kernel import alpha_abduce, alpha_deduce, candidate_pool
 from .parsing import parse_assertion, parse_kb, parse_program
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "And",
     "Atomic",
-    "CandidatePool",
     "ConceptAssertion",
     "DataAssertion",
     "Eq",
@@ -51,6 +50,7 @@ __all__ = [
     "apply_rule",
     "assertion",
     "assertion_holds",
+    "candidate_pool",
     "check_proof",
     "derive",
     "parse_assertion",

@@ -29,7 +29,7 @@ from .statelogic import (
 )
 from .domainlogic import DomainFormula, KnowledgeBase, signature_of
 from .lifting import SpecLifting
-from .kernel import CandidatePool
+from .kernel import candidate_pool
 from .status import ObligationStatus, status_of_verdict
 from .assertions import (
     TwoTierAssertion,
@@ -140,12 +140,12 @@ class VerifCtx:
     program: Program
     kb: KnowledgeBase
     lifting: SpecLifting
-    pool: CandidatePool
+    pool: tuple[DomainFormula, ...]
 
     @staticmethod
     def build(program: Program, kb: KnowledgeBase) -> "VerifCtx":
         lifting = SpecLifting.direct(kb, program.variables)
-        pool = CandidatePool.build(kb, lifting, extra_constants=program.constants())
+        pool = candidate_pool(kb, lifting, extra_constants=program.constants())
         return VerifCtx(program=program, kb=kb, lifting=lifting, pool=pool)
 
     # -- obligation discharge ------------------------------------------------

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 from .errors import BudgetExceeded, NoExplanation, ParseError, VerifierError
 from .domainlogic import KnowledgeBase
 from .lifting import SpecLifting
-from .kernel import CandidatePool, alpha_abduce, informative_kernel
-from .status import ObligationStatus
+from .kernel import alpha_abduce, candidate_pool, informative_kernel
+from .status import ObligationStatus, status_of_verdict
 from .calculus import (
     ProofTree,
     VerifCtx,
@@ -26,7 +26,7 @@ from .calculus import (
     validate_judgement_empirically,
 )
 from .strategy import verify_program
-from . import parsing, serialize
+from . import parsing, reasoning, serialize
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -76,22 +76,21 @@ def default_domain(program, kb: KnowledgeBase) -> tuple[int, ...]:
     return tuple(sorted(values))
 
 
-def print_tree_verdicts(name: str, tree: ProofTree, out) -> None:
+def print_tree_verdicts(name: str, tree: ProofTree) -> None:
     verdict = "Closed" if tree.closed else "Open"
-    print(f"procedure {name}: {verdict}", file=out)
-    print(f"  spine: [{', '.join(tree.spine())}]", file=out)
+    print(f"procedure {name}: {verdict}")
+    print(f"  spine: [{', '.join(tree.spine())}]")
     if not tree.closed:
         for path, node in tree.walk():
             for ob in node.obligations:
                 if ob.status != ObligationStatus.PROVED:
                     print(
                         f"  at {path} ({node.rule}) {ob.kind} {ob.status.value}: "
-                        f"{ob.payload}",
-                        file=out,
+                        f"{ob.payload}"
                     )
                     if ob.note:
                         for line in ob.note.splitlines():
-                            print(f"    {line}", file=out)
+                            print(f"    {line}")
 
 
 def structured_record(name: str, tree: ProofTree) -> str:
@@ -103,15 +102,14 @@ def structured_record(name: str, tree: ProofTree) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def cmd_verify(args: argparse.Namespace, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_verify(args: argparse.Namespace) -> int:
     ctx = load_ctx(args)
     results = verify_program(ctx)
     for name, tree in results.items():
         if args.format == "structured":
-            print(structured_record(name, tree), file=out)
+            print(structured_record(name, tree))
         else:
-            print_tree_verdicts(name, tree, out)
+            print_tree_verdicts(name, tree)
     if args.proof_out:
         Path(args.proof_out).write_text(
             serialize.dumps_procedures(results.items()), encoding="utf-8"
@@ -119,42 +117,40 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
     return EXIT_OK if all(t.closed for t in results.values()) else EXIT_FAILED
 
 
-def cmd_explain(args: argparse.Namespace, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_explain(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb, args.closure)
-    goal = parsing.parse_domain_formula(args.goal, kb.symbols)
-    pool = CandidatePool.build(kb, SpecLifting.direct(kb))
+    goal = parsing.parse_goal(args.goal, kb)
+    pool = candidate_pool(kb, SpecLifting.direct(kb))
     deduced = informative_kernel((goal,), kb, pool)
     rendered = ", ".join(str(a) for a in deduced)
-    print(f"deduced kernel: {{{rendered}}}", file=out)
+    print(f"deduced kernel: {{{rendered}}}")
     try:
         explanations = alpha_abduce((goal,), kb, pool)
     except NoExplanation as exc:
-        print(f"abduction: no explanation ({exc})", file=out)
+        print(f"abduction: no explanation ({exc})")
         return EXIT_OK
     except BudgetExceeded as exc:
         # a cyclic kb leaves consistency undecided, as in strategy.needed_pre
-        print(f"abduction: undecided ({exc})", file=out)
+        print(f"abduction: undecided ({exc})")
         return EXIT_OK
-    for result in explanations:
-        rendered = ", ".join(str(a) for a in result.atoms)
+    for atoms in explanations:
+        # abduction kept only atoms that entail the goal
+        forward = status_of_verdict(reasoning.entails((goal,), atoms, kb))
+        rendered = ", ".join(str(a) for a in atoms)
         print(
-            f"abduced {{{rendered}}}"
-            f" [atoms entail goal: {result.backward_obligation.value};"
-            f" goal entails atoms: {result.forward_obligation.value}]",
-            file=out,
+            f"abduced {{{rendered}}} [atoms entail goal: Proved;"
+            f" goal entails atoms: {forward.value}]"
         )
     return EXIT_OK
 
 
-def cmd_fuzz(args: argparse.Namespace, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_fuzz(args: argparse.Namespace) -> int:
     ctx = load_ctx(args)
     domain = args.domain or default_domain(ctx.program, ctx.kb)
-    print(f"seed: {args.seed}; domain: {list(domain)}", file=out)
+    print(f"seed: {args.seed}; domain: {list(domain)}")
     closed = [(name, t) for name, t in verify_program(ctx).items() if t.closed]
     if not closed:
-        print("nothing Closed to test", file=out)
+        print("nothing Closed to test")
         return EXIT_OK
     exit_code = EXIT_OK
     for name, tree in closed:
@@ -164,22 +160,19 @@ def cmd_fuzz(args: argparse.Namespace, out=None) -> int:
         print(
             f"procedure {name}: tested {report.tested} states, "
             f"{len(report.counterexamples)} counterexamples, "
-            f"{report.fuel_issues} fuel exhaustions",
-            file=out,
+            f"{report.fuel_issues} fuel exhaustions"
         )
         for cx in report.counterexamples:
             print(
                 f"  sigma={dict(cx.sigma)} sigma'="
                 f"{dict(cx.sigma_prime) if cx.sigma_prime is not None else None} "
-                f"violates: {cx.detail}",
-                file=out,
+                f"violates: {cx.detail}"
             )
             exit_code = EXIT_FAILED
     return exit_code
 
 
-def cmd_check(args: argparse.Namespace, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_check(args: argparse.Namespace) -> int:
     ctx = load_ctx(args)
     text = Path(args.proof).read_text(encoding="utf-8")
     trees = serialize.loads(text, ctx.kb, ctx.program)
@@ -189,12 +182,11 @@ def cmd_check(args: argparse.Namespace, out=None) -> int:
     else:
         reports = check_program(ctx, trees)
     for name, report in reports.items():
-        print(f"{name}: {report.describe()}", file=out)
+        print(f"{name}: {report.describe()}")
     return EXIT_OK if all(r.closed for r in reports.values()) else EXIT_FAILED
 
 
-def cmd_parse(args: argparse.Namespace, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_parse(args: argparse.Namespace) -> int:
     path = Path(args.file)
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".kb":
@@ -213,7 +205,7 @@ def cmd_parse(args: argparse.Namespace, out=None) -> int:
     if pretty != again:
         print("round-trip mismatch", file=sys.stderr)
         return EXIT_INTERNAL
-    print(pretty, end="", file=out)
+    print(pretty, end="")
     return EXIT_OK
 
 

@@ -274,6 +274,18 @@ def parse_domain_formula(text: str, sig: dl.DomainSignature) -> dl.DomainFormula
     return _parse_all(text, _parse_domain_assertion, sig)
 
 
+def parse_goal(text: str, kb: dl.KnowledgeBase) -> dl.DomainFormula:
+    """A domain formula over kb's symbols that, unlike a contract's, names
+    no individual but kb's own."""
+    p = _Parser(text)
+    goal = _parse_domain_assertion(p, kb.symbols)
+    p.expect_eof()
+    for t, kind in p.names:
+        if p.tokens[t] not in kb.symbols.nominals:
+            p.fail(f"undeclared {kind} {p.tokens[t]!r}", t)
+    return goal
+
+
 # ---------------------------------------------------------------------------
 # Contract tiers
 

@@ -467,9 +467,9 @@ class Reasoner:
       -> a countermodel, or None when there is none.
     - `liftings`: variables -> `lifting.SpecLifting.direct`'s lifting
       of them.
-    - `pools`: (lifting, constants) -> `kernel.CandidatePool.build`'s
-      pool.  A lifting is kept per variables, so it keys by identity.
-    - `kernels`: (delta, pool atoms) -> `kernel.informative_kernel`'s
+    - `pools`: (lifting, constants) -> `kernel.candidate_pool`'s atom
+      tuple.  A lifting is kept per variables, so it keys by identity.
+    - `kernels`: (delta as a set, pool) -> `kernel.informative_kernel`'s
       answer.
     - `types`: a detached individual's premises, renamed -> whether a
       one-element type satisfies them (`has_type`).
@@ -485,7 +485,7 @@ class Reasoner:
         self.switched: Optional[tuple] = None
         self.refutations: dict[tuple, Optional[DomainInterpretation]] = {}
         self.liftings: dict[tuple, object] = {}
-        self.pools: dict[tuple, object] = {}
+        self.pools: dict[tuple, tuple[DomainFormula, ...]] = {}
         self.kernels: dict[tuple, tuple[DomainFormula, ...]] = {}
         self.types: dict[tuple, bool] = {}
         self.splits: dict[tuple, object] = {}

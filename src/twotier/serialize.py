@@ -18,6 +18,7 @@ from .errors import ParseError
 from .status import ObligationStatus
 from .calculus import Judgement, Obligation, ProofTree
 from .lang import Program
+from .lifting import SpecLifting
 from .parsing import parse_assertion, parse_domain_formula, parse_statement, statement_to_line
 
 FORMAT = "two-tier-proof"
@@ -98,19 +99,25 @@ def _load(
     return parsed[key]
 
 
-def tree_from_dict(
+def tree_from_dict(data: dict[str, Any], kb: KnowledgeBase, program: Program) -> ProofTree:
+    """The tree that `tree_to_dict` made `data` from.  Its formulas range
+    over the kernel signature of the program's lifting, which adds the
+    stubs, hasValue and NonZero to kb's symbols."""
+    sig = SpecLifting.direct(kb, program.variables).kernel_signature
+    return _tree(data, kb, sig, "root", {})
+
+
+def _tree(
     data: dict[str, Any],
     kb: KnowledgeBase,
-    program: Program,
-    path: str = "root",
-    parsed: dict[tuple, Any] | None = None,
+    sig: DomainSignature,
+    path: str,
+    parsed: dict[tuple, Any],
 ) -> ProofTree:
-    """The tree that `tree_to_dict` made `data` from.  `parsed` holds the
-    texts parsed so far in this load, shared with the premises; a text
-    parses to immutable values under one kb, so each is parsed once."""
-    if parsed is None:
-        parsed = {}
-    sig = kb.symbols
+    """The tree at `path` that `tree_to_dict` made `data` from, its
+    formulas over `sig`.  `parsed` holds the texts parsed so far in this
+    load, shared with the premises; a text parses to immutable values
+    under one kb, so each is parsed once."""
     stored = data["conclusion"]
     conclusion = Judgement(
         pre=_load(path, "pre", parse_assertion, stored["pre"], sig, parsed),
@@ -127,7 +134,7 @@ def tree_from_dict(
         for o in data.get("obligations", ())
     )
     premises = tuple(
-        tree_from_dict(p, kb, program, f"{path}.{i}", parsed)
+        _tree(p, kb, sig, f"{path}.{i}", parsed)
         for i, p in enumerate(data.get("premises", ()))
     )
     args = []
@@ -175,10 +182,11 @@ def loads(
         if "tree" in doc:
             return tree_from_dict(doc["tree"], kb, program)
         declared = {proc.name for proc in program.procedures}
+        sig = SpecLifting.direct(kb, program.variables).kernel_signature
         trees = {}
         parsed: dict[tuple, Any] = {}
         for name, data in sorted(doc.get("procedures", {}).items()):
             if name not in declared:
                 raise ParseError(f"proof of undeclared procedure {name!r}")
-            trees[name] = tree_from_dict(data, kb, program, f"{name} root", parsed)
+            trees[name] = _tree(data, kb, sig, f"{name} root", parsed)
         return trees

@@ -207,13 +207,13 @@ def needed_pre(ctx: VerifCtx, stmt: Statement, post: TwoTierAssertion) -> TwoTie
         if not post.domain:
             return assertion((), post.state)
         try:
-            explanations = alpha_abduce(post.domain, ctx.kb, ctx.pool, max_results=1)
+            (explanation,) = alpha_abduce(post.domain, ctx.kb, ctx.pool, max_results=1)
         except (NoExplanation, BudgetExceeded):
             # an undecided abduction (cyclic kb) falls back like a failed
             # one; the guess only picks `mid`, the obligations decide
             return assertion((), post.state)
-        atoms = _invertible(ctx.lifting, explanations[0].atoms)
-        if set(atoms) != set(explanations[0].atoms):
+        atoms = _invertible(ctx.lifting, explanation)
+        if set(atoms) != set(explanation):
             return assertion((), post.state)
         return assertion((), _conj_delift(ctx.lifting, post.state, atoms))
     if isinstance(stmt, If):

@@ -11,7 +11,7 @@ from twotier.assertions import (
 )
 from twotier.domainlogic import Atomic, ConceptAssertion, DataAssertion
 from twotier.errors import UnboundVariable
-from twotier.kernel import CandidatePool, alpha_deduce
+from twotier.kernel import alpha_deduce, candidate_pool
 from twotier.lifting import SpecLifting
 from twotier.statelogic import And, Eq, Lit, TRUE, Var
 from twotier.status import ObligationStatus
@@ -118,11 +118,9 @@ def test_domain_strengthening_is_sound(corrected):
     states satisfy the assertion."""
     kb = corrected[1]
     lift = lifting_for(kb)
-    pool = CandidatePool.build(kb, lift)
+    pool = candidate_pool(kb, lift)
     base = assertion((SC,), TRUE)
-    enriched = assertion(
-        (SC, *alpha_deduce((SC,), kb, pool).atoms), TRUE
-    )
+    enriched = assertion((SC, *alpha_deduce((SC,), kb, pool)), TRUE)
     assert assertion_implies(enriched, base, kb, lift).proved
     assert assertion_implies(base, enriched, kb, lift).proved
     for wheels in (0, 2, 4):

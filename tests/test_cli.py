@@ -421,6 +421,11 @@ def test_explain_bad_goal_exit_code(capfd):
     assert code == 2
 
 
+def test_explain_of_an_undeclared_individual_is_a_parse_error(capfd):
+    code, out, err = run(capfd, "explain", COR_KB, "--goal", "SmallCar(C)")
+    assert (code, out, err) == (2, "", "error: 1:10: undeclared individual 'C'\n")
+
+
 def test_fuzz_prints_seed_and_finds_nothing_wrong(capfd):
     code, out, _ = run(capfd, "fuzz", COR_PROG, COR_KB, "--seed", "7")
     assert code == 0
@@ -451,6 +456,21 @@ def test_proof_out_then_check_round_trip(capfd, tmp_path):
     assert code == 0
     assert "addWheels: Closed" in out
     assert "assembly: Closed" in out
+
+
+UNSATISFIABLE_PRE = Path(__file__).parent / "data" / "unsatisfiable_pre"
+
+
+def test_check_accepts_a_proof_that_names_kernel_atoms_the_kb_does_not_declare(
+    capfd, tmp_path
+):
+    proof = tmp_path / "proofs.json"
+    prog, kb = f"{UNSATISFIABLE_PRE}.prog", f"{UNSATISFIABLE_PRE}.kb"
+    code, out, _ = run(capfd, "verify", prog, kb, "--proof-out", str(proof))
+    assert code == 0
+    assert "spine: [pre-core, pre-inv, cons, var]" in out
+    assert "NonZero(var_x)" in proof.read_text(encoding="utf-8")
+    assert run(capfd, "check", str(proof), prog, kb) == (0, "p: Closed\n", "")
 
 
 def test_check_rejects_mutated_proof(capfd, tmp_path):

@@ -8,13 +8,12 @@ from twotier.calculus import VerifCtx
 from twotier.errors import NoExplanation
 from twotier.domainlogic import Atomic, ConceptAssertion, DataAssertion
 from twotier.kernel import (
-    CandidatePool,
     alpha_abduce,
     alpha_deduce,
+    candidate_pool,
     informative_kernel,
 )
 from twotier.lifting import SpecLifting
-from twotier.status import ObligationStatus
 from twotier.strategy import verify_procedure, verify_program
 from tests.conftest import count_groundings, load_corpus, record_bounds
 
@@ -26,71 +25,75 @@ NZ = lambda s: ConceptAssertion(Atomic("NonZero"), s)
 hv = lambda s, n: DataAssertion("hasValue", s, n)
 
 
+def proved(premises, conclusion, kb):
+    return isinstance(reasoning.entails(premises, conclusion, kb), reasoning.Entailed)
+
+
 @pytest.fixture(scope="module")
 def corrected_pool(corrected):
     kb = corrected[1]
-    return kb, CandidatePool.build(kb, SpecLifting.direct(kb))
+    return kb, candidate_pool(kb, SpecLifting.direct(kb))
 
 
 @pytest.fixture(scope="module")
 def verbatim_pool(verbatim):
     kb = verbatim[1]
-    return kb, CandidatePool.build(kb, SpecLifting.direct(kb))
+    return kb, candidate_pool(kb, SpecLifting.direct(kb))
 
 
 def test_pool_contents(corrected_pool):
     _, pool = corrected_pool
-    atoms = set(pool.atoms)
+    atoms = set(pool)
     # three declared stubs, values {0, 2, 4}, plus NonZero per stub
     assert atoms == {
         a
         for s in ("bodyVar", "doorsVar", "wheelsVar")
         for a in (NZ(s), hv(s, 0), hv(s, 2), hv(s, 4))
     }
-    assert list(pool.atoms) == sorted(pool.atoms, key=str)
+    assert list(pool) == sorted(pool, key=str)
 
 
 def test_pool_extra_variables_and_constants(corrected_pool):
     kb, _ = corrected_pool
-    pool = CandidatePool.build(kb, SpecLifting.direct(kb, ("x",)), extra_constants=(7,))
-    assert hv("var_x", 7) in pool.atoms
-    assert NZ("var_x") in pool.atoms
+    pool = candidate_pool(kb, SpecLifting.direct(kb, ("x",)), extra_constants=(7,))
+    assert hv("var_x", 7) in pool
+    assert NZ("var_x") in pool
 
 
 def test_deduce_smallcar(corrected_pool):
     kb, pool = corrected_pool
-    result = alpha_deduce((ConceptAssertion(Atomic("SmallCar"), "c"),), kb, pool)
-    assert set(result.atoms) == {hv("doorsVar", 2), hv("wheelsVar", 4), NZ("bodyVar")}
-    assert result.forward_obligation is ObligationStatus.PROVED
+    delta = (ConceptAssertion(Atomic("SmallCar"), "c"),)
+    atoms = alpha_deduce(delta, kb, pool)
+    assert set(atoms) == {hv("doorsVar", 2), hv("wheelsVar", 4), NZ("bodyVar")}
+    assert proved(delta, atoms, kb)
     # the asserted HasChassis(c) supplies Car, so the atoms give SmallCar back
-    assert result.backward_obligation is ObligationStatus.PROVED
+    assert proved(atoms, delta, kb)
 
 
 def test_deduce_four_wheels_invertible(corrected_pool):
     kb, pool = corrected_pool
-    result = alpha_deduce(
-        (ConceptAssertion(Atomic("HasFourWheels"), "c"),), kb, pool
-    )
-    assert hv("wheelsVar", 4) in result.atoms
+    delta = (ConceptAssertion(Atomic("HasFourWheels"), "c"),)
+    atoms = alpha_deduce(delta, kb, pool)
+    assert hv("wheelsVar", 4) in atoms
     # no asserted data triple for wheelsVar in the premises, so a model may
     # still attach an extra zero value: NonZero is not deduced here
-    assert NZ("wheelsVar") not in result.atoms
-    assert result.backward_obligation is ObligationStatus.PROVED
+    assert NZ("wheelsVar") not in atoms
+    assert proved(atoms, delta, kb)
 
 
 def test_deduce_empty_spec(corrected_pool):
     kb, pool = corrected_pool
-    result = alpha_deduce((), kb, pool)
+    atoms = alpha_deduce((), kb, pool)
     # only what the kb forces on its own: the asserted chassis gives a body
-    assert result.atoms == (NZ("bodyVar"),)
+    assert atoms == (NZ("bodyVar"),)
     assert informative_kernel((), kb, pool) == ()
-    assert result.backward_obligation is ObligationStatus.PROVED
+    assert proved(atoms, (), kb)
 
 
 def test_informative_kernel_prunes(corrected_pool):
     kb, pool = corrected_pool
     delta = (ConceptAssertion(Atomic("HasFourWheels"), "c"),)
-    full = alpha_deduce(delta, kb, pool).atoms
+    full = alpha_deduce(delta, kb, pool)
     pruned = informative_kernel(delta, kb, pool)
     assert set(pruned) <= set(full)
     assert hv("wheelsVar", 4) in pruned
@@ -101,15 +104,35 @@ def test_informative_kernel_prunes(corrected_pool):
 
 def test_abduce_has_body(verbatim_pool):
     kb, pool = verbatim_pool
-    results = alpha_abduce((ConceptAssertion(Atomic("HasBody"), "c"),), kb, pool)
-    first = results[0]
-    assert set(first.atoms) == {NZ("bodyVar")}
-    assert first.backward_obligation is ObligationStatus.PROVED
+    delta = (ConceptAssertion(Atomic("HasBody"), "c"),)
+    results = alpha_abduce(delta, kb, pool)
+    assert results[0] == (NZ("bodyVar"),)
+    assert proved(results[0], delta, kb)
     # any nonzero body value also explains, but does not entail back
-    larger = [r for r in results if set(r.atoms) == {hv("bodyVar", 2)}]
-    assert larger and larger[0].forward_obligation is ObligationStatus.FAILED
-    sizes = [len(r.atoms) for r in results]
+    assert (hv("bodyVar", 2),) in results
+    back = reasoning.entails(delta, (hv("bodyVar", 2),), kb)
+    assert isinstance(back, reasoning.NotEntailed)
+    sizes = [len(atoms) for atoms in results]
     assert sizes == sorted(sizes)
+
+
+def test_abduce_asks_nothing_of_the_goal_beyond_its_explanations(
+    verbatim_pool, monkeypatch
+):
+    """Abduction asks whether atoms entail the goal, never whether the
+    goal entails the atoms it finds."""
+    kb, pool = verbatim_pool
+    delta = (ConceptAssertion(Atomic("HasBody"), "c"),)
+    asked = []
+    entails = reasoning.entails
+
+    def recording(premises, conclusion, kb, **kwargs):
+        asked.append(tuple(premises))
+        return entails(premises, conclusion, kb, **kwargs)
+
+    monkeypatch.setattr(reasoning, "entails", recording)
+    assert alpha_abduce(delta, kb, pool, max_results=1) == [(NZ("bodyVar"),)]
+    assert asked and delta not in asked
 
 
 def test_abduce_smallcar(verbatim_pool):
@@ -117,13 +140,13 @@ def test_abduce_smallcar(verbatim_pool):
     results = alpha_abduce(
         (ConceptAssertion(Atomic("SmallCar"), "c"),), kb, pool
     )
-    assert set(results[0].atoms) == {hv("doorsVar", 2), hv("wheelsVar", 4)}
+    assert set(results[0]) == {hv("doorsVar", 2), hv("wheelsVar", 4)}
 
 
 def test_abduce_minimality(verbatim_pool):
     kb, pool = verbatim_pool
     results = alpha_abduce((ConceptAssertion(Atomic("HasBody"), "c"),), kb, pool)
-    minimal = {frozenset(r.atoms) for r in results}
+    minimal = {frozenset(atoms) for atoms in results}
     for s in minimal:
         assert not any(t < s for t in minimal)
 
@@ -172,14 +195,14 @@ def test_cyclic_kb_kernels_need_no_search(monkeypatch):
         closure on;"""
     )
     assert not kb.acyclic
-    pool = CandidatePool.build(kb, SpecLifting.direct(kb))
+    pool = candidate_pool(kb, SpecLifting.direct(kb))
 
     def no_search(*args, **kwargs):
         raise AssertionError("a cyclic kb entails no atom beyond the premises")
 
     monkeypatch.setattr(reasoning, "find_model", no_search)
     delta = (hv("v", 2), NZ("v"))
-    assert alpha_deduce(delta, kb, pool).atoms == (NZ("v"), hv("v", 2))
+    assert alpha_deduce(delta, kb, pool) == (NZ("v"), hv("v", 2))
     assert informative_kernel(delta, kb, pool) == ()
     has = ConceptAssertion(Atomic("Has"), "c")
     assert informative_kernel((has, hv("v", 2)), kb, pool) == ()
@@ -195,7 +218,7 @@ def test_a_kernel_on_s5_grounds_k_once_for_all_parameter_stubs(monkeypatch):
     kb = parsing.parse_kb(kb_text)
     program = parsing.parse_program(prog_text, kb)
     pool = VerifCtx.build(program, kb).pool
-    assert NZ("var_a_4") in pool.atoms and hv("var_a_0", 1) in pool.atoms
+    assert NZ("var_a_4") in pool and hv("var_a_0", 1) in pool
     searched = record_bounds(monkeypatch)
     groundings = count_groundings(monkeypatch)
     has = ConceptAssertion(Atomic("Has_0"), "c")
@@ -243,8 +266,8 @@ def test_a_second_context_shares_the_kernel(monkeypatch):
     kernel = informative_kernel(delta, kb, first.pool)
     assert kernel
     assert VerifCtx.build(program, kb).pool is first.pool
-    second = CandidatePool(tuple(list(first.pool.atoms)))
-    assert second == first.pool and second.atoms is not first.pool.atoms
+    second = tuple(list(first.pool))
+    assert second == first.pool and second is not first.pool
 
     def no_atoms(*args, **kwargs):
         raise AssertionError("the kernel is asked again")
@@ -273,11 +296,11 @@ def test_contexts_over_one_kb_share_one_lifting_and_pool(monkeypatch):
     contexts = [VerifCtx.build(program, kb) for program in programs]
     monkeypatch.undo()
     pool = contexts[0].pool
-    assert sorted(map(str, renders)) == sorted(map(str, pool.atoms))
+    assert sorted(map(str, renders)) == sorted(map(str, pool))
     assert all(c.pool is pool and c.lifting is contexts[0].lifting for c in contexts)
     fresh = parsing.parse_kb(kb_text)
     for c in contexts:
         lifting = SpecLifting.direct(fresh, c.program.variables)
         assert c.lifting.table == lifting.table
         assert c.lifting.kernel_signature == lifting.kernel_signature
-        assert c.pool.atoms == CandidatePool.build(fresh, lifting, c.program.constants()).atoms
+        assert c.pool == candidate_pool(fresh, lifting, c.program.constants())
