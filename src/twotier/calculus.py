@@ -86,20 +86,6 @@ RULE_NAMES = {f"{side}-{kind}" for side in SIDES for kind in SIDED_KINDS} | {
 
 OPEN_RULE = "open"
 
-# rule-name drift in the source material; aliases accepted in stored proofs
-RULE_ALIASES = {
-    "post-abd": "post-core",
-    "post-abs": "post-core",
-    "pre-abd": "pre-core",
-    "pre-abs": "pre-core",
-    "new-var": "var",
-}
-
-
-def canonical_rule(name: str) -> str:
-    return RULE_ALIASES.get(name, name)
-
-
 @dataclass(frozen=True)
 class ProofTree:
     conclusion: Judgement
@@ -110,7 +96,7 @@ class ProofTree:
 
     @property
     def closed(self) -> bool:
-        if canonical_rule(self.rule) not in RULE_NAMES:
+        if self.rule not in RULE_NAMES:
             return False
         return all(
             o.status == ObligationStatus.PROVED for o in self.obligations
@@ -232,7 +218,6 @@ def apply_rule(
     side's domain tier with kernel atoms, `pre-inv` and `post-inv`
     recover state conjuncts from its domain atoms, and `pre-lift` and
     `post-lift` add the lifting of its state tier."""
-    rule = canonical_rule(rule)
     pre, stmt, post = target.pre, target.stmt, target.post
     lifting = ctx.lifting
 
@@ -455,13 +440,13 @@ def _same_judgement(a: Judgement, b: Judgement) -> bool:
 def check_proof(ctx: VerifCtx, tree: ProofTree) -> VerificationReport:
     failures: list[CheckFailure] = []
     for path, node in tree.walk():
-        rule = canonical_rule(node.rule)
+        rule = node.rule
         if rule == OPEN_RULE:
             reasons = "; ".join(o.note or o.payload for o in node.obligations)
             failures.append(CheckFailure(path, f"open leaf: {reasons}"))
             continue
         if rule not in RULE_NAMES:
-            failures.append(CheckFailure(path, f"unknown rule {node.rule!r}"))
+            failures.append(CheckFailure(path, f"unknown rule {rule!r}"))
             continue
         try:
             premise_judgements, obligations = apply_rule(

@@ -2,7 +2,8 @@
 
 Subcommands: verify, explain, fuzz, check, parse.  Exit codes are the
 machine contract: 0 success, 1 verification failure or open proof,
-2 parse/usage error, 3 internal or budget error.
+2 parse/usage error or unreadable input, 3 internal or budget error or
+a program nested too deeply.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .calculus import (
     ProofTree,
     VerifCtx,
     check_program,
-    check_proof,
     validate_judgement_empirically,
 )
 from .strategy import verify_program
@@ -175,12 +175,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     ctx = load_ctx(args)
     text = Path(args.proof).read_text(encoding="utf-8")
-    trees = serialize.loads(text, ctx.kb, ctx.program)
-    if isinstance(trees, ProofTree):
-        # a lone tree certifies the judgement it concludes
-        reports = {str(trees.conclusion): check_proof(ctx, trees)}
-    else:
-        reports = check_program(ctx, trees)
+    reports = check_program(ctx, serialize.loads(text, ctx.kb, ctx.program))
     for name, report in reports.items():
         print(f"{name}: {report.describe()}")
     return EXIT_OK if all(r.closed for r in reports.values()) else EXIT_FAILED
@@ -195,9 +190,6 @@ def cmd_parse(args: argparse.Namespace) -> int:
         again = parsing.kb_to_text(parsing.parse_kb(pretty))
     else:
         kb_path = Path(args.kb) if args.kb else path.with_suffix(".kb")
-        if not kb_path.exists():
-            print(f"no knowledge base found at {kb_path}", file=sys.stderr)
-            return EXIT_PARSE
         kb = parsing.parse_kb(kb_path.read_text(encoding="utf-8"))
         program = parsing.parse_program(text, kb)
         pretty = parsing.program_to_text(program)
@@ -263,9 +255,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
+        # an input that does not parse, cannot be read or is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RecursionError:
+        # deriving a sequence takes several Python frames per statement
+        print("error: the program nests too deeply", file=sys.stderr)
+        return EXIT_INTERNAL
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

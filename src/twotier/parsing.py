@@ -317,14 +317,32 @@ def parse_assertion(text: str, sig: dl.DomainSignature) -> TwoTierAssertion:
 # Knowledge-base files
 
 
+# the words the kb grammar reads as themselves where a name of each kind
+# may stand: a role, data role or concept name may start a statement, a
+# concept name also stands inside a concept, and an individual's never
+# stands where a keyword does
+_KB_STATEMENT_KEYWORDS = {
+    "individual", "role", "data-role", "concept", "stub", "closure"
+}
+_KB_KEYWORDS = {
+    "individual": set(),
+    "role": _KB_STATEMENT_KEYWORDS,
+    "data-role": _KB_STATEMENT_KEYWORDS,
+    "concept": _KB_STATEMENT_KEYWORDS | {"some", "all", "Top", "Bot"},
+}
+
+
 def parse_kb(text: str) -> dl.KnowledgeBase:
     p = _Parser(text)
     # one set per declaration keyword, in DomainSignature's field order
     declared = {k: set() for k in ("individual", "role", "data-role", "concept")}
     # symbols may be declared after the statements that use them; a
     # declaration is the only `keyword name ;` that a kb can hold
-    for keyword, name, end in zip(p.tokens, p.tokens[1:], p.tokens[2:]):
+    triples = zip(p.tokens, p.tokens[1:], p.tokens[2:])
+    for t, (keyword, name, end) in enumerate(triples):
         if keyword in declared and _kind(name) == "ident" and end == ";":
+            if name in _KB_KEYWORDS[keyword]:
+                p.fail(f"keyword {name!r} cannot name a {keyword}", t + 1)
             declared[keyword].add(name)
     signature = dl.DomainSignature(*map(frozenset, declared.values()))
     axioms: list[dl.DomainFormula] = []

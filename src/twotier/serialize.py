@@ -1,10 +1,10 @@
 """Canonical JSON serialization of proof trees.
 
-Trees serialize to a stable, sorted JSON document
-`{format, version, tree}` for one tree, or `{format, version,
-procedures}` for one tree per procedure; assertions, statements, and
-rule arguments are stored in their concrete syntax and re-parsed on
-load, so a round trip exercises the full grammar.
+A proof file is one stable, sorted JSON document `{format, version,
+procedures}` holding one tree per procedure; `loads` refuses any other
+format or version.  Assertions, statements and rule arguments are
+stored in their concrete syntax and re-parsed on load, so a round trip
+exercises the full grammar.
 """
 
 from __future__ import annotations
@@ -70,18 +70,11 @@ def tree_to_dict(tree: ProofTree) -> dict[str, Any]:
     }
 
 
-def _document(**body: Any) -> str:
-    doc = {"format": FORMAT, "version": VERSION, **body}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def dumps(tree: ProofTree) -> str:
-    return _document(tree=tree_to_dict(tree))
-
-
 def dumps_procedures(results: Iterable[tuple[str, ProofTree]]) -> str:
     """One tree per procedure, as `verify --proof-out` writes them."""
-    return _document(procedures={name: tree_to_dict(t) for name, t in results})
+    procedures = {name: tree_to_dict(t) for name, t in results}
+    doc = {"format": FORMAT, "version": VERSION, "procedures": procedures}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _load(
@@ -159,6 +152,10 @@ def _read(text: str) -> dict[str, Any]:
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != FORMAT:
         raise ParseError(f"unrecognized proof format: {found!r}")
+    version = doc.get("version")
+    # JSON's true and 1.0 would compare equal to 1
+    if type(version) is not int or version != VERSION:
+        raise ParseError(f"unsupported proof version: {version!r}")
     return doc
 
 
@@ -171,21 +168,16 @@ def _malformed() -> Iterator[None]:
         raise ParseError(f"malformed proof: {type(exc).__name__}: {exc}") from exc
 
 
-def loads(
-    text: str, kb: KnowledgeBase, program: Program
-) -> ProofTree | dict[str, ProofTree]:
-    """The one tree of a document that `dumps` wrote, or the trees by
-    name of one that `dumps_procedures` wrote, each under the name of a
-    procedure of `program`."""
+def loads(text: str, kb: KnowledgeBase, program: Program) -> dict[str, ProofTree]:
+    """The trees by procedure name of a document that `dumps_procedures`
+    wrote, each under the name of a procedure of `program`."""
     doc = _read(text)
     with _malformed():
-        if "tree" in doc:
-            return tree_from_dict(doc["tree"], kb, program)
         declared = {proc.name for proc in program.procedures}
         sig = SpecLifting.direct(kb, program.variables).kernel_signature
         trees = {}
         parsed: dict[tuple, Any] = {}
-        for name, data in sorted(doc.get("procedures", {}).items()):
+        for name, data in sorted(doc["procedures"].items()):
             if name not in declared:
                 raise ParseError(f"proof of undeclared procedure {name!r}")
             trees[name] = _tree(data, kb, sig, f"{name} root", parsed)

@@ -19,7 +19,6 @@ from twotier.calculus import (
     ProofTree,
     VerifCtx,
     apply_rule,
-    canonical_rule,
     check_proof,
     validate_judgement_empirically,
 )
@@ -37,13 +36,6 @@ hv4 = DataAssertion("hasValue", "wheelsVar", 4)
 
 wheels4 = Eq(Var("wheels"), Lit(4))
 param4 = Eq(Var("nrWheels"), Lit(4))
-
-
-def test_rule_aliases():
-    assert canonical_rule("post-abd") == "post-core"
-    assert canonical_rule("post-abs") == "post-core"
-    assert canonical_rule("new-var") == "var"
-    assert canonical_rule("seq") == "seq"
 
 
 def test_skip_rule(corrected_ctx):
@@ -236,15 +228,6 @@ SIDED_CASES = [
         [({}, MissingArgument, "pre-core rule needs the kernel atoms")],
     ),
     (
-        "pre-abd",
-        Judgement(assertion((HFW,), param4), ASSIGN, assertion((), wheels4)),
-        {"kernel": (hv2,)},
-        "[ HasFourWheels(c), hasValue(wheelsVar, 2) | nrWheels == 4 ] "
-        "wheels := nrWheels; [ - | wheels == 4 ]",
-        [("dl-entailment", "{HasFourWheels(c)} |= {hasValue(wheelsVar, 2)}", "Failed")],
-        [({}, MissingArgument, "pre-core rule needs the kernel atoms")],
-    ),
-    (
         "post-core",
         Judgement(assertion((), param4), ASSIGN, assertion((HFW,), wheels4)),
         {"kernel": (hv4,)},
@@ -296,9 +279,9 @@ SIDED_CASES = [
     ids=[case[0] for case in SIDED_CASES],
 )
 def test_sided_rules(corrected_ctx, rule, target, kwargs, premise, obligations, errors):
-    """Each side of core, inversion and lift, and an alias: the premise
-    it leaves, the obligations it discharges and the errors of a missing
-    or misplaced argument."""
+    """Each side of core, inversion and lift: the premise it leaves, the
+    obligations it discharges and the errors of a missing or misplaced
+    argument."""
     (got,), obs = apply_rule(corrected_ctx, rule, target, **kwargs)
     assert str(got) == premise
     assert [(o.kind, o.payload, o.status.value) for o in obs] == obligations
@@ -415,6 +398,18 @@ def test_stored_loop_rule_is_unknown_to_the_checker(corrected_ctx, rule):
     report = check_proof(corrected_ctx, tree)
     assert report.failures[0].path == "root"
     assert "unknown rule" in report.failures[0].reason
+
+
+def test_a_rule_goes_by_the_one_name_apply_rule_takes(corrected_ctx):
+    stmt = Assign("wheels", Var("nrWheels"))
+    j = Judgement(assertion((), param4), stmt, assertion((HFW,), wheels4))
+    _, obligations = apply_rule(corrected_ctx, "var", j)
+    with pytest.raises(RuleShapeMismatch, match="^unknown rule: new-var$"):
+        apply_rule(corrected_ctx, "new-var", j)
+    tree = ProofTree(conclusion=j, rule="new-var", obligations=obligations)
+    assert not tree.closed
+    (failure,) = check_proof(corrected_ctx, tree).failures
+    assert (failure.path, failure.reason) == ("root", "unknown rule 'new-var'")
 
 
 def test_check_proof_flags_open_leaves(corrected_ctx):

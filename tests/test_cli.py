@@ -4,9 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from twotier import serialize
 from twotier.cli import main
-from twotier.strategy import verify_program
 
 
 def corpus_path(name: str) -> str:
@@ -281,6 +279,20 @@ def test_a_kb_stub_named_like_a_default_stub_is_a_parse_error(capfd, tmp_path, c
     )
 
 
+KEYWORD_CONCEPT = Path(__file__).parent / "data" / "keyword_concept"
+
+
+@pytest.mark.parametrize("command", ["verify", "fuzz", "parse"])
+def test_a_concept_named_bot_is_a_parse_error(capfd, command):
+    # Bot(c) read as the built-in bottom concept: the kb was inconsistent,
+    # p's false contract was Closed, and fuzzing found nothing
+    prog, kb = f"{KEYWORD_CONCEPT}.prog", f"{KEYWORD_CONCEPT}.kb"
+    argv = {"parse": ["parse", kb]}.get(command, [command, prog, kb])
+    assert run(capfd, *argv) == (
+        2, "", "error: 3:9: keyword 'Bot' cannot name a concept\n"
+    )
+
+
 def test_a_call_to_an_undeclared_procedure_is_a_parse_error(capfd, tmp_path):
     prog = tmp_path / "unknown.prog"
     prog.write_text(
@@ -367,6 +379,48 @@ def test_undecided_abduction_leaves_the_procedure_open(capfd, tmp_path):
 def test_missing_file_exit_code(capfd):
     code, _, err = run(capfd, "verify", "/nonexistent.prog", COR_KB)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "{corpus}", ADD_KB], "Is a directory"),
+        (["check", "{tmp}", ADD_PROG, ADD_KB], "Is a directory"),
+        (["verify", ADD_PROG, ADD_KB, "--proof-out", "{tmp}"], "Is a directory"),
+        (["parse", "{tmp}/latin1.kb"], "'utf-8' codec can't decode byte 0xe9"),
+    ],
+    ids=["verify-a-directory", "check-a-directory", "proof-out-a-directory", "not-utf8"],
+)
+def test_an_unreadable_input_is_an_input_error(capfd, tmp_path, argv, message):
+    (tmp_path / "latin1.kb").write_bytes("concept Café;\n".encode("latin-1"))
+    corpus = str(Path(ADD_PROG).parent)
+    argv = [a.format(corpus=corpus, tmp=tmp_path) for a in argv]
+    code, _, err = run(capfd, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_parse_of_a_program_without_its_kb_is_an_input_error(capfd, tmp_path):
+    prog = tmp_path / "alone.prog"
+    prog.write_text("var x = 0;\n", encoding="utf-8")
+    code, out, err = run(capfd, "parse", str(prog))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{tmp_path}/alone.kb'\n"
+
+
+def test_a_program_nested_too_deeply_is_an_internal_error(capfd, tmp_path):
+    # the strategy spends several Python frames on each `seq` node
+    body = "  x := 1;\n" * 400
+    prog = tmp_path / "long.prog"
+    prog.write_text(
+        "var x = 0;\n\nproc p(n)\n  requires [ - | - ]\n  ensures [ - | x == 1 ]\n"
+        f"begin\n{body}end;\n",
+        encoding="utf-8",
+    )
+    assert run(capfd, "verify", str(prog), ADD_KB) == (
+        3, "", "error: the program nests too deeply\n"
+    )
 
 
 def test_explain_deduced_and_abduced(capfd):
@@ -498,21 +552,55 @@ def test_check_rejects_unknown_format(capfd, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        '{"format": "two-tier-proof", "procedures": {',
-        '{"format": "two-tier-proof", "tree": {"rule": "skip"}}',
-        '["two-tier-proof"]',
+        ('{"format": "two-tier-proof", "procedures": {', "proof is not JSON"),
+        (
+            '{"format": "two-tier-proof", "version": 1, "procedures":'
+            ' {"addWheels": {"rule": "skip"}}}',
+            "malformed proof: KeyError: 'conclusion'",
+        ),
+        ('["two-tier-proof"]', "unrecognized proof format"),
     ],
     ids=["invalid-json", "no-conclusion", "json-list"],
 )
-def test_check_rejects_malformed_proof(capfd, tmp_path, text):
+def test_check_rejects_malformed_proof(capfd, tmp_path, text, message):
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")
     code, out, err = run(capfd, "check", str(bad), ADD_PROG, ADD_KB)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+
+
+GOLDEN_PROOF = Path(__file__).parent / "golden" / "addwheels.proof.json"
+
+
+@pytest.mark.parametrize(
+    "version, shown", [(2, "2"), (None, "None")], ids=["version-2", "no-version"]
+)
+def test_check_refuses_a_proof_of_another_version(capfd, tmp_path, version, shown):
+    doc = json.loads(GOLDEN_PROOF.read_text(encoding="utf-8"))
+    assert doc.pop("version") == 1
+    if version is not None:
+        doc["version"] = version
+    proof = tmp_path / "proof.json"
+    proof.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capfd, "check", str(proof), ADD_PROG, ADD_KB) == (
+        2, "", f"error: unsupported proof version: {shown}\n"
+    )
+
+
+def test_check_reports_a_rule_alias_as_an_unknown_rule(capfd, tmp_path):
+    # a stored rule is named as apply_rule takes it: post-core, not post-abd
+    text = GOLDEN_PROOF.read_text(encoding="utf-8")
+    assert text.count('"rule": "post-core"') == 1
+    proof = tmp_path / "proof.json"
+    proof.write_text(text.replace('"rule": "post-core"', '"rule": "post-abd"'))
+    assert run(capfd, "check", str(proof), ADD_PROG, ADD_KB) == (
+        1, "addWheels: Open\n  at root: unknown rule 'post-abd'\n", ""
+    )
 
 
 @pytest.mark.parametrize(
@@ -599,15 +687,6 @@ def test_check_rejects_a_tree_of_an_undeclared_procedure(capfd, tmp_path):
     code, out, err = run(capfd, "check", str(fake), ADD_PROG, ADD_KB)
     assert (code, out) == (2, "")
     assert err == "error: proof of undeclared procedure 'nobody'\n"
-
-
-def test_check_of_a_lone_tree_names_its_judgement(capfd, tmp_path, addwheels_ctx):
-    tree = verify_program(addwheels_ctx)["addWheels"]
-    lone = tmp_path / "lone.json"
-    lone.write_text(serialize.dumps(tree), encoding="utf-8")
-    code, out, _ = run(capfd, "check", str(lone), ADD_PROG, ADD_KB)
-    assert code == 0
-    assert out == f"{tree.conclusion}: Closed\n"
 
 
 def test_parse_kb_round_trip(capfd):

@@ -463,6 +463,63 @@ def test_a_keyword_cannot_name_a_declaration(keyword, kind, template, column):
     parse_program(template.format("ok", rest), parse_kb("closure off;"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Bot(c) would read as the built-in bottom concept
+        (
+            "concept Bot; concept Car; individual c; Bot(c);",
+            "1:9: keyword 'Bot' cannot name a concept",
+        ),
+        # the rest were accepted here and failed at their first use
+        (
+            "concept all; concept Car; all <= Car;",
+            "1:9: keyword 'all' cannot name a concept",
+        ),
+        (
+            "concept Car; concept concept; concept <= Car;",
+            "1:22: keyword 'concept' cannot name a concept",
+        ),
+        (
+            "individual a; role closure; closure(a, a);",
+            "1:20: keyword 'closure' cannot name a role",
+        ),
+        (
+            "individual a; data-role stub; stub(a, 1);",
+            "1:25: keyword 'stub' cannot name a data-role",
+        ),
+    ],
+    ids=[
+        "concept-Bot", "concept-all", "concept-concept", "role-closure", "data-role-stub"
+    ],
+)
+def test_a_kb_keyword_cannot_name_a_symbol(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_kb(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "name", ["individual", "role", "data-role", "concept", "stub", "closure"]
+)
+def test_each_kb_statement_keyword_is_refused_for_every_kind_but_individuals(name):
+    for kind in ("concept", "role", "data-role"):
+        with pytest.raises(ParseError, match=f"keyword {name!r} cannot name a {kind}$"):
+            parse_kb(f"{kind} {name};")
+    # an individual stands only where no keyword does
+    kb = parse_kb(f"concept A; individual {name}; A({name});")
+    assert kb.symbols.nominals == {name}
+
+
+@pytest.mark.parametrize("name", ["some", "all", "Top", "Bot"])
+def test_a_concept_keyword_may_name_a_role_or_an_individual(name):
+    with pytest.raises(ParseError, match=f"keyword {name!r} cannot name a concept$"):
+        parse_kb(f"concept {name};")
+    kb = parse_kb(f"concept A; role {name}; individual c; A <= some {name} . A;")
+    assert kb.symbols.abstract_roles == {name}
+    assert parse_kb(f"individual {name};").symbols.nominals == {name}
+
+
 def test_a_term_may_name_the_parameter_of_a_later_procedure(addwheels):
     # every parameter is a program variable, wherever it is declared
     text = (

@@ -1,11 +1,16 @@
 import json
-from pathlib import Path
 
 import pytest
 
-from twotier.calculus import check_program, check_proof
+from twotier.calculus import check_proof
 from twotier.errors import ParseError
-from twotier.serialize import FORMAT, dumps, loads, tree_from_dict, tree_to_dict
+from twotier.serialize import (
+    FORMAT,
+    dumps_procedures,
+    loads,
+    tree_from_dict,
+    tree_to_dict,
+)
 from twotier.strategy import verify_program
 
 
@@ -16,37 +21,48 @@ def shape(tree):
     return json.dumps(tree_to_dict(tree), sort_keys=True)
 
 
+def round_trip(name, tree, kb, program):
+    """`tree` written as procedure `name`'s proof and read back."""
+    return loads(dumps_procedures([(name, tree)]), kb, program)[name]
+
+
 def test_round_trip_preserves_trees(corrected, corrected_ctx):
     program, kb = corrected
-    for name, tree in verify_program(corrected_ctx).items():
-        text = dumps(tree)
-        back = loads(text, kb, program)
-        assert shape(back) == shape(tree), name
-        # serialization is a fixpoint after one round trip
-        assert dumps(back) == text
+    trees = verify_program(corrected_ctx)
+    text = dumps_procedures(trees.items())
+    back = loads(text, kb, program)
+    assert list(back) == sorted(trees)
+    for name, tree in trees.items():
+        assert shape(back[name]) == shape(tree), name
+    # serialization is a fixpoint after one round trip
+    assert dumps_procedures(back.items()) == text
 
 
 def test_round_trip_preserves_open_trees(verbatim, verbatim_ctx):
     program, kb = verbatim
     tree = verify_program(verbatim_ctx)["assembly"]
     assert not tree.closed
-    back = loads(dumps(tree), kb, program)
+    back = round_trip("assembly", tree, kb, program)
     assert shape(back) == shape(tree)
     assert not back.closed
 
 
 def test_dumps_is_deterministic(corrected_ctx):
-    tree = verify_program(corrected_ctx)["addWheels"]
-    assert dumps(tree) == dumps(tree)
-    doc = json.loads(dumps(tree))
+    trees = verify_program(corrected_ctx)
+    text = dumps_procedures(trees.items())
+    assert dumps_procedures(trees.items()) == text
+    # the keys are sorted, whatever the order of the trees
+    assert dumps_procedures(reversed(trees.items())) == text
+    doc = json.loads(text)
     assert doc["format"] == FORMAT
     assert doc["version"] == 1
+    assert sorted(doc["procedures"]) == ["addWheels", "assembly"]
 
 
 def test_loaded_tree_replays_through_checker(corrected, corrected_ctx):
     program, kb = corrected
     tree = verify_program(corrected_ctx)["assembly"]
-    back = loads(dumps(tree), kb, program)
+    back = round_trip("assembly", tree, kb, program)
     assert check_proof(corrected_ctx, back).closed
 
 
@@ -54,6 +70,26 @@ def test_unknown_format_rejected(corrected):
     program, kb = corrected
     with pytest.raises(ParseError, match="unrecognized proof format"):
         loads('{"format": "something-else", "tree": {}}', kb, program)
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_a_version_that_only_compares_equal_to_1_is_refused(corrected, version):
+    # the CLI tests cover version 2 and a missing version
+    program, kb = corrected
+    doc = {"format": FORMAT, "version": version, "procedures": {}}
+    with pytest.raises(ParseError) as info:
+        loads(json.dumps(doc), kb, program)
+    assert str(info.value) == f"unsupported proof version: {version}"
+
+
+def test_a_document_without_procedures_is_malformed(corrected, corrected_ctx):
+    # the one-tree form `{format, version, tree}` is not a proof file
+    program, kb = corrected
+    tree = tree_to_dict(verify_program(corrected_ctx)["addWheels"])
+    doc = {"format": FORMAT, "version": 1, "tree": tree}
+    with pytest.raises(ParseError) as info:
+        loads(json.dumps(doc), kb, program)
+    assert str(info.value) == "malformed proof: KeyError: 'procedures'"
 
 
 def test_dict_form_tolerates_missing_optionals(corrected, corrected_ctx):
@@ -132,20 +168,3 @@ def test_a_repeated_bad_text_is_reported_at_its_first_node(corrected, corrected_
     doc = json.dumps({"format": FORMAT, "version": 1, "procedures": {"assembly": data}})
     with pytest.raises(ParseError, match=r"^assembly root\.0 post: "):
         loads(doc, kb, program)
-
-
-def test_a_stored_proof_may_use_the_rule_aliases(addwheels, addwheels_ctx):
-    # calculus.RULE_ALIASES: post-abd is post-core and new-var is var
-    golden = Path(__file__).parent / "golden" / "addwheels.proof.json"
-    text = golden.read_text(encoding="utf-8")
-    for rule, alias in (("post-core", "post-abd"), ("var", "new-var")):
-        assert text.count(f'"rule": "{rule}"') == 1
-        text = text.replace(f'"rule": "{rule}"', f'"rule": "{alias}"')
-    program, kb = addwheels
-    trees = loads(text, kb, program)
-    assert [node.rule for _, node in trees["addWheels"].walk()] == [
-        "post-abd",
-        "post-inv",
-        "new-var",
-    ]
-    assert [r.closed for r in check_program(addwheels_ctx, trees).values()] == [True]

@@ -177,7 +177,7 @@ def test_in_memory_tree_with_a_branch_passes_the_checker(corrected):
     tree = verify_procedure(ctx, program.procedure("generated"))
     assert tree.closed
     assert check_proof(ctx, tree).closed
-    back = serialize.loads(serialize.dumps(tree), kb, program)
+    back = serialize.tree_from_dict(serialize.tree_to_dict(tree), kb, program)
     assert check_proof(ctx, back).closed
 
 
@@ -255,17 +255,16 @@ def test_the_strategy_applies_each_rule_once_per_node(monkeypatch):
 @pytest.mark.hashseed
 def test_generated_trees_are_pinned():
     """The proof trees of 500 generated programs, byte for byte: a sha256
-    over the serialized tree of every procedure, in `verify_program`
-    order."""
+    over the proof file of each program, in order."""
     kb = parse_kb(corpus_text(f"{gen_programs.HOST_STEM}.kb"))
     digest = hashlib.sha256()
     closed = 0
     for text in gen_programs.programs(42, 500):
         program = parse_program(text, kb)
-        for tree in verify_program(VerifCtx.build(program, kb)).values():
-            digest.update(serialize.dumps(tree).encode())
-            closed += tree.closed
+        trees = verify_program(VerifCtx.build(program, kb))
+        digest.update(serialize.dumps_procedures(trees.items()).encode())
+        closed += sum(tree.closed for tree in trees.values())
     assert closed == 578  # 78 generated procedures and 500 addWheels
     assert digest.hexdigest() == (
-        "36b390cf7d003bb56ae94044dc4b665b11498c75e307d7a94dfb5c1f19afe127"
+        "21d4c5751e2c25b0d4fdcde39f7c47b361a535580addb61bbe972ac976529384"
     )
